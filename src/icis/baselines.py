@@ -9,18 +9,10 @@ rows is the caller's job. Biases are not modelled here.
 import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, PairSet
-from .errors import DivergenceError, IcisError
-from .evaluation import softmax_rows
-from .model import (
-    IcisModel,
-    LossConfig,
-    LossTrace,
-    TrainConfig,
-    _proportional_slice,
-    should_stop,
-    stopping_threshold,
-)
-from .nn import AdamState, LinearLayer, MlpTwoLayer, adam_step, batch_loss
+from .errors import IcisError
+from .evaluation import lowest_id_argmax, softmax_rows
+from .model import IcisModel, LossConfig, LossTrace, TrainConfig, fit, stopping_threshold
+from .nn import LinearLayer, MlpTwoLayer, batch_loss
 from .tensor import RngState, as_matrix, row_normalize
 
 
@@ -68,11 +60,7 @@ def conse_classify(
     if np.any(norms == 0.0):
         raise IcisError("combined semantic vector collapsed to zero")
     sims = (combined / norms) @ row_normalize(target_descriptors.matrix).T
-    ids = target_descriptors.class_ids
-    id_order = np.argsort(np.argsort(ids, kind="stable"), kind="stable")
-    top = sims.max(axis=1, keepdims=True)
-    tie_rank = np.where(sims == top, id_order, np.iinfo(np.int64).max)
-    return [ids[j] for j in tie_rank.argmin(axis=1)]
+    return lowest_id_argmax(sims, target_descriptors.class_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -209,41 +197,17 @@ def train_subreg(
         raise IcisError("pair or descriptor dims do not match model")
     projector = span_projector(w_seen)
 
-    n, n_u = a_seen.shape[0], a_unseen.shape[0]
-    rng = RngState(cfg.seed).spawn("subreg-shuffle")
-    opt = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    threshold = stopping_threshold(LossConfig(distance=distance), cfg)
-    trace = LossTrace(threshold=threshold)
+    def step(rows, extra_rows):
+        loss, grad = loss_fn(model.a_to_w.forward(a_seen[rows]), w_seen[rows])
+        model.a_to_w.backward(grad)
+        if extra_rows.size:
+            pen, pen_grad = subspace_reg_loss(model.a_to_w.forward(a_unseen[extra_rows]), projector)
+            model.a_to_w.backward(lam * pen_grad)
+            loss += lam * pen
+        return {"reg": (loss, rows.size)}
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        u_order = rng.permutation(n_u) if n_u else None
-        loss_sum, count = 0.0, 0
-        for start in range(0, n, cfg.batch_size):
-            end = min(start + cfg.batch_size, n)
-            batch = order[start:end]
-            model.zero_grad()
-            loss, grad = loss_fn(model.a_to_w.forward(a_seen[batch]), w_seen[batch])
-            model.a_to_w.backward(grad)
-            total = loss
-            if u_order is not None:
-                chunk = u_order[_proportional_slice(start, end, n, n_u)]
-                if chunk.size:
-                    pred_u = model.a_to_w.forward(a_unseen[chunk])
-                    pen, pen_grad = subspace_reg_loss(pred_u, projector)
-                    model.a_to_w.backward(lam * pen_grad)
-                    total += lam * pen
-            adam_step(opt, model.parameters(), model.gradients())
-            loss_sum += total * (end - start)
-            count += end - start
-        epoch_loss = loss_sum / count
-        trace.append(epoch_loss, {"reg": epoch_loss})
-        if not np.isfinite(epoch_loss) or epoch_loss > cfg.divergence_limit:
-            raise DivergenceError(f"training diverged at epoch {epoch}: mean loss {epoch_loss!r}", trace=trace)
-        if should_stop(trace.total, cfg.stop_window, threshold):
-            trace.stopped_early = True
-            break
-    return trace
+    return fit(model, a_seen.shape[0], step, cfg, RngState(cfg.seed).spawn("subreg-shuffle"),
+               stopping_threshold(LossConfig(distance=distance), cfg), n_extra=a_unseen.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +253,17 @@ def dae_refine(
         )
     elif net.in_dim != d or net.out_dim != d:
         raise IcisError("provided autoencoder dims do not match the weight dim")
-    opt = AdamState(lr=lr)
     loss_fn = batch_loss("l2")
     per_dim_std = w.std(axis=0)
-    n = w.shape[0]
-    for _epoch in range(epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            target = w[batch]
-            noise = noise_rng.standard_normal((batch.shape[0], d)) * (noise_scale * per_dim_std)
-            for layer in (net.layer1, net.layer2):
-                layer.zero_grad()
-            _, grad = loss_fn(net.forward(target + noise), target)
-            net.backward(grad)
-            params = net.layer1.parameters() + net.layer2.parameters()
-            grads = net.layer1.gradients() + net.layer2.gradients()
-            adam_step(opt, params, grads)
+
+    def step(rows, _extra_rows):
+        target = w[rows]
+        noise = noise_rng.standard_normal((rows.shape[0], d)) * (noise_scale * per_dim_std)
+        loss, grad = loss_fn(net.forward(target + noise), target)
+        net.backward(grad)
+        return {"reg": (loss, rows.size)}
+
+    # stop_window = epochs: the stop rule needs two windows, so every epoch runs
+    cfg = TrainConfig(lr=lr, batch_size=batch_size, max_epochs=epochs, stop_window=epochs)
+    fit(net, w.shape[0], step, cfg, shuffle_rng, cfg.stop_threshold)
     return net.predict(pred)

@@ -354,25 +354,21 @@ def cmd_baseline(args) -> int:
     seen_desc = descriptors.subset(manifest.seen)
     unseen_desc = descriptors.subset(manifest.unseen)
     method = args.method
+    # rows of the similarity baselines; dae refines the rows of its --base method
+    row_builders = {
+        "costa": lambda: bl.costa_weights(unseen_desc, seen_desc, seen_head),
+        "wavg": lambda: bl.vgse_wavg_weights(unseen_desc, seen_desc, seen_head, temperature=args.temperature),
+        "smo": lambda: bl.vgse_smo_weights(unseen_desc, seen_desc, seen_head, gamma=args.gamma),
+    }
 
     if method == "conse":
         report = _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc,
                                features, args.top_t)
     else:
-        if method == "costa":
-            rows = bl.costa_weights(unseen_desc, seen_desc, seen_head)
-        elif method == "wavg":
-            rows = bl.vgse_wavg_weights(unseen_desc, seen_desc, seen_head, temperature=args.temperature)
-        elif method == "smo":
-            rows = bl.vgse_smo_weights(unseen_desc, seen_desc, seen_head, gamma=args.gamma)
+        if method in row_builders:
+            rows = row_builders[method]()
         elif method == "dae":
-            if args.base == "costa":
-                rows = bl.costa_weights(unseen_desc, seen_desc, seen_head)
-            elif args.base == "smo":
-                rows = bl.vgse_smo_weights(unseen_desc, seen_desc, seen_head, gamma=args.gamma)
-            else:
-                rows = bl.vgse_wavg_weights(unseen_desc, seen_desc, seen_head, temperature=args.temperature)
-            rows = bl.dae_refine(seen_head.weights, rows, seed=args.seed)
+            rows = bl.dae_refine(seen_head.weights, row_builders[args.base](), seed=args.seed)
         elif method == "subreg":
             pairs = make_pairs(descriptors, seen_head)
             model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],

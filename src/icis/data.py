@@ -30,6 +30,44 @@ _HEADER_LEN = len(MATRIX_MAGIC) + 8
 # ---------------------------------------------------------------------------
 # matrix container
 
+def write_matrix_block(f, matrix) -> None:
+    """Write one binary matrix block (magic, shape, float32 payload) to the
+    open binary file ``f``."""
+    m = as_matrix(matrix)
+    rows, cols = m.shape
+    if rows >= 2**32 or cols >= 2**32:
+        raise IcisError(f"matrix dimensions {m.shape} exceed the 32-bit container limit")
+    f.write(MATRIX_MAGIC)
+    f.write(struct.pack("<II", rows, cols))
+    f.write(m.astype("<f4").tobytes(order="C"))
+
+
+def read_matrix_block(raw: bytes, pos: int, path):
+    """Parse the matrix block that starts at byte ``pos`` of ``raw``.
+
+    Returns ``(matrix, end)`` with ``end`` the offset just past the block.
+    Malformed or non-finite blocks raise :class:`DataFormatError` naming
+    ``path`` and the offending byte offset.
+    """
+    if raw[pos : pos + len(MATRIX_MAGIC)] != MATRIX_MAGIC:
+        raise DataFormatError(path, f"bad magic; expected {MATRIX_MAGIC!r}", offset=pos)
+    if len(raw) < pos + _HEADER_LEN:
+        raise DataFormatError(path, "truncated header", offset=len(raw))
+    rows, cols = struct.unpack_from("<II", raw, pos + len(MATRIX_MAGIC))
+    end = pos + _HEADER_LEN + 4 * rows * cols
+    if len(raw) < end:
+        raise DataFormatError(
+            path,
+            f"truncated payload for declared shape ({rows}, {cols}): need {end} bytes, have {len(raw)}",
+            offset=len(raw),
+        )
+    values = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=pos + _HEADER_LEN)
+    m = values.reshape(rows, cols).astype(np.float64)
+    if not np.all(np.isfinite(m)):
+        raise DataFormatError(path, "payload contains non-finite values", offset=pos + _HEADER_LEN)
+    return m, end
+
+
 def save_matrix(path, matrix) -> None:
     """Write a matrix in the binary container (32-bit on disk)."""
     path = Path(path)
@@ -37,13 +75,8 @@ def save_matrix(path, matrix) -> None:
         _save_matrix_csv(path, matrix)
         return
     m = check_finite(as_matrix(matrix))
-    rows, cols = m.shape
-    if rows >= 2**32 or cols >= 2**32:
-        raise IcisError(f"matrix dimensions {m.shape} exceed the 32-bit container limit")
     with open(path, "wb") as f:
-        f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<II", rows, cols))
-        f.write(m.astype("<f4").tobytes(order="C"))
+        write_matrix_block(f, m)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -55,24 +88,9 @@ def load_matrix(path) -> np.ndarray:
         raw = path.read_bytes()
     except OSError as exc:
         raise DataFormatError(path, f"cannot read file: {exc}") from exc
-    if len(raw) < len(MATRIX_MAGIC) or raw[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-        raise DataFormatError(path, f"bad magic; expected {MATRIX_MAGIC!r}", offset=0)
-    if len(raw) < _HEADER_LEN:
-        raise DataFormatError(path, "truncated header", offset=len(raw))
-    rows, cols = struct.unpack_from("<II", raw, len(MATRIX_MAGIC))
-    expected = _HEADER_LEN + 4 * rows * cols
-    if len(raw) < expected:
-        raise DataFormatError(
-            path,
-            f"truncated payload for declared shape ({rows}, {cols}): need {expected} bytes, have {len(raw)}",
-            offset=len(raw),
-        )
-    if len(raw) > expected:
-        raise DataFormatError(path, f"{len(raw) - expected} trailing bytes after payload", offset=expected)
-    values = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=_HEADER_LEN)
-    m = values.reshape(rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(m)):
-        raise DataFormatError(path, "payload contains non-finite values", offset=_HEADER_LEN)
+    m, end = read_matrix_block(raw, 0, path)
+    if len(raw) > end:
+        raise DataFormatError(path, f"{len(raw) - end} trailing bytes after payload", offset=end)
     return m
 
 
@@ -148,8 +166,6 @@ class DescriptorSet:
 
     class_ids: list
     matrix: np.ndarray
-    names: list | None = None
-    source: str = "other"
 
     def __post_init__(self):
         self.matrix = check_finite(as_matrix(self.matrix), "descriptor matrix")
@@ -175,21 +191,21 @@ class DescriptorSet:
 
     def subset(self, ids) -> "DescriptorSet":
         rows = [self.index_of(i) for i in ids]
-        return DescriptorSet([self.class_ids[r] for r in rows], self.matrix[rows], source=self.source)
+        return DescriptorSet([self.class_ids[r] for r in rows], self.matrix[rows])
 
     def save(self, matrix_path) -> None:
         save_matrix(matrix_path, self.matrix)
         save_ids(ids_path_for(matrix_path), self.class_ids)
 
 
-def load_descriptor_set(matrix_path, ids_path=None, source: str = "other") -> DescriptorSet:
+def load_descriptor_set(matrix_path, ids_path=None) -> DescriptorSet:
     matrix = load_matrix(matrix_path)
     ids = load_ids(ids_path if ids_path is not None else ids_path_for(matrix_path))
     if len(ids) != matrix.shape[0]:
         raise ClassIdError(
             f"{matrix_path}: matrix has {matrix.shape[0]} rows but id sidecar lists {len(ids)} classes"
         )
-    return DescriptorSet(ids, matrix, source=source)
+    return DescriptorSet(ids, matrix)
 
 
 @dataclass
@@ -532,7 +548,7 @@ def synth_generate(
     features = np.repeat(true_weights * float(margin), spc, axis=0) + noise
     labels = [c for c in ids for _ in range(spc)]
 
-    descriptors = DescriptorSet(ids, a, source="other")
+    descriptors = DescriptorSet(ids, a)
     head = ClassifierHead(seen_ids, true_weights[:n_seen], seen=np.ones(n_seen, dtype=bool))
     manifest = SplitManifest(seen_ids, unseen_ids)
     return SynthTask(descriptors, head, FeatureSet(features, labels), true_weights[n_seen:].copy(), manifest)

@@ -15,19 +15,26 @@ from .errors import ClassIdError, IcisError
 from .tensor import as_matrix
 
 
+def lowest_id_argmax(scores: np.ndarray, class_ids) -> list:
+    """Class id of each row's top score, one column per id in ``class_ids``.
+
+    Exact ties go to the lowest class id, so results do not depend on the
+    column order.
+    """
+    id_order = np.argsort(np.argsort(class_ids, kind="stable"), kind="stable")
+    # id_order[j] = rank of class j under ascending id sort
+    top = scores.max(axis=1, keepdims=True)
+    tie_rank = np.where(scores == top, id_order, np.iinfo(np.int64).max)
+    return [class_ids[j] for j in tie_rank.argmin(axis=1)]
+
+
 def classify(head: ClassifierHead, features) -> list:
     """Predicted class id per feature row.
 
     Ties on the top score go to the lowest class id, so results do not
     depend on row order in the head.
     """
-    scores = head.logits(features)
-    id_order = np.argsort(np.argsort(head.class_ids, kind="stable"), kind="stable")
-    # id_order[j] = rank of class j under ascending id sort
-    top = scores.max(axis=1, keepdims=True)
-    tie_rank = np.where(scores == top, id_order, np.iinfo(np.int64).max)
-    picks = tie_rank.argmin(axis=1)
-    return [head.class_ids[j] for j in picks]
+    return lowest_id_argmax(head.logits(features), head.class_ids)
 
 
 def per_class_mean_accuracy(labels, predictions, class_ids) -> tuple:

@@ -13,13 +13,14 @@ path regularise the shared latent space. Gradients from all enabled paths
 accumulate into the same four layers before each optimiser step.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import ClassifierHead, PairSet
+from .data import ClassifierHead, PairSet, read_matrix_block, write_matrix_block
 from .errors import ClassIdError, DataFormatError, DivergenceError, IcisError
 from .nn import AdamState, LinearLayer, MlpTwoLayer, adam_step, batch_loss
 from .tensor import RngState, as_matrix
@@ -76,13 +77,22 @@ class TrainConfig:
     divergence_limit: float = 1e8
 
     def __post_init__(self):
+        # written as "not (valid)" so that NaN fails every check
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise IcisError(f"lr must be finite and >= 0, got {self.lr!r}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise IcisError(f"beta1 and beta2 must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
+        if not self.eps > 0.0:
+            raise IcisError(f"eps must be > 0, got {self.eps!r}")
+        if not self.divergence_limit > 0.0:
+            raise IcisError(f"divergence_limit must be > 0, got {self.divergence_limit!r}")
         if self.batch_size < 1:
             raise IcisError("batch_size must be >= 1")
         if self.max_epochs < 0:
             raise IcisError("max_epochs must be >= 0")
         if self.stop_window < 1:
             raise IcisError("stop_window must be >= 1")
-        if self.stop_threshold <= 0.0:
+        if not self.stop_threshold > 0.0:
             raise IcisError("stop_threshold must be > 0")
         if self.hidden_dim < 1:
             raise IcisError("hidden_dim must be >= 1")
@@ -199,77 +209,39 @@ class IcisModel:
 # ---------------------------------------------------------------------------
 # loss terms
 
-def _check_rows(left, right, what: str) -> None:
-    if left.shape[0] != right.shape[0]:
-        raise IcisError(f"{what}: {left.shape[0]} rows vs {right.shape[0]} rows")
-
-
-def loss_a_to_w(model: IcisModel, descriptors, weights, distance: str = "cosine",
-                accumulate_grads: bool = False) -> float:
-    """Mean distance between predicted and actual weight rows; gradients
-    (when requested) accumulate into the descriptor encoder and weight
-    decoder."""
-    a, w = as_matrix(descriptors), as_matrix(weights)
-    _check_rows(a, w, "descriptor/weight pairing")
-    loss, grad = batch_loss(distance)(model.a_to_w.forward(a), w)
-    if accumulate_grads:
-        model.a_to_w.backward(grad)
-    return loss
-
-
-def loss_a_to_a(model: IcisModel, descriptors, distance: str = "cosine",
-                accumulate_grads: bool = False) -> float:
-    """Descriptor autoencoding through the shared latent space."""
-    a = as_matrix(descriptors)
-    loss, grad = batch_loss(distance)(model.a_to_a.forward(a), a)
-    if accumulate_grads:
-        model.a_to_a.backward(grad)
-    return loss
-
-
-def loss_w_to_w(model: IcisModel, weights, distance: str = "cosine",
-                accumulate_grads: bool = False) -> float:
-    """Weight autoencoding through the shared latent space."""
-    w = as_matrix(weights)
-    loss, grad = batch_loss(distance)(model.w_to_w.forward(w), w)
-    if accumulate_grads:
-        model.w_to_w.backward(grad)
-    return loss
-
-
-def loss_w_to_a(model: IcisModel, weights, descriptors, distance: str = "cosine",
-                accumulate_grads: bool = False) -> float:
-    """Alignment term mapping weight rows back to their descriptors."""
-    w, a = as_matrix(weights), as_matrix(descriptors)
-    _check_rows(w, a, "weight/descriptor pairing")
-    loss, grad = batch_loss(distance)(model.w_to_a.forward(w), a)
-    if accumulate_grads:
-        model.w_to_a.backward(grad)
-    return loss
-
-
 def total_loss(model: IcisModel, descriptors, weights, loss_config: LossConfig,
                unseen_descriptors=None, accumulate_grads: bool = False) -> dict:
     """All enabled terms on one batch, as {term: mean loss, "total": sum}.
 
-    Unseen descriptor rows, when provided and enabled, join only the
-    descriptor autoencoding term. With ``accumulate_grads`` each term's
-    gradients add into the shared layers (zeroing first is the caller's
-    job), so the total gradient is the sum of per-term gradients.
+    Each term is one (composition, input, target) row: ``reg`` regresses
+    weights from descriptors, ``a_to_a`` and ``w_to_w`` autoencode within a
+    space, ``w_to_a`` maps weights back to their descriptors. Unseen
+    descriptor rows, when provided and enabled, join only the descriptor
+    autoencoding term. With ``accumulate_grads`` each term's gradients add
+    into the shared layers (zeroing first is the caller's job), so the total
+    gradient is the sum of per-term gradients.
     """
     a, w = as_matrix(descriptors), as_matrix(weights)
-    values = {"reg": loss_a_to_w(model, a, w, loss_config.distance, accumulate_grads)}
-    if loss_config.use_a_to_a:
-        a_in = a
-        if loss_config.include_unseen_descriptors and unseen_descriptors is not None:
-            extra = as_matrix(unseen_descriptors)
-            if extra.shape[0]:
-                a_in = np.vstack([a, extra])
-        values["a_to_a"] = loss_a_to_a(model, a_in, loss_config.distance, accumulate_grads)
-    if loss_config.use_w_to_w:
-        values["w_to_w"] = loss_w_to_w(model, w, loss_config.distance, accumulate_grads)
-    if loss_config.use_w_to_a:
-        values["w_to_a"] = loss_w_to_a(model, w, a, loss_config.distance, accumulate_grads)
+    if a.shape[0] != w.shape[0]:
+        raise IcisError(f"descriptor/weight pairing: {a.shape[0]} rows vs {w.shape[0]} rows")
+    a_in = a
+    if loss_config.include_unseen_descriptors and unseen_descriptors is not None:
+        extra = as_matrix(unseen_descriptors)
+        if extra.shape[0]:
+            a_in = np.vstack([a, extra])
+    paths = {
+        "reg": (model.a_to_w, a, w),
+        "a_to_a": (model.a_to_a, a_in, a_in),
+        "w_to_w": (model.w_to_w, w, w),
+        "w_to_a": (model.w_to_a, w, a),
+    }
+    loss_fn = batch_loss(loss_config.distance)
+    values = {}
+    for name in loss_config.enabled_terms():
+        net, x, target = paths[name]
+        values[name], grad = loss_fn(net.forward(x), target)
+        if accumulate_grads:
+            net.backward(grad)
     values["total"] = sum(values.values())
     return values
 
@@ -285,6 +257,52 @@ def infer_weights(model: IcisModel, descriptors) -> np.ndarray:
 def _proportional_slice(start: int, end: int, n_src: int, n_dst: int) -> slice:
     # maps a batch range over n_src items onto the matching range over n_dst
     return slice((start * n_dst) // n_src, (end * n_dst) // n_src)
+
+
+def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
+        n_extra: int = 0, callback=None) -> LossTrace:
+    """The training loop shared by every trainer in the package.
+
+    Each epoch shuffles the ``n`` training rows and, when ``n_extra``,
+    the extra rows, then walks the batches. Per batch the extra rows are
+    the proportional share of the extra order, so every extra row is seen
+    once per epoch. ``step(rows, extra_rows)`` accumulates gradients into
+    ``module`` (zeroed just before) and returns ``{term: (mean, row
+    count)}``; one Adam step follows. Epoch term means are row-weighted,
+    their sum is the epoch loss. Raises DivergenceError when the epoch loss
+    stops being finite or exceeds ``cfg.divergence_limit``, with the
+    partial trace on the exception; stops early by :func:`should_stop`.
+    """
+    opt = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    trace = LossTrace(threshold=threshold)
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        # without extra rows every batch gets an empty index array
+        extra_order = rng.permutation(n_extra) if n_extra else order[:0]
+        sums, counts = {}, {}
+        for start in range(0, n, cfg.batch_size):
+            end = min(start + cfg.batch_size, n)
+            extra_rows = extra_order[_proportional_slice(start, end, n, n_extra)]
+            module.zero_grad()
+            terms = step(order[start:end], extra_rows)
+            adam_step(opt, module.parameters(), module.gradients())
+            for name, (mean, count) in terms.items():
+                sums[name] = sums.get(name, 0.0) + mean * count
+                counts[name] = counts.get(name, 0) + count
+
+        term_means = {name: sums[name] / counts[name] for name in TERM_NAMES if counts.get(name)}
+        epoch_total = sum(term_means.values())
+        trace.append(epoch_total, term_means)
+        if callback is not None:
+            callback(epoch, epoch_total)
+        if not np.isfinite(epoch_total) or epoch_total > cfg.divergence_limit:
+            raise DivergenceError(
+                f"training diverged at epoch {epoch}: mean loss {epoch_total!r}", trace=trace
+            )
+        if should_stop(trace.total, cfg.stop_window, threshold):
+            trace.stopped_early = True
+            break
+    return trace
 
 
 def train(
@@ -315,65 +333,23 @@ def train(
             f"pair dims ({a_seen.shape[1]}, {w_seen.shape[1]}) do not match model "
             f"({model.d_a}, {model.d_w})"
         )
-    a_extra = None
+    a_extra = np.zeros((0, model.d_a))
     if unseen_descriptors is not None and loss_config.include_unseen_descriptors:
         a_extra = as_matrix(unseen_descriptors)
         if a_extra.shape[1] != model.d_a:
             raise IcisError("unseen descriptor dim does not match model")
-        if a_extra.shape[0] == 0:
-            a_extra = None
 
-    n = a_seen.shape[0]
-    n_extra = 0 if a_extra is None else a_extra.shape[0]
-    rng = RngState(cfg.seed).spawn("train-shuffle")
-    opt = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    threshold = stopping_threshold(loss_config, cfg)
-    trace = LossTrace(threshold=threshold)
+    def step(rows, extra_rows):
+        chunk = a_extra[extra_rows] if extra_rows.size else None
+        values = total_loss(model, a_seen[rows], w_seen[rows], loss_config,
+                            unseen_descriptors=chunk, accumulate_grads=True)
+        counts = {name: rows.size for name in loss_config.enabled_terms()}
+        if "a_to_a" in counts:
+            counts["a_to_a"] += extra_rows.size
+        return {name: (values[name], count) for name, count in counts.items()}
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n)
-        extra_order = rng.permutation(n_extra) if n_extra else None
-        term_sums = {name: 0.0 for name in TERM_NAMES}
-        term_counts = {name: 0 for name in TERM_NAMES}
-
-        for start in range(0, n, cfg.batch_size):
-            end = min(start + cfg.batch_size, n)
-            batch = order[start:end]
-            chunk = None
-            if extra_order is not None:
-                rows = extra_order[_proportional_slice(start, end, n, n_extra)]
-                chunk = a_extra[rows] if rows.size else None
-            model.zero_grad()
-            values = total_loss(model, a_seen[batch], w_seen[batch], loss_config,
-                                unseen_descriptors=chunk, accumulate_grads=True)
-            adam_step(opt, model.parameters(), model.gradients())
-            b = end - start
-            for name in loss_config.enabled_terms():
-                weight = b
-                if name == "a_to_a" and chunk is not None:
-                    weight = b + chunk.shape[0]
-                term_sums[name] += values[name] * weight
-                term_counts[name] += weight
-
-        term_means = {
-            name: term_sums[name] / term_counts[name]
-            for name in TERM_NAMES
-            if term_counts[name]
-        }
-        epoch_total = sum(term_means.values())
-        trace.append(epoch_total, term_means)
-        if callback is not None:
-            callback(epoch, epoch_total)
-
-        if not np.isfinite(epoch_total) or epoch_total > cfg.divergence_limit:
-            raise DivergenceError(
-                f"training diverged at epoch {epoch}: mean loss {epoch_total!r}", trace=trace
-            )
-        if should_stop(trace.total, cfg.stop_window, threshold):
-            trace.stopped_early = True
-            break
-
-    return trace
+    return fit(model, a_seen.shape[0], step, cfg, RngState(cfg.seed).spawn("train-shuffle"),
+               stopping_threshold(loss_config, cfg), n_extra=a_extra.shape[0], callback=callback)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +425,6 @@ def infer_and_inject(
 # checkpoints
 
 CHECKPOINT_MAGIC = b"WSCKPT1\n"
-MATRIX_BLOCK_MAGIC = b"WSMAT01\n"
 _LAYER_KEYS = ("desc_encoder", "desc_decoder", "weight_encoder", "weight_decoder")
 
 
@@ -478,11 +453,8 @@ def save_checkpoint(path, model: IcisModel, loss_config: LossConfig | None = Non
         f.write(struct.pack("<I", len(header)))
         f.write(header)
         for layer in model.layers():
-            for part in (layer.weight, layer.bias.reshape(1, -1)):
-                part = as_matrix(part)
-                f.write(MATRIX_BLOCK_MAGIC)
-                f.write(struct.pack("<II", *part.shape))
-                f.write(part.astype("<f4").tobytes(order="C"))
+            write_matrix_block(f, layer.weight)
+            write_matrix_block(f, layer.bias.reshape(1, -1))
 
 
 def load_checkpoint(path):
@@ -515,23 +487,11 @@ def load_checkpoint(path):
     if meta.get("version") != "1":
         raise DataFormatError(path, f"unsupported checkpoint version {meta.get('version')!r}")
 
-    def read_block():
-        nonlocal pos
-        if len(raw) < pos + 16 or raw[pos : pos + 8] != MATRIX_BLOCK_MAGIC:
-            raise DataFormatError(path, "bad or missing matrix block", offset=pos)
-        rows, cols = struct.unpack_from("<II", raw, pos + 8)
-        need = 16 + 4 * rows * cols
-        if len(raw) < pos + need:
-            raise DataFormatError(path, "truncated matrix block", offset=len(raw))
-        values = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=pos + 16)
-        pos += need
-        return values.reshape(rows, cols).astype(np.float64)
-
     layers = []
     for _key in _LAYER_KEYS:
-        weight = read_block()
-        bias = read_block().reshape(-1)
-        layers.append(LinearLayer(weight, bias))
+        weight, pos = read_matrix_block(raw, pos, path)
+        bias, pos = read_matrix_block(raw, pos, path)
+        layers.append(LinearLayer(weight, bias.reshape(-1)))
     if pos != len(raw):
         raise DataFormatError(path, f"{len(raw) - pos} trailing bytes after last block", offset=pos)
 

@@ -19,48 +19,6 @@ from .tensor import RngState, as_matrix, as_vector, rand_normal
 # distances
 
 
-def cosine_distance(v, q) -> float:
-    """1 - cos(v, q). Range [0, 2]; both vectors must have positive norm."""
-    v = as_vector(v)
-    q = as_vector(q)
-    if v.shape != q.shape:
-        raise ShapeMismatchError("cosine_distance operands differ", left=v.shape, right=q.shape)
-    nv = np.linalg.norm(v)
-    nq = np.linalg.norm(q)
-    if nv == 0.0 or nq == 0.0:
-        raise ZeroNormError("cosine distance is undefined for zero-norm vectors")
-    return float(1.0 - (v @ q) / (nv * nq))
-
-
-def cosine_distance_grad(v, q) -> np.ndarray:
-    """Gradient of ``cosine_distance(v, q)`` with respect to ``v``.
-
-    d/dv [1 - v.q / (|v||q|)] = cos(v, q) * v / |v|^2 - q / (|v||q|),
-    which is orthogonal to ``v`` and vanishes exactly when v is a positive
-    multiple of q.
-    """
-    v = as_vector(v)
-    q = as_vector(q)
-    if v.shape != q.shape:
-        raise ShapeMismatchError("cosine_distance_grad operands differ", left=v.shape, right=q.shape)
-    nv = np.linalg.norm(v)
-    nq = np.linalg.norm(q)
-    if nv == 0.0 or nq == 0.0:
-        raise ZeroNormError("cosine distance is undefined for zero-norm vectors")
-    cos = (v @ q) / (nv * nq)
-    return cos * v / (nv * nv) - q / (nv * nq)
-
-
-def l2_distance(v, q) -> float:
-    """Mean squared difference over coordinates."""
-    v = as_vector(v)
-    q = as_vector(q)
-    if v.shape != q.shape:
-        raise ShapeMismatchError("l2_distance operands differ", left=v.shape, right=q.shape)
-    diff = v - q
-    return float(diff @ diff / v.size)
-
-
 def batch_cosine_loss(pred: np.ndarray, target: np.ndarray):
     """Mean cosine distance over paired rows, plus d(loss)/d(pred).
 
@@ -180,6 +138,16 @@ class MlpTwoLayer:
     @property
     def out_dim(self) -> int:
         return self.layer2.out_dim
+
+    def parameters(self) -> list:
+        return self.layer1.parameters() + self.layer2.parameters()
+
+    def gradients(self) -> list:
+        return self.layer1.gradients() + self.layer2.gradients()
+
+    def zero_grad(self) -> None:
+        self.layer1.zero_grad()
+        self.layer2.zero_grad()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; caches pre-activations for ``backward``."""

@@ -40,23 +40,6 @@ def check_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError("matmul inner dimensions differ", left=a.shape, right=b.shape)
-    return a @ b
-
-
-def transpose(m) -> np.ndarray:
-    return np.ascontiguousarray(as_matrix(m).T)
-
-
-def row_norms(m) -> np.ndarray:
-    return np.linalg.norm(as_matrix(m), axis=1)
-
-
 def row_normalize(m) -> np.ndarray:
     """Scale every row to unit Euclidean norm. Zero rows are an error."""
     m = as_matrix(m)
@@ -95,9 +78,6 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
 
 
 def rand_normal(rng: RngState, rows: int, cols: int, std: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from icis.baselines import (
     vgse_wavg_weights,
 )
 from icis.data import ClassifierHead, DescriptorSet, PairSet, make_pairs, synth_generate
-from icis.errors import IcisError
+from icis.errors import DivergenceError, IcisError
 from icis.evaluation import softmax_rows
 from icis.model import IcisModel, TrainConfig
 from icis.nn import LinearLayer, MlpTwoLayer
@@ -49,6 +49,14 @@ def test_conse_duplicate_descriptor_predicts_the_unseen_twin():
     # u0's descriptor equals s1's descriptor exactly
     feature = np.array([[0.0, 50.0, 0.0]])
     assert conse_classify(head, desc, targets, feature, top_t=1) == ["u0"]
+
+
+def test_conse_exact_tie_goes_to_the_lowest_id():
+    head, desc = _orthogonal_setup()
+    # identical target descriptors, ids in reverse row order: a row-order argmax picks "u9"
+    targets = DescriptorSet(["u9", "u1", "u5"], np.array([[0.3, 0.7], [0.3, 0.7], [1.0, -1.0]]))
+    features = RngState(2).normal(6, 3)
+    assert conse_classify(head, desc, targets, features, top_t=2) == ["u1"] * 6
 
 
 def test_conse_matches_straight_line_reimplementation():
@@ -385,3 +393,12 @@ def test_dae_argument_errors():
         dae_refine(rng.normal(4, 4), rng.normal(2, 4), epochs=0)
     with pytest.raises(IcisError):
         dae_refine(rng.normal(4, 4), rng.normal(2, 4), net=_identity_net(5))
+    with pytest.raises(IcisError):
+        dae_refine(rng.normal(4, 4), rng.normal(2, 4), lr=-1.0)
+
+
+def test_dae_divergence_is_reported():
+    rng = RngState(0)
+    with pytest.raises(DivergenceError) as exc:
+        dae_refine(rng.normal(6, 5), rng.normal(4, 5), epochs=50, lr=1e12)
+    assert 1 <= exc.value.trace.epochs_run < 50

@@ -183,6 +183,11 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])
     assert exc.value.code == 2
+    # a negative learning rate is rejected before training -> data error
+    assert main([
+        "train", *_task_args(task), "--out", str(tmp_path / "neg"),
+        "--hidden-dim", "8", "--lr", "-1", "--max-epochs", "1",
+    ]) == 3
     # numeric divergence -> 4, with the partial trace preserved
     div = tmp_path / "div"
     code = main([

@@ -17,17 +17,13 @@ from icis.model import (
     infer_weights,
     inject,
     load_checkpoint,
-    loss_a_to_a,
-    loss_a_to_w,
-    loss_w_to_a,
-    loss_w_to_w,
     save_checkpoint,
     should_stop,
     stopping_threshold,
     total_loss,
     train,
 )
-from icis.nn import LinearLayer
+from icis.nn import LinearLayer, batch_cosine_loss
 from icis.tensor import RngState
 
 # ---------------------------------------------------------------------------
@@ -59,6 +55,13 @@ def test_train_config_validation():
         TrainConfig(stop_threshold=0.0)
     with pytest.raises(IcisError):
         TrainConfig(hidden_dim=0)
+    TrainConfig(lr=0.0)  # a zero learning rate is legal
+    for bad in (dict(lr=-1.0), dict(lr=float("nan")), dict(lr=float("inf")),
+                dict(beta1=1.0), dict(beta1=-0.1), dict(beta2=1.0), dict(beta2=float("nan")),
+                dict(eps=0.0), dict(divergence_limit=0.0), dict(divergence_limit=float("nan")),
+                dict(stop_threshold=float("nan"))):
+        with pytest.raises(IcisError):
+            TrainConfig(**bad)
 
 
 def test_stopping_threshold_shrinks_for_squared_error():
@@ -179,15 +182,19 @@ def test_infer_weights_uses_regression_path():
         infer_weights(m, np.ones((1, 4)))
 
 
+def _term_paths(m, a, w):
+    # (term, composition, input, target) per term, written out independently of total_loss
+    return [("reg", m.a_to_w, a, w), ("a_to_a", m.a_to_a, a, a),
+            ("w_to_w", m.w_to_w, w, w), ("w_to_a", m.w_to_a, w, a)]
+
+
 def test_total_loss_matches_named_terms():
     m = IcisModel.init(4, 6, 10, RngState(5))
     a = RngState(6).normal(5, 4)
     w = RngState(7).normal(5, 6)
     values = total_loss(m, a, w, LossConfig())
-    assert values["reg"] == pytest.approx(loss_a_to_w(m, a, w, "cosine"), abs=1e-12)
-    assert values["a_to_a"] == pytest.approx(loss_a_to_a(m, a, "cosine"), abs=1e-12)
-    assert values["w_to_w"] == pytest.approx(loss_w_to_w(m, w, "cosine"), abs=1e-12)
-    assert values["w_to_a"] == pytest.approx(loss_w_to_a(m, w, a, "cosine"), abs=1e-12)
+    for name, net, x, y in _term_paths(m, a, w):
+        assert values[name] == pytest.approx(batch_cosine_loss(net.forward(x), y)[0], abs=1e-12)
     assert values["total"] == pytest.approx(
         values["reg"] + values["a_to_a"] + values["w_to_w"] + values["w_to_a"], abs=1e-12
     )
@@ -211,10 +218,8 @@ def test_total_gradient_is_sum_of_term_gradients():
     combined = [g.copy() for g in m.gradients()]
 
     m.zero_grad()
-    loss_a_to_w(m, a, w, "cosine", accumulate_grads=True)
-    loss_a_to_a(m, a, "cosine", accumulate_grads=True)
-    loss_w_to_w(m, w, "cosine", accumulate_grads=True)
-    loss_w_to_a(m, w, a, "cosine", accumulate_grads=True)
+    for _name, net, x, y in _term_paths(m, a, w):
+        net.backward(batch_cosine_loss(net.forward(x), y)[1])
     for got, expected in zip(combined, m.gradients()):
         assert np.allclose(got, expected, atol=1e-10)
 
@@ -447,6 +452,18 @@ def test_checkpoint_truncation(tmp_path):
     raw = p.read_bytes()
     p.write_bytes(raw[:-10])
     with pytest.raises(DataFormatError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_non_finite_block(tmp_path):
+    m = IcisModel.init(3, 3, 4, RngState(0))
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, m, LossConfig())
+    raw = bytearray(p.read_bytes())
+    # the first value of the last block (the weight decoder's bias)
+    raw[-12:-8] = np.array([np.nan], dtype="<f4").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="non-finite"):
         load_checkpoint(p)
 
 

@@ -12,14 +12,53 @@ from icis.nn import (
     batch_cosine_loss,
     batch_l2_loss,
     batch_loss,
-    cosine_distance,
-    cosine_distance_grad,
-    l2_distance,
 )
-from icis.tensor import RngState
+from icis.tensor import RngState, as_vector
 
 # ---------------------------------------------------------------------------
-# distances
+# distances: scalar oracles for the batched losses, and their own checks
+
+
+def cosine_distance(v, q) -> float:
+    """1 - cos(v, q). Range [0, 2]; both vectors must have positive norm."""
+    v = as_vector(v)
+    q = as_vector(q)
+    if v.shape != q.shape:
+        raise ShapeMismatchError("cosine_distance operands differ", left=v.shape, right=q.shape)
+    nv = np.linalg.norm(v)
+    nq = np.linalg.norm(q)
+    if nv == 0.0 or nq == 0.0:
+        raise ZeroNormError("cosine distance is undefined for zero-norm vectors")
+    return float(1.0 - (v @ q) / (nv * nq))
+
+
+def cosine_distance_grad(v, q) -> np.ndarray:
+    """Gradient of ``cosine_distance(v, q)`` with respect to ``v``.
+
+    d/dv [1 - v.q / (|v||q|)] = cos(v, q) * v / |v|^2 - q / (|v||q|),
+    which is orthogonal to ``v`` and vanishes exactly when v is a positive
+    multiple of q.
+    """
+    v = as_vector(v)
+    q = as_vector(q)
+    if v.shape != q.shape:
+        raise ShapeMismatchError("cosine_distance_grad operands differ", left=v.shape, right=q.shape)
+    nv = np.linalg.norm(v)
+    nq = np.linalg.norm(q)
+    if nv == 0.0 or nq == 0.0:
+        raise ZeroNormError("cosine distance is undefined for zero-norm vectors")
+    cos = (v @ q) / (nv * nq)
+    return cos * v / (nv * nv) - q / (nv * nq)
+
+
+def l2_distance(v, q) -> float:
+    """Mean squared difference over coordinates."""
+    v = as_vector(v)
+    q = as_vector(q)
+    if v.shape != q.shape:
+        raise ShapeMismatchError("l2_distance operands differ", left=v.shape, right=q.shape)
+    diff = v - q
+    return float(diff @ diff / v.size)
 
 
 def test_cosine_distance_anchor_values():

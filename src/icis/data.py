@@ -140,12 +140,21 @@ def save_ids(path, ids) -> None:
     Path(path).write_text("".join(f"{i}\n" for i in ids), encoding="utf-8")
 
 
-def load_ids(path) -> list:
-    path = Path(path)
+def _read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file; an unreadable or undecodable file is a DataFormatError."""
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise DataFormatError(path, f"cannot read file: {exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(path, f"not UTF-8: {exc.reason}", offset=exc.start) from None
+
+
+def load_ids(path) -> list:
+    path = Path(path)
+    text = _read_utf8(path)
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
@@ -382,10 +391,7 @@ def save_manifest(path, manifest: SplitManifest) -> None:
 
 def load_manifest(path) -> SplitManifest:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(path, f"cannot read file: {exc}") from exc
+    text = _read_utf8(path)
     sections = {"seen": [], "unseen": [], "val_seen": []}
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):

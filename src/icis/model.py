@@ -473,9 +473,12 @@ def load_checkpoint(path):
     pos += 4
     if len(raw) < pos + header_len:
         raise DataFormatError(path, "truncated header", offset=len(raw))
-    header_text = raw[pos : pos + header_len].decode("utf-8")
+    try:
+        header_text = raw[pos : pos + header_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(path, f"header is not UTF-8: {exc.reason}", offset=pos + exc.start) from None
     pos += header_len
-    meta = {}
+    meta, header_line = {}, {}
     for lineno, line in enumerate(header_text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -484,8 +487,33 @@ def load_checkpoint(path):
             raise DataFormatError(path, f"header line {lineno} is not key=value: {line!r}")
         k, v = line.split("=", 1)
         meta[k.strip()] = v.strip()
+        header_line[k.strip()] = lineno
     if meta.get("version") != "1":
         raise DataFormatError(path, f"unsupported checkpoint version {meta.get('version')!r}")
+
+    def header_int(key, default=None, allowed=None):
+        """The integer value of header ``key``, or ``default`` when it is absent."""
+        if key not in meta:
+            return default
+        try:
+            value = int(meta[key])
+        except ValueError:
+            value = None
+        if value is None or (allowed is not None and value not in allowed):
+            expected = "an integer" if allowed is None else "0 or 1"
+            raise DataFormatError(path, f"header line {header_line[key]}: {key}={meta[key]!r} is not {expected}")
+        return value
+
+    dims = {key: header_int(key) for key in ("d_a", "d_w", "hidden")}
+    flags = {key: bool(header_int(key, 1, (0, 1)))
+             for key in ("use_a_to_a", "use_w_to_w", "use_w_to_a", "include_unseen_descriptors")}
+    header_int("include_bias", 0, (0, 1))
+    header_int("seed")
+    distance = meta.get("distance", "cosine")
+    try:
+        batch_loss(distance)
+    except IcisError as exc:
+        raise DataFormatError(path, f"header line {header_line['distance']}: {exc}") from None
 
     layers = []
     for _key in _LAYER_KEYS:
@@ -497,15 +525,10 @@ def load_checkpoint(path):
 
     model = IcisModel(*layers)
     for dim_key, value in (("d_a", model.d_a), ("d_w", model.d_w), ("hidden", model.hidden)):
-        if dim_key in meta and int(meta[dim_key]) != value:
-            raise DataFormatError(path, f"header {dim_key}={meta[dim_key]} does not match blocks ({value})")
-    loss_config = LossConfig(
-        distance=meta.get("distance", "cosine"),
-        use_a_to_a=bool(int(meta.get("use_a_to_a", "1"))),
-        use_w_to_w=bool(int(meta.get("use_w_to_w", "1"))),
-        use_w_to_a=bool(int(meta.get("use_w_to_a", "1"))),
-        include_unseen_descriptors=bool(int(meta.get("include_unseen_descriptors", "1"))),
-    )
+        if dims[dim_key] is not None and dims[dim_key] != value:
+            raise DataFormatError(path, f"header line {header_line[dim_key]}: {dim_key}={meta[dim_key]} "
+                                        f"does not match blocks ({value})")
+    loss_config = LossConfig(distance=distance, **flags)
     return model, loss_config, meta
 
 

@@ -191,8 +191,18 @@ class MlpTwoLayer:
 # optimiser
 
 
+# Adam walks every parameter in chunks of this many elements: the chunks of
+# p, g, m, v and the two scratch buffers (6 x 256 KiB) fit in a 2 MiB L2.
+ADAM_CHUNK = 32768
+
+
 class AdamState:
-    """Adam optimiser state over an ordered list of parameter arrays."""
+    """Adam optimiser state over an ordered list of parameter arrays.
+
+    The first and second moments are built on the first step, one array per
+    parameter; later steps must pass parameters of the same count and shapes.
+    The two scratch buffers are the only temporaries a step uses.
+    """
 
     def __init__(self, lr: float = 1e-5, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -202,25 +212,54 @@ class AdamState:
         self.step_count = 0
         self._m = None
         self._v = None
+        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
 
 
 def adam_step(state: AdamState, params, grads):
-    """One Adam update with bias correction; parameters update in place."""
+    """One Adam update with bias correction; parameters update in place.
+
+    Each parameter is swept in chunks of ``ADAM_CHUNK`` elements through the
+    state's scratch buffers. Every operation is elementwise and keeps the
+    order ``p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)``, so the result
+    is bit-identical to a whole-array update, whatever the chunk size.
+    """
     if len(params) != len(grads):
         raise ShapeMismatchError("params/grads count mismatch", left=len(params), right=len(grads))
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ShapeMismatchError("parameter/gradient shape mismatch", left=p.shape, right=g.shape)
+        # reshape(-1) of a non-contiguous array is a copy, so an update to it would be lost
+        if not (p.flags.c_contiguous and g.flags.c_contiguous):
+            raise ShapeMismatchError("parameter or gradient is not C-contiguous", left=p.strides, right=g.strides)
     if state._m is None:
         state._m = [np.zeros_like(p) for p in params]
         state._v = [np.zeros_like(p) for p in params]
+    elif [m.shape for m in state._m] != [p.shape for p in params]:
+        raise ShapeMismatchError("parameters differ from those the Adam moments were built for",
+                                 left=[p.shape for p in params], right=[m.shape for m in state._m])
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    scratch_a, scratch_b = state._scratch
     for p, g, m, v in zip(params, grads, state._m, state._v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+            mc *= b1
+            np.multiply(1.0 - b1, gc, out=a)
+            mc += a
+            vc *= b2
+            np.multiply(1.0 - b2, gc, out=a)
+            a *= gc
+            vc += a
+            np.divide(vc, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(mc, bc1, out=b)
+            np.multiply(lr, b, out=b)
+            b /= a
+            pc -= b

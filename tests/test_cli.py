@@ -139,6 +139,28 @@ def test_inject_zsl_only_emits_just_unseen_rows(tmp_path):
     assert head.class_ids == ["c008", "c009", "c010"]
 
 
+@pytest.mark.parametrize("old, new, where", [
+    (b"use_a_to_a=1", b"use_a_to_a=x", "header line 6: use_a_to_a='x' is not 0 or 1"),
+    (b"include_bias=0", b"include_bias=2", "header line 10: include_bias='2' is not 0 or 1"),
+    (b"hidden=16", b"hidden=1x", "header line 4: hidden='1x' is not an integer"),
+    (b"distance=cosine", b"distance=cosinx", "header line 5: unknown distance 'cosinx'"),
+    (b"use_w_to_w=1", b"use_w_to_w=\xff", "header is not UTF-8"),
+])
+def test_inject_rejects_a_malformed_checkpoint_header(tmp_path, capsys, old, new, where):
+    task = _synth(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", *_task_args(task), "--out", str(run), *FAST, "--max-epochs", "1"]) == 0
+    ckpt = run / "model.ckpt"
+    raw = ckpt.read_bytes()
+    assert raw.count(old) == 1 and len(old) == len(new)
+    ckpt.write_bytes(raw.replace(old, new))
+    capsys.readouterr()
+    code = main(["inject", "--checkpoint", str(ckpt), *_task_args(task), "--out", str(tmp_path / "h.wsmat")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and where in err
+
+
 def test_inject_preserves_seen_rows_bit_for_bit(tmp_path):
     task = _synth(tmp_path)
     run = tmp_path / "run"

@@ -154,6 +154,18 @@ def test_ids_round_trip(tmp_path):
     assert load_ids(p) == ["c001", "c002", "zebra"]
 
 
+def test_ids_and_manifest_that_are_not_utf8_are_format_errors(tmp_path):
+    p = tmp_path / "m.ids"
+    p.write_bytes(b"c001\nc0\xff2\n")
+    with pytest.raises(DataFormatError, match="byte 7.*not UTF-8") as exc:
+        load_ids(p)
+    assert exc.value.path == str(p) and exc.value.offset == 7
+    p = tmp_path / "split.txt"
+    p.write_bytes(b"[seen]\n\xe9\n")
+    with pytest.raises(DataFormatError, match="byte 7.*not UTF-8"):
+        load_manifest(p)
+
+
 def test_ids_path_swaps_suffix(tmp_path):
     assert ids_path_for(tmp_path / "head.wsmat").name == "head.ids"
 

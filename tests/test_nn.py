@@ -5,6 +5,7 @@ import pytest
 
 from icis.errors import IcisError, ShapeMismatchError, ZeroNormError
 from icis.nn import (
+    ADAM_CHUNK,
     AdamState,
     LinearLayer,
     MlpTwoLayer,
@@ -364,3 +365,65 @@ def test_adam_rejects_mismatched_shapes():
         adam_step(state, [np.zeros(3)], [np.zeros(4)])
     with pytest.raises(ShapeMismatchError):
         adam_step(state, [np.zeros(3)], [])
+
+
+def test_adam_rejects_parameters_the_moments_were_not_built_for():
+    state = AdamState()
+    adam_step(state, [np.zeros((2, 3)), np.zeros(3)], [np.ones((2, 3)), np.ones(3)])
+    # another count
+    with pytest.raises(ShapeMismatchError, match="moments were built for"):
+        adam_step(state, [np.zeros((2, 3))], [np.ones((2, 3))])
+    # same sizes, other shapes: the moments would be applied to the wrong entries
+    with pytest.raises(ShapeMismatchError, match="moments were built for"):
+        adam_step(state, [np.zeros((3, 2)), np.zeros(3)], [np.ones((3, 2)), np.ones(3)])
+    assert state.step_count == 1
+
+
+def test_adam_rejects_non_contiguous_parameters_and_gradients():
+    state = AdamState(lr=0.1)
+    base = np.zeros((4, 6))
+    with pytest.raises(ShapeMismatchError, match="not C-contiguous"):
+        adam_step(state, [base[:, ::2]], [np.ones((4, 3))])
+    with pytest.raises(ShapeMismatchError, match="not C-contiguous"):
+        adam_step(state, [np.zeros((3, 4))], [np.ones((4, 3)).T])
+    assert not base.any() and state.step_count == 0
+
+
+def adam_step_oracle(state: dict, params, grads):
+    """The whole-array Adam update that ``adam_step`` replaced; moments live
+    in ``state["m"]``/``state["v"]``, the step count in ``state["t"]``."""
+    if "m" not in state:
+        state["m"] = [np.zeros_like(p) for p in params]
+        state["v"] = [np.zeros_like(p) for p in params]
+        state["t"] = 0
+    state["t"] += 1
+    t = state["t"]
+    lr, b1, b2, eps = state["lr"], state["beta1"], state["beta2"], state["eps"]
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_adam_step_is_bit_identical_to_the_whole_array_update():
+    rng = np.random.default_rng(3)
+    # larger than a chunk and not a multiple of it, exactly one chunk, smaller than one
+    shapes = [(3, ADAM_CHUNK // 2 + 7), (ADAM_CHUNK,), (5, 9), (1,)]
+    hyper = dict(lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-6)
+    params = [rng.standard_normal(s) for s in shapes]
+    expected = [p.copy() for p in params]
+    state = AdamState(**hyper)
+    oracle = dict(hyper)
+    for _ in range(5):
+        grads = [rng.standard_normal(s) * rng.uniform(1e-4, 1e2) for s in shapes]
+        adam_step(state, params, grads)
+        adam_step_oracle(oracle, expected, [g.copy() for g in grads])
+    assert state.step_count == oracle["t"] == 5
+    for got, want, m, want_m, v, want_v in zip(params, expected, state._m, oracle["m"], state._v, oracle["v"]):
+        assert np.array_equal(got, want)
+        assert np.array_equal(m, want_m)
+        assert np.array_equal(v, want_v)

@@ -30,8 +30,7 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     by the renormalised top ``top_t`` softmax scores of the seen head."""
     if top_t < 1:
         raise IcisError("top_t must be >= 1")
-    order = [seen_descriptors.index_of(c) for c in head.class_ids]
-    a_seen = seen_descriptors.matrix[order]
+    a_seen = seen_descriptors.subset(head.class_ids).matrix
     probs = softmax_rows(head.logits(features))
     t = min(top_t, probs.shape[1])
     # keep only each row's t largest probabilities, renormalised
@@ -77,8 +76,7 @@ def costa_weights(
     An unseen class with no positive similarity to any seen class has no
     usable weighting, so it is reported as an error.
     """
-    order = [seen_descriptors.index_of(c) for c in head.class_ids]
-    sims = _cosine_sim_matrix(unseen_descriptors.matrix, seen_descriptors.matrix[order])
+    sims = _cosine_sim_matrix(unseen_descriptors.matrix, seen_descriptors.subset(head.class_ids).matrix)
     sims = np.maximum(sims, 0.0)
     dead = np.flatnonzero(sims.sum(axis=1) == 0.0)
     if dead.size:
@@ -98,8 +96,7 @@ def vgse_wavg_weights(
     the weighting toward the most similar seen classes."""
     if temperature <= 0.0:
         raise IcisError("temperature must be > 0")
-    order = [seen_descriptors.index_of(c) for c in head.class_ids]
-    sims = _cosine_sim_matrix(unseen_descriptors.matrix, seen_descriptors.matrix[order])
+    sims = _cosine_sim_matrix(unseen_descriptors.matrix, seen_descriptors.subset(head.class_ids).matrix)
     alpha = softmax_rows(sims / temperature)
     return alpha @ head.weights
 
@@ -139,8 +136,7 @@ def vgse_smo_weights(
 ) -> np.ndarray:
     """Unseen rows from sum-one ridge reconstruction coefficients of each
     unseen descriptor in the span of seen descriptors."""
-    order = [seen_descriptors.index_of(c) for c in head.class_ids]
-    a_seen = seen_descriptors.matrix[order]
+    a_seen = seen_descriptors.subset(head.class_ids).matrix
     rows = [
         smo_coefficients(unseen_descriptors.matrix[i], a_seen, gamma) @ head.weights
         for i in range(len(unseen_descriptors.class_ids))

@@ -94,7 +94,7 @@ def _train_config_from_args(args) -> TrainConfig:
     )
 
 
-def _add_run_options(p: argparse.ArgumentParser) -> None:
+def _add_run_options(p: argparse.ArgumentParser, include_bias: bool = True) -> None:
     p.add_argument("--hidden-dim", type=int, default=DEFAULT_HIDDEN)
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--batch", type=int, default=16)
@@ -102,8 +102,9 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stop-window", type=int, default=10)
     p.add_argument("--stop-threshold", type=float, default=2e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--include-bias", action="store_true",
-                   help="regress head biases as a trailing weight coordinate")
+    if include_bias:
+        p.add_argument("--include-bias", action="store_true",
+                       help="regress head biases as a trailing weight coordinate")
 
 
 def _add_loss_options(p: argparse.ArgumentParser) -> None:
@@ -233,7 +234,8 @@ def cmd_eval(args) -> int:
     head = load_classifier_head(args.head, seen_ids=manifest.seen, biases_path=args.biases)
     features = load_feature_set(args.features)
     if args.zsl_only:
-        present = [c for c in manifest.unseen if c in set(head.class_ids)]
+        known = set(head.class_ids)
+        present = [c for c in manifest.unseen if c in known]
         head = head.subset(present)
         report = evaluate(head, features.restrict_to(present), None, unseen_ids=present)
     else:
@@ -496,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--base", choices=["wavg", "costa", "smo"], default="wavg")
     p.add_argument("--distance", choices=["cosine", "l2"], default="l2")
-    _add_run_options(p)
+    # baselines do not regress biases
+    _add_run_options(p, include_bias=False)
     p.set_defaults(func=cmd_baseline)
 
     return parser

@@ -166,6 +166,37 @@ def _check_unique(ids, what: str):
         seen.add(i)
 
 
+def rows_of(class_ids, ids) -> list:
+    """Row of each of ``ids`` in ``class_ids``, in the order of ``ids``.
+
+    The id -> row index is built on every call: ``class_ids`` is a public,
+    mutable list, so a cached index could go stale. An unknown id is a
+    :class:`ClassIdError` naming it.
+    """
+    index = {c: r for r, c in enumerate(class_ids)}
+    try:
+        return [index[str(i)] for i in ids]
+    except KeyError as exc:
+        raise ClassIdError(f"unknown class id {exc.args[0]!r}") from None
+
+
+def _load_with_ids(matrix_path, ids_path, kind: str = "id", unit: str = "classes"):
+    """A matrix and its sidecar (``ids_path``, default next to the matrix),
+    which must list one entry per row."""
+    matrix = load_matrix(matrix_path)
+    ids = load_ids(ids_path if ids_path is not None else ids_path_for(matrix_path))
+    if len(ids) != matrix.shape[0]:
+        raise ClassIdError(
+            f"{matrix_path}: matrix has {matrix.shape[0]} rows but {kind} sidecar lists {len(ids)} {unit}"
+        )
+    return matrix, ids
+
+
+def _save_with_ids(matrix_path, matrix, ids) -> None:
+    save_matrix(matrix_path, matrix)
+    save_ids(ids_path_for(matrix_path), ids)
+
+
 # ---------------------------------------------------------------------------
 # containers
 
@@ -189,31 +220,19 @@ class DescriptorSet:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def index_of(self, class_id) -> int:
-        try:
-            return self.class_ids.index(str(class_id))
-        except ValueError:
-            raise ClassIdError(f"unknown class id {class_id!r}") from None
-
     def vector(self, class_id) -> np.ndarray:
-        return self.matrix[self.index_of(class_id)]
+        return self.matrix[rows_of(self.class_ids, [class_id])[0]]
 
     def subset(self, ids) -> "DescriptorSet":
-        rows = [self.index_of(i) for i in ids]
+        rows = rows_of(self.class_ids, ids)
         return DescriptorSet([self.class_ids[r] for r in rows], self.matrix[rows])
 
     def save(self, matrix_path) -> None:
-        save_matrix(matrix_path, self.matrix)
-        save_ids(ids_path_for(matrix_path), self.class_ids)
+        _save_with_ids(matrix_path, self.matrix, self.class_ids)
 
 
 def load_descriptor_set(matrix_path, ids_path=None) -> DescriptorSet:
-    matrix = load_matrix(matrix_path)
-    ids = load_ids(ids_path if ids_path is not None else ids_path_for(matrix_path))
-    if len(ids) != matrix.shape[0]:
-        raise ClassIdError(
-            f"{matrix_path}: matrix has {matrix.shape[0]} rows but id sidecar lists {len(ids)} classes"
-        )
+    matrix, ids = _load_with_ids(matrix_path, ids_path)
     return DescriptorSet(ids, matrix)
 
 
@@ -255,12 +274,6 @@ class ClassifierHead:
     def weight_dim(self) -> int:
         return self.weights.shape[1]
 
-    def index_of(self, class_id) -> int:
-        try:
-            return self.class_ids.index(str(class_id))
-        except ValueError:
-            raise ClassIdError(f"unknown class id {class_id!r}") from None
-
     def logits(self, features: np.ndarray) -> np.ndarray:
         features = as_matrix(features)
         if features.shape[1] != self.weight_dim:
@@ -273,7 +286,7 @@ class ClassifierHead:
         return scores
 
     def subset(self, ids) -> "ClassifierHead":
-        rows = [self.index_of(i) for i in ids]
+        rows = rows_of(self.class_ids, ids)
         return ClassifierHead(
             [self.class_ids[r] for r in rows],
             self.weights[rows],
@@ -282,8 +295,7 @@ class ClassifierHead:
         )
 
     def save(self, weights_path, biases_path=None) -> None:
-        save_matrix(weights_path, self.weights)
-        save_ids(ids_path_for(weights_path), self.class_ids)
+        _save_with_ids(weights_path, self.weights, self.class_ids)
         if self.biases is not None:
             if biases_path is None:
                 raise IcisError("head has biases; a biases path is required to save them")
@@ -291,12 +303,7 @@ class ClassifierHead:
 
 
 def load_classifier_head(weights_path, ids_path=None, biases_path=None, seen_ids=None) -> ClassifierHead:
-    weights = load_matrix(weights_path)
-    ids = load_ids(ids_path if ids_path is not None else ids_path_for(weights_path))
-    if len(ids) != weights.shape[0]:
-        raise ClassIdError(
-            f"{weights_path}: matrix has {weights.shape[0]} rows but id sidecar lists {len(ids)} classes"
-        )
+    weights, ids = _load_with_ids(weights_path, ids_path)
     biases = None
     if biases_path is not None:
         biases = load_matrix(biases_path).reshape(-1)
@@ -342,17 +349,11 @@ class FeatureSet:
             raise ClassIdError(f"feature labels not in any known class list: {unknown[:5]}")
 
     def save(self, matrix_path) -> None:
-        save_matrix(matrix_path, self.features)
-        save_ids(ids_path_for(matrix_path), self.labels)
+        _save_with_ids(matrix_path, self.features, self.labels)
 
 
 def load_feature_set(matrix_path, labels_path=None) -> FeatureSet:
-    features = load_matrix(matrix_path)
-    labels = load_ids(labels_path if labels_path is not None else ids_path_for(matrix_path))
-    if len(labels) != features.shape[0]:
-        raise ClassIdError(
-            f"{matrix_path}: matrix has {features.shape[0]} rows but label sidecar lists {len(labels)} samples"
-        )
+    features, labels = _load_with_ids(matrix_path, labels_path, "label", "samples")
     return FeatureSet(features, labels)
 
 
@@ -436,11 +437,7 @@ class PairSet:
         return len(self.class_ids)
 
     def subset(self, ids) -> "PairSet":
-        index = {c: r for r, c in enumerate(self.class_ids)}
-        try:
-            rows = [index[str(i)] for i in ids]
-        except KeyError as exc:
-            raise ClassIdError(f"unknown class id {exc.args[0]!r}") from None
+        rows = rows_of(self.class_ids, ids)
         return PairSet([self.class_ids[r] for r in rows], self.descriptors[rows], self.weights[rows])
 
 
@@ -451,7 +448,7 @@ def make_pairs(descriptors: DescriptorSet, head: ClassifierHead, include_bias: b
     extra coordinate, so the regression target carries it; heads without
     biases get an appended zero.
     """
-    rows = [descriptors.index_of(c) for c in head.class_ids]
+    rows = rows_of(descriptors.class_ids, head.class_ids)
     weights = head.weights
     if include_bias:
         biases = head.biases if head.biases is not None else np.zeros(head.n_classes)

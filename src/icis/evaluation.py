@@ -326,7 +326,8 @@ def evaluate(
     report.per_class["gzsl_unseen"] = per_class
     report.entropy_unseen = mean_prediction_entropy(head.logits(unseen_features.features))
 
-    seen_ids = [c for c in head.class_ids if c not in set(unseen_ids)]
+    unseen = set(unseen_ids)
+    seen_ids = [c for c in head.class_ids if c not in unseen]
     if seen_features is not None and seen_features.n_samples and seen_ids:
         seen_features.check_labels_known(seen_ids)
         seen_pred = classify(head, seen_features.features)

@@ -202,9 +202,6 @@ class IcisModel:
         for layer in self.layers():
             layer.zero_grad()
 
-    def copy(self) -> "IcisModel":
-        return IcisModel(*(layer.copy() for layer in self.layers()))
-
 
 # ---------------------------------------------------------------------------
 # loss terms

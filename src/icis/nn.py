@@ -112,9 +112,6 @@ class LinearLayer:
     def gradients(self):
         return [self.grad_weight, self.grad_bias]
 
-    def copy(self) -> "LinearLayer":
-        return LinearLayer(self.weight.copy(), self.bias.copy())
-
 
 class MlpTwoLayer:
     """Composition ``layer2(relu(layer1(x)))``.

@@ -205,6 +205,11 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--bogus"])
     assert exc.value.code == 2
+    # baselines regress no biases, so --include-bias is not one of their options
+    with pytest.raises(SystemExit) as exc:
+        main(["baseline", "--method", "costa", *_task_args(task),
+              "--features", str(task / "features.wsmat"), "--include-bias"])
+    assert exc.value.code == 2
     # a negative learning rate is rejected before training -> data error
     assert main([
         "train", *_task_args(task), "--out", str(tmp_path / "neg"),

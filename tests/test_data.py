@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from icis.baselines import conse_combine, costa_weights, vgse_smo_weights, vgse_wavg_weights
 from icis.data import (
     ClassifierHead,
     DescriptorSet,
@@ -28,6 +31,7 @@ from icis.data import (
     synth_generate,
 )
 from icis.errors import ClassIdError, DataFormatError, IcisError
+from icis.evaluation import evaluate
 
 # ---------------------------------------------------------------------------
 # matrix container
@@ -319,6 +323,50 @@ def test_make_pairs_missing_descriptor_is_an_error():
     head = ClassifierHead(["a", "b"], np.ones((2, 2)))
     with pytest.raises(ClassIdError):
         make_pairs(ds, head)
+
+
+def _lookups_of_a_missing_id():
+    # "nope" is a class id that the looked-up container does not have
+    ds = DescriptorSet(["a", "b"], np.eye(2))
+    head = ClassifierHead(["a", "b"], np.eye(2), seen=[True, False])
+    stray = ClassifierHead(["a", "nope"], np.eye(2))
+    pairs = PairSet(["a", "b"], np.eye(2), np.eye(2))
+    unseen = DescriptorSet(["u"], [[1.0, 1.0]])
+    features = FeatureSet(np.eye(2), ["b", "b"])
+    return {
+        "DescriptorSet.subset": lambda: ds.subset(["a", "nope"]),
+        "DescriptorSet.vector": lambda: ds.vector("nope"),
+        "ClassifierHead.subset": lambda: head.subset(["b", "nope"]),
+        "PairSet.subset": lambda: pairs.subset(["nope", "a"]),
+        "make_pairs": lambda: make_pairs(ds, stray),
+        "conse_combine": lambda: conse_combine(stray, ds, np.eye(2)),
+        "costa_weights": lambda: costa_weights(unseen, ds, stray),
+        "vgse_wavg_weights": lambda: vgse_wavg_weights(unseen, ds, stray),
+        "vgse_smo_weights": lambda: vgse_smo_weights(unseen, ds, stray),
+        "evaluate": lambda: evaluate(head, features, unseen_ids=["b", "nope"]),
+    }
+
+
+@pytest.mark.parametrize("lookup", sorted(_lookups_of_a_missing_id()))
+def test_every_id_lookup_names_the_missing_id(lookup):
+    with pytest.raises(ClassIdError, match="unknown class id 'nope'"):
+        _lookups_of_a_missing_id()[lookup]()
+
+
+@given(data=st.data(), ids=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=12, unique=True))
+def test_subset_follows_the_selection_order(data, ids):
+    sel = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids)))]
+    matrix = np.arange(1.0, 3 * len(ids) + 1).reshape(len(ids), 3)
+    # list.index is the reference lookup
+    expected = matrix[[ids.index(s) for s in sel]]
+    sub_ds = DescriptorSet(ids, matrix).subset(sel)
+    sub_head = ClassifierHead(ids, matrix).subset(sel)
+    sub_pairs = PairSet(ids, matrix, -matrix).subset(sel)
+    assert sub_ds.class_ids == sub_head.class_ids == sub_pairs.class_ids == sel
+    assert np.array_equal(sub_ds.matrix, expected)
+    assert np.array_equal(sub_head.weights, expected)
+    assert np.array_equal(sub_pairs.descriptors, expected)
+    assert np.array_equal(sub_pairs.weights, -expected)
 
 
 def test_validation_split_partitions_pairs():

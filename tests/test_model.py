@@ -133,13 +133,6 @@ def test_model_views_share_layers():
     assert m.a_to_a.layer2 is m.w_to_a.layer2 is m.desc_decoder
 
 
-def test_model_copy_detaches_parameters():
-    m = IcisModel.init(3, 4, 8, RngState(1))
-    dup = m.copy()
-    dup.desc_encoder.weight[0, 0] += 1.0
-    assert m.desc_encoder.weight[0, 0] != dup.desc_encoder.weight[0, 0]
-
-
 def test_model_rejects_mismatched_latents():
     ok = lambda i, o: LinearLayer(np.ones((o, i)), np.zeros(o))
     with pytest.raises(IcisError):

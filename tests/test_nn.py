@@ -178,13 +178,6 @@ def test_linear_layer_init_std_and_zero_bias():
     assert post.weight.std() == pytest.approx(np.sqrt(1.0 / 400), rel=0.02)
 
 
-def test_linear_layer_copy_is_independent():
-    layer = LinearLayer([[1.0, 2.0]], [0.5])
-    dup = layer.copy()
-    dup.weight[0, 0] = 99.0
-    assert layer.weight[0, 0] == 1.0
-
-
 def test_mlp_forward_with_zero_weights_gives_bias():
     l1 = LinearLayer(np.zeros((3, 2)), np.zeros(3))
     l2 = LinearLayer(np.zeros((2, 3)), np.array([5.0, -1.0]))

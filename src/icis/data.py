@@ -424,6 +424,7 @@ class PairSet:
 
     def __post_init__(self):
         self.class_ids = [str(i) for i in self.class_ids]
+        _check_unique(self.class_ids, "pair")
         self.descriptors = as_matrix(self.descriptors)
         self.weights = as_matrix(self.weights)
         n = len(self.class_ids)

@@ -187,16 +187,24 @@ def bin_predictions(descriptors: DescriptorSet, true_class, predictions, bin_siz
     around the true class (the class itself is rank 0) and ranks are binned
     in groups of ``bin_size``. The returned probabilities sum to 1.
     """
+    predictions = [str(p) for p in predictions]
+    _check_binning(predictions, bin_size)
+    return _bin_ranks(similarity_ranks(descriptors, true_class), predictions, bin_size)
+
+
+def _check_binning(predictions: list, bin_size: int) -> None:
     if bin_size < 1:
         raise IcisError("bin_size must be >= 1")
-    predictions = [str(p) for p in predictions]
     if not predictions:
         raise IcisError("no predictions to bin")
-    ranks = similarity_ranks(descriptors, true_class)
+
+
+def _bin_ranks(ranks: dict, predictions: list, bin_size: int) -> list:
+    """``bin_predictions`` from ranks already computed around the true class."""
     unknown = sorted({p for p in predictions if p not in ranks})
     if unknown:
         raise ClassIdError(f"predicted classes without descriptors: {unknown[:5]}")
-    n_bins = -(-len(descriptors.class_ids) // bin_size)
+    n_bins = -(-len(ranks) // bin_size)
     counts = [0] * n_bins
     for p in predictions:
         counts[ranks[p] // bin_size] += 1
@@ -221,8 +229,9 @@ def failure_histogram(
     if class_feats.n_samples == 0:
         raise IcisError(f"no samples labelled {target!r} in the feature set")
     predictions = classify(head, class_feats.features)
-    probs = bin_predictions(descriptors, target, predictions, bin_size)
+    _check_binning(predictions, bin_size)
     ranks = similarity_ranks(descriptors, target)
+    probs = _bin_ranks(ranks, predictions, bin_size)
     seen_by_id = dict(zip(head.class_ids, (bool(s) for s in head.seen)))
     counts = {}
     for p in predictions:

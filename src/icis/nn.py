@@ -161,12 +161,12 @@ class MlpTwoLayer:
         hidden = np.maximum(self.layer1.forward(x), 0.0)
         return self.layer2.forward(hidden)
 
-    def backward(self, upstream: np.ndarray) -> np.ndarray:
+    def backward(self, upstream: np.ndarray) -> None:
         """Accumulate parameter gradients for the cached batch.
 
-        ``upstream`` is d(loss)/d(output). Returns d(loss)/d(input). The
-        rectifier gate uses the cached pre-activations, with zero slope at
-        exactly zero.
+        ``upstream`` is d(loss)/d(output). The rectifier gate uses the cached
+        pre-activations, with zero slope at exactly zero. The input gradient
+        is not computed: every input here is data, not a trained layer.
         """
         if self._cache is None:
             raise IcisError("backward called without a cached forward pass")
@@ -174,14 +174,33 @@ class MlpTwoLayer:
         upstream = as_matrix(upstream)
         if upstream.shape != (x.shape[0], self.out_dim):
             raise ShapeMismatchError("upstream gradient shape mismatch", left=upstream.shape, right=(x.shape[0], self.out_dim))
-        self.layer2.grad_weight += upstream.T @ hidden
+        _accumulate_outer(self.layer2.grad_weight, upstream, hidden)
         self.layer2.grad_bias += upstream.sum(axis=0)
         dhidden = upstream @ self.layer2.weight
         dpre = dhidden * (pre > 0.0)
-        self.layer1.grad_weight += dpre.T @ x
+        _accumulate_outer(self.layer1.grad_weight, dpre, x)
         self.layer1.grad_bias += dpre.sum(axis=0)
         self._cache = None
-        return dpre @ self.layer1.weight
+
+
+def _accumulate_outer(grad: np.ndarray, upstream: np.ndarray, x: np.ndarray) -> None:
+    """``grad += upstream.T @ x``, one block of about ``GRAD_BLOCK`` elements
+    of ``grad`` at a time, so no temporary the size of ``grad`` is built.
+
+    Each element is the same dot product over the batch as in the
+    whole-array product; at 2048 and 312 columns the result is bit-identical
+    to it, at 2049 columns OpenBLAS may round a block a few ulps
+    differently. No block has a single row (unless ``grad`` has one),
+    because OpenBLAS sends a one-row product to GEMV, which rounds
+    differently again.
+    """
+    rows, cols = grad.shape
+    step = max(2, GRAD_BLOCK // cols)
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo <= step + 1 else lo + step
+        grad[lo:hi] += upstream[:, lo:hi].T @ x
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +210,10 @@ class MlpTwoLayer:
 # Adam walks every parameter in chunks of this many elements: the chunks of
 # p, g, m, v and the two scratch buffers (6 x 256 KiB) fit in a 2 MiB L2.
 ADAM_CHUNK = 32768
+
+# Backward accumulates each weight gradient in row blocks of about this many
+# elements: one block's outer-product temporary (1 MiB) fits in a 2 MiB L2.
+GRAD_BLOCK = 131072
 
 
 class AdamState:

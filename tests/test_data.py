@@ -369,6 +369,14 @@ def test_subset_follows_the_selection_order(data, ids):
     assert np.array_equal(sub_pairs.weights, -expected)
 
 
+def test_pair_set_duplicate_id_is_an_error():
+    with pytest.raises(ClassIdError, match="duplicate pair id 'a'"):
+        PairSet(["a", "a"], [[1.0], [2.0]], [[1.0], [2.0]])
+    # ids are compared as strings, as subset looks them up
+    with pytest.raises(ClassIdError):
+        PairSet([1, "1"], np.eye(2), np.eye(2))
+
+
 def test_validation_split_partitions_pairs():
     pairs = PairSet(["a", "b", "c", "d"], np.eye(4), np.eye(4))
     manifest = SplitManifest(["a", "b", "c", "d"], [], val_seen=["b", "d"])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from icis import evaluation
 from icis.data import ClassifierHead, DescriptorSet, FeatureSet
 from icis.errors import ClassIdError, IcisError
 from icis.evaluation import (
@@ -260,6 +261,33 @@ def test_failure_histogram_reports_counts_with_seen_tags():
     payload = json.loads(hist.to_json())
     assert payload["predicted_classes"][0]["class_id"] == "near"
     assert payload["predicted_classes"][0]["seen"] is True
+
+
+def test_failure_histogram_ranks_the_classes_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    ids = [f"c{i}" for i in range(12)]
+    ds = DescriptorSet(ids, rng.standard_normal((12, 4)))
+    head = ClassifierHead(ids, rng.standard_normal((12, 5)), seen=[i % 2 == 0 for i in range(12)])
+    features = FeatureSet(rng.standard_normal((30, 5)), ["c3"] * 20 + ["c4"] * 10)
+    # the histogram as the public pieces build it
+    predictions = classify(head, features.restrict_to(["c3"]).features)
+    ranks = similarity_ranks(ds, "c3")
+    counts = {p: predictions.count(p) for p in set(predictions)}
+    expected_rows = sorted(((c, ranks[c], n, int(c[1:]) % 2 == 0) for c, n in counts.items()), key=lambda r: r[1])
+    expected_probs = bin_predictions(ds, "c3", predictions, bin_size=3)
+
+    calls = []
+
+    def counted(descriptors, anchor_id):
+        calls.append(anchor_id)
+        return similarity_ranks(descriptors, anchor_id)
+
+    monkeypatch.setattr(evaluation, "similarity_ranks", counted)
+    hist = failure_histogram(head, features, ds, "c3", bin_size=3)
+    assert calls == ["c3"]
+    assert hist.bin_probabilities == expected_probs
+    assert hist.predicted_classes == expected_rows
+    assert hist.n_samples == 20 and len(expected_rows) > 1
 
 
 def test_failure_histogram_no_samples_is_an_error():

@@ -1,14 +1,18 @@
 """Tests for the distances, the two-layer perceptron backward pass, and Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from icis.errors import IcisError, ShapeMismatchError, ZeroNormError
 from icis.nn import (
     ADAM_CHUNK,
+    GRAD_BLOCK,
     AdamState,
     LinearLayer,
     MlpTwoLayer,
+    _accumulate_outer,
     adam_step,
     batch_cosine_loss,
     batch_l2_loss,
@@ -274,27 +278,57 @@ def test_mlp_backward_without_forward_is_an_error():
         net.backward(np.zeros((1, 2)))
 
 
-def test_mlp_backward_returns_input_gradient():
-    rng = RngState(50)
-    l1 = LinearLayer.init(4, 6, rng, pre_rectifier=True)
-    l2 = LinearLayer.init(6, 3, rng, pre_rectifier=False)
-    net = MlpTwoLayer(l1, l2)
-    x = RngState(51).normal(2, 4)
-    target = RngState(52).normal(2, 3)
+def accumulate_outer_oracle(grad, upstream, x):
+    """The whole-array weight-gradient accumulation that ``_accumulate_outer``
+    replaced."""
+    grad += upstream.T @ x
 
-    out = net.forward(x)
-    dx = net.backward(2.0 * (out - target))
 
-    h = 1e-5
-    for i in range(2):
-        for j in range(4):
-            bump = x.copy()
-            bump[i, j] += h
-            dent = x.copy()
-            dent[i, j] -= h
-            up = float(np.sum((net.predict(bump) - target) ** 2))
-            down = float(np.sum((net.predict(dent) - target) ** 2))
-            assert dx[i, j] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+@pytest.mark.parametrize("rows, cols", [(2048, 2048), (2048, 312), (312, 2048)])
+@pytest.mark.parametrize("batch", [16, 6, 21])
+def test_blocked_accumulation_is_bit_identical_at_the_cub_shapes(rows, cols, batch):
+    rng = np.random.default_rng(rows + cols + batch)
+    start = rng.standard_normal((rows, cols))
+    upstream = rng.standard_normal((batch, rows))
+    x = rng.standard_normal((batch, cols))
+    got, want = start.copy(), start.copy()
+    _accumulate_outer(got, upstream, x)
+    accumulate_outer_oracle(want, upstream, x)
+    assert np.array_equal(got, want)
+
+
+def test_blocked_accumulation_with_a_short_last_block_and_two_calls():
+    cols = 64
+    step = GRAD_BLOCK // cols
+    rng = np.random.default_rng(4)
+    # three full blocks and a short one; then a remainder of one row, which
+    # joins the block before it (a one-row block would go to GEMV and round
+    # differently)
+    for rows in (3 * step + 5, 2 * step + 1):
+        start = rng.standard_normal((rows, cols))
+        got, want = start.copy(), start.copy()
+        for _ in range(2):
+            upstream = rng.standard_normal((16, rows))
+            x = rng.standard_normal((16, cols))
+            _accumulate_outer(got, upstream, x)
+            accumulate_outer_oracle(want, upstream, x)
+        assert np.array_equal(got, want)
+
+
+def test_mlp_backward_builds_no_weight_sized_temporary():
+    rng = RngState(60)
+    net = MlpTwoLayer(LinearLayer.init(1024, 1024, rng, pre_rectifier=True),
+                      LinearLayer.init(1024, 1024, rng, pre_rectifier=False))
+    x = RngState(61).normal(16, 1024)
+    upstream = RngState(62).normal(16, 1024)
+    net.forward(x)
+    tracemalloc.start()
+    try:
+        net.backward(upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < net.layer1.weight.nbytes / 4
 
 
 def test_mlp_rejects_non_composing_layers():

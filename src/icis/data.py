@@ -14,7 +14,9 @@ Formats (documented bit-exactly in the README):
 """
 
 import csv as _csv
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +27,10 @@ from .tensor import RngState, as_matrix, check_finite, rand_normal, row_normaliz
 
 MATRIX_MAGIC = b"WSMAT01\n"
 _HEADER_LEN = len(MATRIX_MAGIC) + 8
+
+# The reader converts and checks a payload this many values at a time: the
+# float32 chunk and its finiteness mask (320 KiB) fit in a 2 MiB L2.
+READ_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -42,30 +48,52 @@ def write_matrix_block(f, matrix) -> None:
     f.write(m.astype("<f4").tobytes(order="C"))
 
 
-def read_matrix_block(raw: bytes, pos: int, path):
-    """Parse the matrix block that starts at byte ``pos`` of ``raw``.
+def read_matrix_block(f, path) -> np.ndarray:
+    """Read the matrix block at the current position of the open binary file
+    ``f``, leaving ``f`` just past it.
 
-    Returns ``(matrix, end)`` with ``end`` the offset just past the block.
-    Malformed or non-finite blocks raise :class:`DataFormatError` naming
-    ``path`` and the offending byte offset.
+    The float64 result is allocated once and filled ``READ_CHUNK`` values at
+    a time, so the file is never held whole next to it. Malformed or
+    non-finite blocks raise :class:`DataFormatError` naming ``path`` and the
+    offending byte offset.
     """
-    if raw[pos : pos + len(MATRIX_MAGIC)] != MATRIX_MAGIC:
+    pos = f.tell()
+    size = os.fstat(f.fileno()).st_size
+    if f.read(len(MATRIX_MAGIC)) != MATRIX_MAGIC:
         raise DataFormatError(path, f"bad magic; expected {MATRIX_MAGIC!r}", offset=pos)
-    if len(raw) < pos + _HEADER_LEN:
-        raise DataFormatError(path, "truncated header", offset=len(raw))
-    rows, cols = struct.unpack_from("<II", raw, pos + len(MATRIX_MAGIC))
+    dims = f.read(8)
+    if len(dims) < 8:
+        raise DataFormatError(path, "truncated header", offset=size)
+    rows, cols = struct.unpack("<II", dims)
     end = pos + _HEADER_LEN + 4 * rows * cols
-    if len(raw) < end:
+    if size < end:
         raise DataFormatError(
             path,
-            f"truncated payload for declared shape ({rows}, {cols}): need {end} bytes, have {len(raw)}",
-            offset=len(raw),
+            f"truncated payload for declared shape ({rows}, {cols}): need {end} bytes, have {size}",
+            offset=size,
         )
-    values = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=pos + _HEADER_LEN)
-    m = values.reshape(rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(m)):
-        raise DataFormatError(path, "payload contains non-finite values", offset=pos + _HEADER_LEN)
-    return m, end
+    m = np.empty((rows, cols), dtype=np.float64)
+    flat = m.reshape(-1)
+    for lo in range(0, flat.size, READ_CHUNK):
+        count = min(READ_CHUNK, flat.size - lo)
+        chunk = np.fromfile(f, dtype="<f4", count=count)
+        if chunk.size < count:
+            raise DataFormatError(path, "truncated payload", offset=f.tell())
+        if not np.isfinite(chunk).all():
+            raise DataFormatError(path, "payload contains non-finite values", offset=pos + _HEADER_LEN)
+        flat[lo : lo + count] = chunk
+    return m
+
+
+@contextmanager
+def open_binary(path):
+    """``path`` opened for binary reading; an ``OSError`` while it is open
+    becomes a :class:`DataFormatError`."""
+    try:
+        with open(path, "rb") as f:
+            yield f
+    except OSError as exc:
+        raise DataFormatError(path, f"cannot read file: {exc}") from exc
 
 
 def save_matrix(path, matrix) -> None:
@@ -84,13 +112,11 @@ def load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".csv":
         return _load_matrix_csv(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataFormatError(path, f"cannot read file: {exc}") from exc
-    m, end = read_matrix_block(raw, 0, path)
-    if len(raw) > end:
-        raise DataFormatError(path, f"{len(raw) - end} trailing bytes after payload", offset=end)
+    with open_binary(path) as f:
+        m = read_matrix_block(f, path)
+        end, size = f.tell(), os.fstat(f.fileno()).st_size
+    if size > end:
+        raise DataFormatError(path, f"{size - end} trailing bytes after payload", offset=end)
     return m
 
 
@@ -253,7 +279,8 @@ class ClassifierHead:
             raise ClassIdError(
                 f"weight matrix has {self.weights.shape[0]} rows but {len(self.class_ids)} class ids"
             )
-        if np.any(np.linalg.norm(self.weights, axis=1) == 0.0):
+        # row sums of squares: zero exactly where the norm is, with no temporary the size of the weights
+        if np.any(np.einsum("ij,ij->i", self.weights, self.weights) == 0.0):
             raise IcisError("classifier head contains zero-norm weight rows")
         if self.biases is not None:
             self.biases = np.ascontiguousarray(self.biases, dtype=np.float64).reshape(-1)
@@ -306,7 +333,9 @@ def load_classifier_head(weights_path, ids_path=None, biases_path=None, seen_ids
     weights, ids = _load_with_ids(weights_path, ids_path)
     biases = None
     if biases_path is not None:
-        biases = load_matrix(biases_path).reshape(-1)
+        biases = load_matrix(biases_path)
+        if biases.shape[0] != 1:
+            raise DataFormatError(biases_path, f"bias matrix has shape {biases.shape}; expected one row")
     seen = None
     if seen_ids is not None:
         seen_ids = {str(s) for s in seen_ids}

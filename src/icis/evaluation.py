@@ -12,6 +12,7 @@ import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, FeatureSet
 from .errors import ClassIdError, IcisError
+from .nn import EVAL_BLOCK, row_blocks
 from .tensor import as_matrix
 
 
@@ -21,20 +22,41 @@ def lowest_id_argmax(scores: np.ndarray, class_ids) -> list:
     Exact ties go to the lowest class id, so results do not depend on the
     column order.
     """
-    id_order = np.argsort(np.argsort(class_ids, kind="stable"), kind="stable")
-    # id_order[j] = rank of class j under ascending id sort
+    return [class_ids[j] for j in _lowest_rank_argmax(scores, _id_ranks(class_ids))]
+
+
+def _id_ranks(class_ids) -> np.ndarray:
+    """Rank of each class id (by column) under ascending id sort."""
+    return np.argsort(np.argsort(class_ids, kind="stable"), kind="stable")
+
+
+def _lowest_rank_argmax(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Column of each row's top score; ties go to the column of lowest rank."""
     top = scores.max(axis=1, keepdims=True)
-    tie_rank = np.where(scores == top, id_order, np.iinfo(np.int64).max)
-    return [class_ids[j] for j in tie_rank.argmin(axis=1)]
+    tie_rank = np.where(scores == top, ranks, np.iinfo(np.int64).max)
+    return tie_rank.argmin(axis=1)
+
+
+def _logit_blocks(head: ClassifierHead, features):
+    """``head.logits`` of the feature rows, about ``EVAL_BLOCK`` logits at a
+    time. With OpenBLAS they equal one whole product on the heads of 1000 to
+    20000 classes measured; a narrow head, split only past ``EVAL_BLOCK``
+    logits, can differ from it in the last bit on a few rows."""
+    features = as_matrix(features)
+    for lo, hi in row_blocks(features.shape[0], head.n_classes, EVAL_BLOCK):
+        yield head.logits(features[lo:hi])
 
 
 def classify(head: ClassifierHead, features) -> list:
     """Predicted class id per feature row.
 
     Ties on the top score go to the lowest class id, so results do not
-    depend on row order in the head.
+    depend on row order in the head. The rows are scored in blocks, so no
+    temporary grows with samples x classes.
     """
-    return lowest_id_argmax(head.logits(features), head.class_ids)
+    ranks = _id_ranks(head.class_ids)
+    columns = np.concatenate([_lowest_rank_argmax(s, ranks) for s in _logit_blocks(head, features)])
+    return [head.class_ids[j] for j in columns]
 
 
 def per_class_mean_accuracy(labels, predictions, class_ids) -> tuple:
@@ -105,10 +127,21 @@ def mean_prediction_entropy(logits) -> float:
     Entropy uses the convention ``0 * log 0 = 0``; a uniform row scores
     ``ln K`` and a one-hot row scores zero.
     """
+    return float(_row_entropies(logits).mean())
+
+
+def _row_entropies(logits) -> np.ndarray:
+    """Shannon entropy (nats) of the softmax of each row of the logits."""
     p = softmax_rows(logits)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)
-    return float(-terms.sum(axis=1).mean())
+    return -terms.sum(axis=1)
+
+
+def _head_entropy(head: ClassifierHead, features) -> float:
+    """``mean_prediction_entropy(head.logits(features))``, scored in row
+    blocks; the per-row entropies are averaged once, as there."""
+    return float(np.concatenate([_row_entropies(s) for s in _logit_blocks(head, features)]).mean())
 
 
 def similarity_ranks(descriptors: DescriptorSet, anchor_id) -> dict:
@@ -246,7 +279,7 @@ def failure_histogram(
         n_samples=class_feats.n_samples,
         bin_probabilities=probs,
         predicted_classes=rows,
-        mean_entropy=mean_prediction_entropy(head.logits(class_feats.features)),
+        mean_entropy=_head_entropy(head, class_feats.features),
     )
 
 
@@ -320,8 +353,8 @@ def evaluate(
 
     report = EvalReport(n_unseen_samples=unseen_features.n_samples)
 
-    restricted = head.subset(unseen_ids)
-    zsl_pred = classify(restricted, unseen_features.features)
+    # the restricted head is a copy of its rows; it is freed once this pass is done
+    zsl_pred = classify(head.subset(unseen_ids), unseen_features.features)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(
         unseen_features.labels, zsl_pred, unseen_ids
     )
@@ -333,7 +366,7 @@ def evaluate(
         unseen_features.labels, full_unseen_pred, unseen_ids
     )
     report.per_class["gzsl_unseen"] = per_class
-    report.entropy_unseen = mean_prediction_entropy(head.logits(unseen_features.features))
+    report.entropy_unseen = _head_entropy(head, unseen_features.features)
 
     unseen = set(unseen_ids)
     seen_ids = [c for c in head.class_ids if c not in unseen]
@@ -345,7 +378,7 @@ def evaluate(
         )
         report.per_class["gzsl_seen"] = per_class
         report.harmonic = harmonic_mean(report.gzsl_unseen, report.gzsl_seen)
-        report.entropy_seen = mean_prediction_entropy(head.logits(seen_features.features))
+        report.entropy_seen = _head_entropy(head, seen_features.features)
         report.n_seen_samples = seen_features.n_samples
 
     return report

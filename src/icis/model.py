@@ -14,13 +14,14 @@ accumulate into the same four layers before each optimiser step.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import ClassifierHead, PairSet, read_matrix_block, write_matrix_block
+from .data import ClassifierHead, PairSet, open_binary, read_matrix_block, write_matrix_block
 from .errors import ClassIdError, DataFormatError, DivergenceError, IcisError
 from .nn import AdamState, LinearLayer, MlpTwoLayer, adam_step, batch_loss
 from .tensor import RngState, as_matrix
@@ -457,24 +458,42 @@ def save_checkpoint(path, model: IcisModel, loss_config: LossConfig | None = Non
 def load_checkpoint(path):
     """Read a checkpoint back; returns (model, loss_config, meta dict)."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataFormatError(path, f"cannot read file: {exc}") from exc
-    if len(raw) < len(CHECKPOINT_MAGIC) or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise DataFormatError(path, f"bad magic; expected {CHECKPOINT_MAGIC!r}", offset=0)
-    pos = len(CHECKPOINT_MAGIC)
-    if len(raw) < pos + 4:
-        raise DataFormatError(path, "truncated header length", offset=len(raw))
-    (header_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    if len(raw) < pos + header_len:
-        raise DataFormatError(path, "truncated header", offset=len(raw))
-    try:
-        header_text = raw[pos : pos + header_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(path, f"header is not UTF-8: {exc.reason}", offset=pos + exc.start) from None
-    pos += header_len
+    with open_binary(path) as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise DataFormatError(path, f"bad magic; expected {CHECKPOINT_MAGIC!r}", offset=0)
+        raw_len = f.read(4)
+        if len(raw_len) < 4:
+            raise DataFormatError(path, "truncated header length", offset=size)
+        (header_len,) = struct.unpack("<I", raw_len)
+        pos = f.tell()
+        if size < pos + header_len:
+            raise DataFormatError(path, "truncated header", offset=size)
+        try:
+            header_text = f.read(header_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(path, f"header is not UTF-8: {exc.reason}", offset=pos + exc.start) from None
+        meta, header_line, dims, loss_config = _checkpoint_header(path, header_text)
+        layers = []
+        for _key in _LAYER_KEYS:
+            weight = read_matrix_block(f, path)
+            bias = read_matrix_block(f, path)
+            layers.append(LinearLayer(weight, bias.reshape(-1)))
+        pos = f.tell()
+    if pos != size:
+        raise DataFormatError(path, f"{size - pos} trailing bytes after last block", offset=pos)
+
+    model = IcisModel(*layers)
+    for dim_key, value in (("d_a", model.d_a), ("d_w", model.d_w), ("hidden", model.hidden)):
+        if dims[dim_key] is not None and dims[dim_key] != value:
+            raise DataFormatError(path, f"header line {header_line[dim_key]}: {dim_key}={meta[dim_key]} "
+                                        f"does not match blocks ({value})")
+    return model, loss_config, meta
+
+
+def _checkpoint_header(path, header_text: str):
+    """Check a checkpoint's key=value header; returns the raw values, each
+    key's line, the declared ``d_a``/``d_w``/``hidden`` and the loss config."""
     meta, header_line = {}, {}
     for lineno, line in enumerate(header_text.splitlines(), start=1):
         line = line.strip()
@@ -511,22 +530,7 @@ def load_checkpoint(path):
         batch_loss(distance)
     except IcisError as exc:
         raise DataFormatError(path, f"header line {header_line['distance']}: {exc}") from None
-
-    layers = []
-    for _key in _LAYER_KEYS:
-        weight, pos = read_matrix_block(raw, pos, path)
-        bias, pos = read_matrix_block(raw, pos, path)
-        layers.append(LinearLayer(weight, bias.reshape(-1)))
-    if pos != len(raw):
-        raise DataFormatError(path, f"{len(raw) - pos} trailing bytes after last block", offset=pos)
-
-    model = IcisModel(*layers)
-    for dim_key, value in (("d_a", model.d_a), ("d_w", model.d_w), ("hidden", model.hidden)):
-        if dims[dim_key] is not None and dims[dim_key] != value:
-            raise DataFormatError(path, f"header line {header_line[dim_key]}: {dim_key}={meta[dim_key]} "
-                                        f"does not match blocks ({value})")
-    loss_config = LossConfig(distance=distance, **flags)
-    return model, loss_config, meta
+    return meta, header_line, dims, LossConfig(distance=distance, **flags)
 
 
 def ablation_variants() -> dict:

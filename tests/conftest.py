@@ -1,10 +1,16 @@
-"""Terminal summary for the acceptance gate.
+"""Terminal summary for the acceptance gate, and the hypothesis profile.
 
 Collects the outcome of every test_criterion_* test in test_acceptance.py
-and prints one PASS/FAIL line per criterion after the run.
+and prints one PASS/FAIL line per criterion after the run. Property tests
+draw the same examples on every run, so a failure reproduces.
 """
 
 import re
+
+from hypothesis import settings
+
+settings.register_profile("icis", derandomize=True)
+settings.load_profile("icis")
 
 _CRITERIA = {
     1: "analytic gradients match central finite differences (1e-4 relative)",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from icis.cli import main
-from icis.data import load_classifier_head, load_ids, load_matrix
+from icis.data import ClassifierHead, load_classifier_head, load_ids, load_manifest, load_matrix, save_matrix
 
 SYNTH = [
     "synth",
@@ -223,6 +223,22 @@ def test_exit_codes(tmp_path):
     ])
     assert code == 4
     assert (div / "trace.csv").exists()
+
+
+def test_eval_biases_must_be_one_row(tmp_path, capsys):
+    task = _synth(tmp_path)
+    manifest = load_manifest(task / "manifest.txt")
+    ids = manifest.seen + manifest.unseen
+    ClassifierHead(ids, np.eye(len(ids), 6) + 0.1).save(tmp_path / "full.wsmat")
+    args = ["eval", "--head", str(tmp_path / "full.wsmat"), "--biases", str(tmp_path / "b.wsmat"),
+            "--features", str(task / "features.wsmat"), "--manifest", str(task / "manifest.txt")]
+    save_matrix(tmp_path / "b.wsmat", np.zeros((1, len(ids))))
+    assert main(args) == 0
+    # the same 11 values as a column -> data error naming the file and its shape
+    save_matrix(tmp_path / "b.wsmat", np.zeros((len(ids), 1)))
+    capsys.readouterr()
+    assert main(args) == 3
+    assert "b.wsmat: bias matrix has shape (11, 1); expected one row" in capsys.readouterr().err
 
 
 def test_ablate_runs_the_full_ladder(tmp_path, capsys):

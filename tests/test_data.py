@@ -245,6 +245,16 @@ def test_head_round_trip_with_biases(tmp_path):
     assert back.seen.tolist() == [True, False]
 
 
+def test_head_biases_must_be_one_row(tmp_path):
+    ClassifierHead(["a", "b", "c", "d"], np.eye(4)).save(tmp_path / "h.wsmat")
+    save_matrix(tmp_path / "b.wsmat", [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(DataFormatError, match=r"b\.wsmat.*shape \(2, 2\); expected one row"):
+        load_classifier_head(tmp_path / "h.wsmat", biases_path=tmp_path / "b.wsmat")
+    save_matrix(tmp_path / "b.wsmat", [[0.0, 1.0, 2.0, 3.0]])
+    head = load_classifier_head(tmp_path / "h.wsmat", biases_path=tmp_path / "b.wsmat")
+    assert head.biases.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
 def test_feature_set_restrict_and_label_check():
     fs = FeatureSet(np.arange(8, dtype=float).reshape(4, 2), ["a", "b", "a", "c"])
     sub = fs.restrict_to(["a"])

@@ -2,6 +2,7 @@
 similarity-rank failure histogram."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from icis.evaluation import (
     similarity_ranks,
     softmax_rows,
 )
+from icis.nn import row_blocks
 
 # ---------------------------------------------------------------------------
 # classification
@@ -363,3 +365,89 @@ def test_eval_report_text_skips_missing_metrics():
     text = report.to_text()
     assert "zsl_accuracy = 42.0000" in text
     assert "harmonic" not in text
+
+
+# ---------------------------------------------------------------------------
+# blocked scoring
+
+
+def _wide_task(rows, n_classes=2000, dim=256, seed=7):
+    """A head whose ids run against the row order, and feature rows in which
+    rows 7 and 8 (either side of an 8-row block boundary) tie exactly on the
+    two duplicated classes in columns 0 and 1, whose lower id is column 1."""
+    rng = np.random.default_rng(seed)
+    ids = [f"k{i:05d}" for i in range(n_classes)][::-1]
+    weights = rng.standard_normal((n_classes, dim))
+    weights[:2] = 0.0
+    weights[:2, :4] = 4.0
+    features = rng.standard_normal((rows, dim))
+    for r in (7, 8):
+        features[r] = 0.0
+        features[r, :4] = 8.0
+    return ClassifierHead(ids, weights), features
+
+
+def test_row_blocks_cover_the_rows_without_one_row_blocks():
+    assert list(row_blocks(0, 5, 10)) == [(0, 0)]
+    assert list(row_blocks(1, 5, 10)) == [(0, 1)]
+    for rows in range(2, 40):
+        for step in (2, 3, 8):
+            blocks = list(row_blocks(rows, 10, 10 * step))
+            assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+            assert blocks[0][0] == 0 and blocks[-1][1] == rows
+            assert all(2 <= hi - lo <= step + 1 for lo, hi in blocks)
+
+
+@pytest.mark.parametrize("rows, sizes", [(37, [8, 8, 8, 8, 5]), (33, [8, 8, 8, 9])])
+def test_blocked_scoring_is_bit_identical_to_the_whole_array(monkeypatch, rows, sizes):
+    # 37 rows end in a short block of 5; 33 rows would leave one row over,
+    # which joins the block before it
+    head, features = _wide_task(rows)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * head.n_classes)
+    blocks = list(evaluation._logit_blocks(head, features))
+    assert [b.shape[0] for b in blocks] == sizes
+    whole = head.logits(features)
+    assert whole[7, 0] == whole[7, 1] == whole[7].max() and whole[8, 0] == whole[8].max()
+    assert np.array_equal(np.concatenate(blocks), whole)
+    predictions = classify(head, features)
+    assert predictions == evaluation.lowest_id_argmax(whole, head.class_ids)
+    assert predictions[7] == predictions[8] == head.class_ids[1] == "k01998"
+    rows_entropy = np.concatenate([evaluation._row_entropies(b) for b in blocks])
+    assert np.array_equal(rows_entropy, evaluation._row_entropies(whole))
+    assert evaluation._head_entropy(head, features) == mean_prediction_entropy(whole)
+
+
+def test_blocked_evaluate_equals_one_block(monkeypatch):
+    head, features = _wide_task(41)
+    head.seen[::2] = False
+    unseen_ids = [c for c, s in zip(head.class_ids, head.seen) if not s]
+    seen_ids = [c for c, s in zip(head.class_ids, head.seen) if s]
+    unseen = FeatureSet(features[:21], unseen_ids[:21])
+    seen = FeatureSet(features[21:], seen_ids[:20])
+    reports = []
+    for budget in (1 << 30, 4 * head.n_classes):
+        monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
+        with pytest.warns(UserWarning, match="without samples"):
+            reports.append(evaluate(head, unseen, seen).to_json())
+    assert reports[0] == reports[1]
+
+
+def test_evaluate_holds_no_samples_by_classes_array(monkeypatch):
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 1 << 14)
+    rng = np.random.default_rng(3)
+    n_classes, rows = 4000, 1000
+    ids = [f"c{i:04d}" for i in range(n_classes)]
+    head = ClassifierHead(ids, rng.standard_normal((n_classes, 16)), seen=np.arange(n_classes) % 2 == 0)
+    labels = [ids[1 + 2 * (i % 50)] for i in range(rows)]
+    unseen = FeatureSet(rng.standard_normal((rows, 16)), labels)
+    seen = FeatureSet(rng.standard_normal((rows, 16)), [ids[2 * (i % 50)] for i in range(rows)])
+    full_logits_bytes = rows * n_classes * 8
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="without samples"):
+            evaluate(head, unseen, seen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 0.8 MB in blocks; scoring every row at once traced 132 MB
+    assert peak < full_logits_bytes / 8

@@ -1,12 +1,21 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from icis.cli import main
-from icis.data import ClassifierHead, load_classifier_head, load_ids, load_manifest, load_matrix, save_matrix
+from icis.data import (
+    ClassifierHead,
+    load_classifier_head,
+    load_descriptor_set,
+    load_ids,
+    load_manifest,
+    load_matrix,
+    save_matrix,
+)
 
 SYNTH = [
     "synth",
@@ -225,6 +234,55 @@ def test_exit_codes(tmp_path):
     assert (div / "trace.csv").exists()
 
 
+# per subcommand: the files it reads, in reading order, and the other flags it needs
+READ_ORDER = {
+    "train": (["manifest", "descriptors", "head", "biases"], ["--out", "run"]),
+    "inject": (["manifest", "descriptors", "head", "biases", "checkpoint"], ["--out", "h.wsmat"]),
+    "eval": (["manifest", "head", "biases", "features"], []),
+    "ablate": (["manifest", "descriptors", "head", "biases", "features"], ["--out", "abl"]),
+    "sweep": (["manifest", "descriptors", "head", "biases", "features"], ["--out", "swp"]),
+    "analyze": (["manifest", "descriptors", "head", "biases", "features"], ["--class", "c009"]),
+    "baseline": (["manifest", "descriptors", "head", "biases", "features"], ["--method", "costa"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_ORDER))
+def test_the_first_missing_file_in_reading_order_is_reported(tmp_path, capsys, command):
+    task = _synth(tmp_path)
+    save_matrix(tmp_path / "biases.wsmat", np.zeros((1, 8)))
+    present = {
+        "manifest": task / "manifest.txt",
+        "descriptors": task / "descriptors.wsmat",
+        "head": task / "head.wsmat",
+        "biases": tmp_path / "biases.wsmat",
+        "features": task / "features.wsmat",
+    }
+    files, extra = READ_ORDER[command]
+    for k, first_missing in enumerate(files):
+        missing = {name: tmp_path / "missing" / f"{name}.wsmat" for name in files[k:]}
+        paths = {name: missing.get(name, present.get(name)) for name in files}
+        args = [command, *extra]
+        for name, path in paths.items():
+            args += [f"--{name}", str(path)]
+        capsys.readouterr()
+        assert main(args) == 3, first_missing
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing[first_missing]}: cannot read file"), err
+        assert not any(str(path) in err for name, path in missing.items() if name != first_missing)
+
+
+def test_train_reads_unseen_descriptors_only_when_it_uses_them(tmp_path, capsys):
+    task = _synth(tmp_path)
+    descriptors = load_descriptor_set(task / "descriptors.wsmat")
+    assert descriptors.class_ids[-1] == "c010"  # an unseen class
+    descriptors.subset(descriptors.class_ids[:-1]).save(tmp_path / "d.wsmat")
+    args = ["train", *_task_args(task), "--descriptors", str(tmp_path / "d.wsmat"), *FAST]
+    assert main([*args, "--out", str(tmp_path / "off"), "--no-include-unseen-desc"]) == 0
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "on")]) == 3
+    assert "unknown class id 'c010'" in capsys.readouterr().err
+
+
 def test_eval_biases_must_be_one_row(tmp_path, capsys):
     task = _synth(tmp_path)
     manifest = load_manifest(task / "manifest.txt")
@@ -267,10 +325,54 @@ def test_ablate_runs_the_full_ladder(tmp_path, capsys):
     assert cfg("full")["include_unseen_descriptors"] == "True"
 
 
-def test_sweep_at_full_fraction_reproduces_ablate(tmp_path, capsys):
+BIAS = {"no-bias": [], "bias": ["--include-bias"]}
+
+# sha256 of the ladder's outputs on the test task at 5 epochs, recorded at fec60a2
+ABLATE_DIGESTS = {
+    "no-bias": {
+        "summary.csv": "073268d526f2abffd2f311b132db22d2a43f9506003fa0edbb82310505059739",
+        "base_l2/report.structured": "172f05de2d2a87d253c4273266bedd425f11c5674e84f29a03297de13b97cd6c",
+        "cosine/report.structured": "416393c3f4060fa7e0ae02dd752cf71e8403c1f7947c5d3423cfcd68b5ed165d",
+        "within_spaces/report.structured": "dc257c31af4947727ca611328165a4abb9811c433d1684165e462959302c2612",
+        "across_spaces/report.structured": "9406c2f1f6a508e60928e8a04032948c4dbc9beab4ddb7817a750a86fee05e9c",
+        "full/report.structured": "13a01ae4a15433857f69c0593fad6179a68e22c6ed8c09861656ba10b59adc64",
+    },
+    "bias": {
+        "summary.csv": "4dfce515eb9f676b96b7610a0fbb5ab3625f0c5f7f8062079ae796470c5d63ef",
+        "base_l2/report.structured": "b704de3ef6395b2a1c6094d9f0c543f5ddc9386483fc58b1f1743b09b86516e7",
+        "cosine/report.structured": "f42e5467da6b2aae18d50ea3801ca4a2aaf7aa32d172ac1094653935b2aaedbe",
+        "within_spaces/report.structured": "d6d552760f6195bfe4b9f03c85bb4197d8be60cf59257e0bace37a4db4732416",
+        "across_spaces/report.structured": "2b0e561cb3eff559acb99963ad13a0cc71e28dba041c1fd57e092d32dc11cd31",
+        "full/report.structured": "a511f87577b87e2e37c78905d8877424be5f61651666d5b916897faef7a28bff",
+    },
+}
+
+
+@pytest.mark.parametrize("bias", sorted(BIAS))
+def test_ablate_outputs_are_bit_identical_to_the_recorded_ones(tmp_path, capsys, bias):
+    task = _synth(tmp_path)
+    out = tmp_path / "abl"
+    assert main([
+        "ablate", *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(out), *FAST, "--max-epochs", "5", *BIAS[bias],
+    ]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ABLATE_DIGESTS[bias]}
+    assert digests == ABLATE_DIGESTS[bias]
+
+
+# sha256 of the sweep's summary.csv at fractions 0.5 and 1, recorded at fec60a2
+SWEEP_DIGESTS = {
+    "no-bias": "b27e66583908ae7b0e09363f588626cb7e12695eac74c31c2d64388bfaeef65a",
+    "bias": "d69215423ef8bc97b7f314407c5802f45a79ebc279446602669b373bea801e6c",
+}
+
+
+@pytest.mark.parametrize("bias", sorted(BIAS))
+def test_sweep_at_full_fraction_reproduces_ablate(tmp_path, capsys, bias):
     task = _synth(tmp_path)
     abl, swp = tmp_path / "abl", tmp_path / "swp"
-    args = [*_task_args(task), "--features", str(task / "features.wsmat"), *FAST, "--max-epochs", "5"]
+    args = [*_task_args(task), "--features", str(task / "features.wsmat"), *FAST, "--max-epochs", "5",
+            *BIAS[bias]]
     assert main(["ablate", *args, "--out", str(abl)]) == 0
     assert main(["sweep", *args, "--out", str(swp), "--fractions", "0.5,1.0"]) == 0
     swp_lines = (swp / "summary.csv").read_text().splitlines()
@@ -283,9 +385,13 @@ def test_sweep_at_full_fraction_reproduces_ablate(tmp_path, capsys):
         # zsl / gzsl_unseen / gzsl_seen / harmonic agree exactly at fraction 1
         sweep_row = by_key[(r[0], "1")]
         assert sweep_row[3:7] == r[1:5]
+        # and so does the whole report
+        report = "report.structured"
+        assert (swp / r[0] / "fraction_1" / report).read_bytes() == (abl / r[0] / report).read_bytes()
     # half fraction trains on fewer pairs
     assert by_key[("full", "0.5")][2] == "4"
     assert by_key[("full", "1")][2] == "8"
+    assert hashlib.sha256((swp / "summary.csv").read_bytes()).hexdigest() == SWEEP_DIGESTS[bias]
 
 
 def test_analyze_reports_ranked_predictions(tmp_path, capsys):

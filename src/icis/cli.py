@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import baselines as bl
 from .data import (
-    SplitManifest,
     load_classifier_head,
     load_descriptor_set,
     load_feature_set,
@@ -65,6 +64,7 @@ def _write_config(path: Path, settings: dict) -> None:
 
 
 def _write_report(run_dir: Path, report: EvalReport) -> None:
+    run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     (run_dir / "report.structured").write_text(report.to_json() + "\n", encoding="utf-8")
 
@@ -115,21 +115,33 @@ def _add_loss_options(p: argparse.ArgumentParser) -> None:
                    help="mix unseen descriptors into the descriptor autoencoder")
 
 
+def _add_task_options(p: argparse.ArgumentParser, descriptors: bool = True, features: bool = True) -> None:
+    """The task-file flags: a head with its manifest and optional biases, and
+    the descriptor and feature files when the subcommand reads them."""
+    if descriptors:
+        p.add_argument("--descriptors", required=True)
+    p.add_argument("--head", required=True)
+    p.add_argument("--manifest", required=True)
+    p.add_argument("--biases", default=None)
+    if features:
+        p.add_argument("--features", required=True)
+
+
 def _load_task(args):
+    """Read the task files in one fixed order: manifest, descriptors, head
+    (seen flags from the manifest, optional biases), features. A file the
+    subcommand does not take comes back as ``None``."""
     manifest = load_manifest(args.manifest)
-    descriptors = load_descriptor_set(args.descriptors)
-    head = load_classifier_head(args.head, seen_ids=manifest.seen,
-                                biases_path=getattr(args, "biases", None))
-    return manifest, descriptors, head
+    descriptors = load_descriptor_set(args.descriptors) if "descriptors" in args else None
+    head = load_classifier_head(args.head, seen_ids=manifest.seen, biases_path=args.biases)
+    features = load_feature_set(args.features) if "features" in args else None
+    return manifest, descriptors, head, features
 
 
-def _train_once(descriptors, head, manifest, loss_config, train_config, include_bias, run_dir: Path):
-    """One training run in its own directory: config, trace, checkpoint."""
+def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run_dir: Path):
+    """One training run in its own directory: config, trace, checkpoint.
+    ``unseen_rows`` join the descriptor autoencoder only if the loss uses them."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=include_bias)
-    unseen_a = None
-    if manifest.unseen and loss_config.include_unseen_descriptors:
-        unseen_a = descriptors.subset(manifest.unseen).matrix
     model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
                            train_config.hidden_dim,
                            RngState(train_config.seed).spawn("model-init"))
@@ -140,7 +152,7 @@ def _train_once(descriptors, head, manifest, loss_config, train_config, include_
     _write_config(config_path, settings)
     started = time.monotonic()
     try:
-        trace = train(model, pairs, unseen_a, loss_config, train_config)
+        trace = train(model, pairs, unseen_rows, loss_config, train_config)
     except DivergenceError as exc:
         if exc.trace is not None:
             exc.trace.to_csv(run_dir / "trace.csv")
@@ -199,11 +211,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest, descriptors, head = _load_task(args)
+    manifest, descriptors, head, _ = _load_task(args)
+    loss_config = _loss_config_from_args(args)
+    train_config = _train_config_from_args(args)
+    pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
+    # only a loss that uses them needs a descriptor for every unseen class
+    unseen_rows = descriptors.subset(manifest.unseen).matrix if loss_config.include_unseen_descriptors else None
     run_dir = Path(args.out)
-    _, trace = _train_once(descriptors, head, manifest,
-                           _loss_config_from_args(args), _train_config_from_args(args),
-                           args.include_bias, run_dir)
+    _, trace = _train_once(pairs, unseen_rows, loss_config, train_config, args.include_bias, run_dir)
     tail = trace.total[-1] if trace.total else float("nan")
     print(f"trained {trace.epochs_run} epochs (stopped_early={trace.stopped_early}), "
           f"final loss {tail:.6f}; checkpoint at {run_dir / 'model.ckpt'}")
@@ -211,9 +226,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    manifest = load_manifest(args.manifest)
-    descriptors = load_descriptor_set(args.descriptors)
-    head = load_classifier_head(args.head, seen_ids=manifest.seen, biases_path=args.biases)
+    manifest, descriptors, head, _ = _load_task(args)
     model, _loss_config, meta = load_checkpoint(args.checkpoint)
     include_bias = bool(int(meta.get("include_bias", "0")))
     if not manifest.unseen:
@@ -230,9 +243,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest = load_manifest(args.manifest)
-    head = load_classifier_head(args.head, seen_ids=manifest.seen, biases_path=args.biases)
-    features = load_feature_set(args.features)
+    manifest, _, head, features = _load_task(args)
     if args.zsl_only:
         known = set(head.class_ids)
         present = [c for c in manifest.unseen if c in known]
@@ -242,22 +253,19 @@ def cmd_eval(args) -> int:
         report = _evaluate_task(head, features, manifest)
     sys.stdout.write(report.to_text())
     if args.report_dir:
-        run_dir = Path(args.report_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_report(run_dir, report)
+        _write_report(Path(args.report_dir), report)
     return EXIT_OK
 
 
-def _run_variant(name, loss_config, descriptors, train_head, train_manifest,
-                 inject_head, eval_manifest, features, train_config, include_bias, run_dir):
-    """Train on one (possibly subsampled) pair set, inject into the full
-    head, evaluate, and persist the run artifacts."""
-    model, trace = _train_once(descriptors, train_head, train_manifest, loss_config,
-                               train_config, include_bias, run_dir)
-    unseen = descriptors.subset(eval_manifest.unseen)
-    new_head = infer_and_inject(model, inject_head, unseen.matrix, unseen.class_ids,
+def _run_variant(name, loss_config, pairs, unseen, head, manifest, features,
+                 train_config, include_bias, run_dir):
+    """Train on one (possibly subsampled) pair set, inject the ``unseen``
+    descriptors' rows into the full head, evaluate, and persist the run
+    artifacts."""
+    model, trace = _train_once(pairs, unseen.matrix, loss_config, train_config, include_bias, run_dir)
+    new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
                                 include_bias=include_bias)
-    report = _evaluate_task(new_head, features, eval_manifest)
+    report = _evaluate_task(new_head, features, manifest)
     _write_report(run_dir, report)
     print(f"{name}: zsl={report.zsl_accuracy:.2f} unseen={report.gzsl_unseen:.2f} "
           f"seen={_fmt(report.gzsl_seen)} H={_fmt(report.harmonic)} "
@@ -266,16 +274,16 @@ def _run_variant(name, loss_config, descriptors, train_head, train_manifest,
 
 
 def cmd_ablate(args) -> int:
-    manifest, descriptors, head = _load_task(args)
-    features = load_feature_set(args.features)
+    manifest, descriptors, head, features = _load_task(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_config = _train_config_from_args(args)
+    pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
+    unseen = descriptors.subset(manifest.unseen)
     lines = ["variant,zsl,gzsl_unseen,gzsl_seen,harmonic,entropy_unseen,epochs"]
     for name, loss_config in ablation_variants().items():
-        report, trace = _run_variant(name, loss_config, descriptors, head, manifest,
-                                     head, manifest, features, train_config,
-                                     args.include_bias, out / name)
+        report, trace = _run_variant(name, loss_config, pairs, unseen, head, manifest, features,
+                                     train_config, args.include_bias, out / name)
         lines.append(
             f"{name},{report.zsl_accuracy:.4f},{report.gzsl_unseen:.4f},"
             f"{_fmt(report.gzsl_seen, '%.4f')},{_fmt(report.harmonic, '%.4f')},"
@@ -286,8 +294,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest, descriptors, head = _load_task(args)
-    features = load_feature_set(args.features)
+    manifest, descriptors, head, features = _load_task(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -297,19 +304,16 @@ def cmd_sweep(args) -> int:
     if not fractions:
         raise IcisError("no fractions given")
     train_config = _train_config_from_args(args)
-    all_seen = make_pairs(descriptors, head.subset(manifest.seen))
+    all_seen = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
+    unseen = descriptors.subset(manifest.unseen)
     lines = ["variant,fraction,n_seen_pairs,zsl,gzsl_unseen,gzsl_seen,harmonic"]
     for name, loss_config in ablation_variants().items():
         for fraction in fractions:
-            sub = subsample_pairs(all_seen, fraction, args.seed)
             # train on the subsampled pairs; injection still extends the full head
-            sub_manifest = SplitManifest(sub.class_ids, manifest.unseen)
+            sub = subsample_pairs(all_seen, fraction, args.seed)
             run_dir = out / name / f"fraction_{fraction:g}"
-            report, _trace = _run_variant(
-                f"{name} @ {fraction:g}", loss_config, descriptors,
-                head.subset(sub.class_ids), sub_manifest, head, manifest,
-                features, train_config, args.include_bias, run_dir,
-            )
+            report, _trace = _run_variant(f"{name} @ {fraction:g}", loss_config, sub, unseen, head,
+                                          manifest, features, train_config, args.include_bias, run_dir)
             lines.append(
                 f"{name},{fraction:g},{len(sub)},{report.zsl_accuracy:.4f},"
                 f"{report.gzsl_unseen:.4f},{_fmt(report.gzsl_seen, '%.4f')},"
@@ -320,10 +324,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    manifest = load_manifest(args.manifest)
-    descriptors = load_descriptor_set(args.descriptors)
-    head = load_classifier_head(args.head, seen_ids=manifest.seen, biases_path=args.biases)
-    features = load_feature_set(args.features)
+    _, descriptors, head, features = _load_task(args)
     record = failure_histogram(head, features, descriptors, args.class_id, bin_size=args.bin_size)
     sys.stdout.write(record.to_text())
     if args.out:
@@ -350,8 +351,7 @@ def _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc, feat
 
 
 def cmd_baseline(args) -> int:
-    manifest, descriptors, head = _load_task(args)
-    features = load_feature_set(args.features)
+    manifest, descriptors, head, features = _load_task(args)
     seen_head = head.subset(manifest.seen)
     seen_desc = descriptors.subset(manifest.seen)
     unseen_desc = descriptors.subset(manifest.unseen)
@@ -390,9 +390,7 @@ def cmd_baseline(args) -> int:
 
     sys.stdout.write(report.to_text())
     if args.out:
-        run_dir = Path(args.out)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_report(run_dir, report)
+        _write_report(Path(args.out), report)
     return EXIT_OK
 
 
@@ -422,10 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit the weight-inference model on seen pairs")
-    p.add_argument("--descriptors", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--biases", default=None)
+    _add_task_options(p, features=False)
     p.add_argument("--out", required=True, help="run directory")
     _add_loss_options(p)
     _add_run_options(p)
@@ -433,51 +428,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject", help="infer unseen rows from a checkpoint and extend a head")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--descriptors", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--biases", default=None)
+    _add_task_options(p, features=False)
     p.add_argument("--out", required=True, help="output head path")
     p.add_argument("--zsl-only", action="store_true", help="emit only the injected rows")
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("eval", help="score a head on labelled features")
-    p.add_argument("--head", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--biases", default=None)
+    _add_task_options(p, descriptors=False)
     p.add_argument("--report-dir", default=None)
     p.add_argument("--zsl-only", action="store_true",
                    help="restrict the decision to the manifest's unseen classes")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and evaluate the cumulative ablation ladder")
-    p.add_argument("--descriptors", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--biases", default=None)
-    p.add_argument("--features", required=True)
+    _add_task_options(p)
     p.add_argument("--out", required=True)
     _add_run_options(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="vary the seen-pair fraction for every ablation variant")
-    p.add_argument("--descriptors", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--biases", default=None)
-    p.add_argument("--features", required=True)
+    _add_task_options(p)
     p.add_argument("--out", required=True)
     p.add_argument("--fractions", default="0.25,0.5,0.75,1.0")
     _add_run_options(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analyze", help="similarity-rank histogram of one class's predictions")
-    p.add_argument("--head", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--descriptors", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--biases", default=None)
+    _add_task_options(p)
     p.add_argument("--class", dest="class_id", required=True)
     p.add_argument("--bin-size", type=int, default=10)
     p.add_argument("--out", default=None)
@@ -486,11 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="run an adapted baseline end to end")
     p.add_argument("--method", required=True,
                    choices=["conse", "costa", "subreg", "dae", "wavg", "smo"])
-    p.add_argument("--descriptors", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--biases", default=None)
-    p.add_argument("--features", required=True)
+    _add_task_options(p)
     p.add_argument("--out", default=None)
     p.add_argument("--top-t", type=int, default=10)
     p.add_argument("--temperature", type=float, default=0.1)

@@ -35,7 +35,8 @@ def as_vector(data) -> np.ndarray:
 
 
 def check_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    # min and max propagate NaN, so two reductions decide it with no temporary the size of m
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise IcisError(f"{what} contains non-finite entries")
     return m
 

@@ -1,8 +1,11 @@
 """Tests for the dense matrix helpers and the seeded RNG."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from icis.data import ClassifierHead
 from icis.errors import IcisError, ShapeMismatchError, ZeroNormError
 from icis.tensor import (
     RngState,
@@ -39,6 +42,40 @@ def test_check_finite_raises_on_nan_and_inf():
         check_finite(np.array([[1.0, np.nan]]))
     with pytest.raises(IcisError):
         check_finite(np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1), (4, 2)])
+def test_check_finite_rejects_each_non_finite_value_anywhere(bad, where):
+    m = np.arange(15.0).reshape(5, 3)
+    m[where] = bad
+    with pytest.raises(IcisError, match="^weights contains non-finite entries$"):
+        check_finite(m, "weights")
+
+
+def test_check_finite_accepts_the_extremes_and_empty_matrices():
+    big = np.finfo(np.float64).max
+    check_finite(np.array([[big, -big], [big, big]]))
+    check_finite(np.zeros((0, 3)))
+    check_finite(np.zeros((3, 0)))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_check_finite_builds_no_temporary_that_grows_with_the_matrix():
+    m = np.random.default_rng(0).standard_normal((1000, 1000))
+    # a boolean mask of the matrix would be m.nbytes / 8
+    assert _traced_peak(lambda: check_finite(m)) < m.nbytes / 64
+    ids = [f"c{i}" for i in range(1000)]
+    assert _traced_peak(lambda: ClassifierHead(ids, m)) < m.nbytes / 16
 
 
 def test_row_normalize_unit_rows():

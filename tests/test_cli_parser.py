@@ -14,7 +14,7 @@ from icis.cli import build_parser
 HELP = ("_HelpAction", ("-h", "--help"), False, argparse.SUPPRESS, None, None)
 
 
-def _path(flag, required=True):
+def _text(flag, required=True):
     return ("_StoreAction", (flag,), required, None, None, None)
 
 
@@ -28,14 +28,14 @@ RUN = {
     "seed": ("_StoreAction", ("--seed",), False, 0, None, "int"),
 }
 INCLUDE_BIAS = {"include_bias": ("_StoreTrueAction", ("--include-bias",), False, False, None, None)}
-DESCRIPTORS = {"descriptors": _path("--descriptors")}
-HEAD = {"head": _path("--head"), "manifest": _path("--manifest"), "biases": _path("--biases", False)}
-FEATURES = {"features": _path("--features")}
+DESCRIPTORS = {"descriptors": _text("--descriptors")}
+HEAD = {"head": _text("--head"), "manifest": _text("--manifest"), "biases": _text("--biases", False)}
+FEATURES = {"features": _text("--features")}
 
 EXPECTED = {
     "synth": {
         "help": HELP,
-        "out": _path("--out"),
+        "out": _text("--out"),
         "seed": ("_StoreAction", ("--seed",), False, 0, None, "int"),
         "seen": ("_StoreAction", ("--seen",), True, None, None, "int"),
         "unseen": ("_StoreAction", ("--unseen",), True, None, None, "int"),
@@ -50,7 +50,7 @@ EXPECTED = {
     },
     "train": {
         "help": HELP, **DESCRIPTORS, **HEAD,
-        "out": _path("--out"),
+        "out": _text("--out"),
         "distance": ("_StoreAction", ("--distance",), False, "cosine", ("cosine", "l2"), None),
         "terms": ("_StoreAction", ("--terms",), False, "a2w,a2a,w2w,w2a", None, None),
         "include_unseen_desc": ("BooleanOptionalAction",
@@ -60,37 +60,37 @@ EXPECTED = {
     },
     "inject": {
         "help": HELP, **DESCRIPTORS, **HEAD,
-        "checkpoint": _path("--checkpoint"),
-        "out": _path("--out"),
+        "checkpoint": _text("--checkpoint"),
+        "out": _text("--out"),
         "zsl_only": ("_StoreTrueAction", ("--zsl-only",), False, False, None, None),
     },
     "eval": {
         "help": HELP, **HEAD, **FEATURES,
-        "report_dir": _path("--report-dir", False),
+        "report_dir": _text("--report-dir", False),
         "zsl_only": ("_StoreTrueAction", ("--zsl-only",), False, False, None, None),
     },
     "ablate": {
         "help": HELP, **DESCRIPTORS, **HEAD, **FEATURES,
-        "out": _path("--out"),
+        "out": _text("--out"),
         **RUN, **INCLUDE_BIAS,
     },
     "sweep": {
         "help": HELP, **DESCRIPTORS, **HEAD, **FEATURES,
-        "out": _path("--out"),
+        "out": _text("--out"),
         "fractions": ("_StoreAction", ("--fractions",), False, "0.25,0.5,0.75,1.0", None, None),
         **RUN, **INCLUDE_BIAS,
     },
     "analyze": {
         "help": HELP, **DESCRIPTORS, **HEAD, **FEATURES,
-        "class_id": _path("--class"),
+        "class_id": _text("--class"),
         "bin_size": ("_StoreAction", ("--bin-size",), False, 10, None, "int"),
-        "out": _path("--out", False),
+        "out": _text("--out", False),
     },
     "baseline": {
         "help": HELP, **DESCRIPTORS, **HEAD, **FEATURES,
         "method": ("_StoreAction", ("--method",), True, None,
                    ("conse", "costa", "subreg", "dae", "wavg", "smo"), None),
-        "out": _path("--out", False),
+        "out": _text("--out", False),
         "top_t": ("_StoreAction", ("--top-t",), False, 10, None, "int"),
         "temperature": ("_StoreAction", ("--temperature",), False, 0.1, None, "float"),
         "gamma": ("_StoreAction", ("--gamma",), False, 0.001, None, "float"),

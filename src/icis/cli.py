@@ -216,7 +216,7 @@ def cmd_train(args) -> int:
     train_config = _train_config_from_args(args)
     pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
     # only a loss that uses them needs a descriptor for every unseen class
-    unseen_rows = descriptors.subset(manifest.unseen).matrix if loss_config.include_unseen_descriptors else None
+    unseen_rows = descriptors.subset(manifest.unseen).matrix if loss_config.uses_unseen_descriptors else None
     run_dir = Path(args.out)
     _, trace = _train_once(pairs, unseen_rows, loss_config, train_config, args.include_bias, run_dir)
     tail = trace.total[-1] if trace.total else float("nan")

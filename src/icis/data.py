@@ -309,7 +309,7 @@ class ClassifierHead:
             )
         scores = features @ self.weights.T
         if self.biases is not None:
-            scores = scores + self.biases
+            scores += self.biases
         return scores
 
     def subset(self, ids) -> "ClassifierHead":

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ClassifierHead, DescriptorSet, FeatureSet
+from .data import ClassifierHead, DescriptorSet, FeatureSet, _check_unique, rows_of
 from .errors import ClassIdError, IcisError
 from .nn import EVAL_BLOCK, row_blocks
 from .tensor import as_matrix
@@ -31,20 +31,31 @@ def _id_ranks(class_ids) -> np.ndarray:
 
 
 def _lowest_rank_argmax(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Column of each row's top score; ties go to the column of lowest rank."""
-    top = scores.max(axis=1, keepdims=True)
-    tie_rank = np.where(scores == top, ranks, np.iinfo(np.int64).max)
-    return tie_rank.argmin(axis=1)
+    """Column of each row's top score; ties go to the column of lowest rank.
+    A row with no maximum (it holds a NaN) gets column 0.
+
+    The only block-sized temporary is the boolean mask of top scores: a row
+    with one hit takes it, and ranks are looked at only on tied rows."""
+    hits = scores == scores.max(axis=1, keepdims=True)
+    columns = hits.argmax(axis=1)
+    tied = np.flatnonzero(np.count_nonzero(hits, axis=1) > 1)
+    if tied.size:
+        columns[tied] = np.where(hits[tied], ranks, np.iinfo(np.int64).max).argmin(axis=1)
+    return columns
 
 
-def _logit_blocks(head: ClassifierHead, features):
-    """``head.logits`` of the feature rows, about ``EVAL_BLOCK`` logits at a
-    time. With OpenBLAS they equal one whole product on the heads of 1000 to
+def _score_blocks(head: ClassifierHead, features, score) -> list:
+    """``score(head.logits(rows))`` for each block of feature rows of about
+    ``EVAL_BLOCK`` logits, in row order.
+
+    ``score`` owns its block and may overwrite it. No name holds a block
+    past its ``score`` call, so one logits block is live at a time. With
+    OpenBLAS the blocks equal one whole product on the heads of 1000 to
     20000 classes measured; a narrow head, split only past ``EVAL_BLOCK``
     logits, can differ from it in the last bit on a few rows."""
     features = as_matrix(features)
-    for lo, hi in row_blocks(features.shape[0], head.n_classes, EVAL_BLOCK):
-        yield head.logits(features[lo:hi])
+    return [score(head.logits(features[lo:hi]))
+            for lo, hi in row_blocks(features.shape[0], head.n_classes, EVAL_BLOCK)]
 
 
 def classify(head: ClassifierHead, features) -> list:
@@ -55,8 +66,37 @@ def classify(head: ClassifierHead, features) -> list:
     temporary grows with samples x classes.
     """
     ranks = _id_ranks(head.class_ids)
-    columns = np.concatenate([_lowest_rank_argmax(s, ranks) for s in _logit_blocks(head, features)])
+    columns = np.concatenate(_score_blocks(head, features, lambda s: _lowest_rank_argmax(s, ranks)))
     return [head.class_ids[j] for j in columns]
+
+
+def _classify_among(head: ClassifierHead, ids: list, features) -> list:
+    """``classify(head.subset(ids), features)`` without gathering every row
+    of ``ids`` at once.
+
+    The rows of ``ids`` are gathered about ``EVAL_BLOCK`` weights at a time,
+    and each class block is scored over the feature-row blocks. Every
+    feature row keeps its best score so far and, on an exact tie across
+    blocks, the lower id; a row that meets a NaN gets ``ids[0]``, as there.
+    """
+    rows_of(head.class_ids, ids)  # unknown ids, then duplicates, as head.subset(ids) reports them
+    _check_unique(ids, "classifier")
+    features = as_matrix(features)
+    ranks = _id_ranks(ids)
+    best = np.full(features.shape[0], -np.inf)
+    winner = np.zeros(features.shape[0], dtype=np.intp)
+    for clo, chi in row_blocks(len(ids), head.weight_dim, EVAL_BLOCK):
+        # the block's head is not named here, so it is freed before the next one is gathered
+        parts = _score_blocks(head.subset(ids[clo:chi]), features,
+                              lambda s: (s.max(axis=1), clo + _lowest_rank_argmax(s, ranks[clo:chi])))
+        top = np.concatenate([t for t, _ in parts])
+        column = np.concatenate([c for _, c in parts])
+        lost = np.isnan(top)
+        column[lost] = 0
+        take = lost | (top > best) | ((top == best) & (ranks[column] < ranks[winner]))
+        np.copyto(winner, column, where=take)
+        np.copyto(best, top, where=take)
+    return [ids[j] for j in winner]
 
 
 def per_class_mean_accuracy(labels, predictions, class_ids) -> tuple:
@@ -115,10 +155,15 @@ def harmonic_mean(unseen_acc: float, seen_acc: float) -> float:
 
 
 def softmax_rows(logits) -> np.ndarray:
-    logits = as_matrix(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax_in_place(as_matrix(logits).copy())
+
+
+def _softmax_in_place(s: np.ndarray) -> np.ndarray:
+    """Row-wise softmax written over ``s``, which the caller owns."""
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
 
 
 def mean_prediction_entropy(logits) -> float:
@@ -132,16 +177,26 @@ def mean_prediction_entropy(logits) -> float:
 
 def _row_entropies(logits) -> np.ndarray:
     """Shannon entropy (nats) of the softmax of each row of the logits."""
-    p = softmax_rows(logits)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    return _entropies_in_place(as_matrix(logits).copy())
+
+
+def _entropies_in_place(s: np.ndarray) -> np.ndarray:
+    """``_row_entropies(s)``, overwriting ``s``, which the caller owns.
+
+    The float operations are those of ``softmax_rows`` and of
+    ``where(p > 0, p * log(p), 0)``, so the result is bit-identical; the
+    only block-sized temporaries are the terms and the ``p > 0`` mask."""
+    p = _softmax_in_place(s)
+    terms = np.zeros_like(p)
+    np.log(p, out=terms, where=p > 0.0)
+    terms *= p
     return -terms.sum(axis=1)
 
 
 def _head_entropy(head: ClassifierHead, features) -> float:
     """``mean_prediction_entropy(head.logits(features))``, scored in row
     blocks; the per-row entropies are averaged once, as there."""
-    return float(np.concatenate([_row_entropies(s) for s in _logit_blocks(head, features)]).mean())
+    return float(np.concatenate(_score_blocks(head, features, _entropies_in_place)).mean())
 
 
 def similarity_ranks(descriptors: DescriptorSet, anchor_id) -> dict:
@@ -353,8 +408,7 @@ def evaluate(
 
     report = EvalReport(n_unseen_samples=unseen_features.n_samples)
 
-    # the restricted head is a copy of its rows; it is freed once this pass is done
-    zsl_pred = classify(head.subset(unseen_ids), unseen_features.features)
+    zsl_pred = _classify_among(head, unseen_ids, unseen_features.features)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(
         unseen_features.labels, zsl_pred, unseen_ids
     )

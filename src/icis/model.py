@@ -52,6 +52,12 @@ class LossConfig:
         if not self.use_a_to_w:
             raise IcisError("the descriptor-to-weight regression term cannot be disabled")
 
+    @property
+    def uses_unseen_descriptors(self) -> bool:
+        """Whether unseen descriptor rows join a term: only the descriptor
+        autoencoding term reads them."""
+        return self.use_a_to_a and self.include_unseen_descriptors
+
     def enabled_terms(self) -> tuple:
         terms = ["reg"]
         if self.use_a_to_a:
@@ -223,7 +229,7 @@ def total_loss(model: IcisModel, descriptors, weights, loss_config: LossConfig,
     if a.shape[0] != w.shape[0]:
         raise IcisError(f"descriptor/weight pairing: {a.shape[0]} rows vs {w.shape[0]} rows")
     a_in = a
-    if loss_config.include_unseen_descriptors and unseen_descriptors is not None:
+    if loss_config.uses_unseen_descriptors and unseen_descriptors is not None:
         extra = as_matrix(unseen_descriptors)
         if extra.shape[0]:
             a_in = np.vstack([a, extra])
@@ -314,10 +320,10 @@ def train(
     """Fit the model on seen (descriptor, weight) pairs.
 
     ``unseen_descriptors`` (rows only, no weights) join the descriptor
-    autoencoding term when the config includes them; the regression and
-    weight-side terms only ever touch seen pairs. Raises DivergenceError
-    when the epoch loss stops being finite or exceeds the configured limit;
-    the partial trace rides along on the exception.
+    autoencoding term when ``loss_config.uses_unseen_descriptors``; the
+    regression and weight-side terms only ever touch seen pairs. Raises
+    DivergenceError when the epoch loss stops being finite or exceeds the
+    configured limit; the partial trace rides along on the exception.
     """
     loss_config = loss_config if loss_config is not None else LossConfig()
     cfg = train_config if train_config is not None else TrainConfig()
@@ -332,7 +338,7 @@ def train(
             f"({model.d_a}, {model.d_w})"
         )
     a_extra = np.zeros((0, model.d_a))
-    if unseen_descriptors is not None and loss_config.include_unseen_descriptors:
+    if unseen_descriptors is not None and loss_config.uses_unseen_descriptors:
         a_extra = as_matrix(unseen_descriptors)
         if a_extra.shape[1] != model.d_a:
             raise IcisError("unseen descriptor dim does not match model")

@@ -278,6 +278,8 @@ def test_train_reads_unseen_descriptors_only_when_it_uses_them(tmp_path, capsys)
     descriptors.subset(descriptors.class_ids[:-1]).save(tmp_path / "d.wsmat")
     args = ["train", *_task_args(task), "--descriptors", str(tmp_path / "d.wsmat"), *FAST]
     assert main([*args, "--out", str(tmp_path / "off"), "--no-include-unseen-desc"]) == 0
+    # with the flag on, a loss without the descriptor autoencoder reads no unseen descriptor
+    assert main([*args, "--out", str(tmp_path / "reg"), "--terms", "a2w"]) == 0
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "on")]) == 3
     assert "unknown class id 'c010'" in capsys.readouterr().err

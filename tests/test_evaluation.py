@@ -404,7 +404,7 @@ def test_blocked_scoring_is_bit_identical_to_the_whole_array(monkeypatch, rows, 
     # which joins the block before it
     head, features = _wide_task(rows)
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * head.n_classes)
-    blocks = list(evaluation._logit_blocks(head, features))
+    blocks = evaluation._score_blocks(head, features, lambda s: s)
     assert [b.shape[0] for b in blocks] == sizes
     whole = head.logits(features)
     assert whole[7, 0] == whole[7, 1] == whole[7].max() and whole[8, 0] == whole[8].max()
@@ -451,3 +451,118 @@ def test_evaluate_holds_no_samples_by_classes_array(monkeypatch):
         tracemalloc.stop()
     # about 0.8 MB in blocks; scoring every row at once traced 132 MB
     assert peak < full_logits_bytes / 8
+
+
+# ---------------------------------------------------------------------------
+# class blocks, tie-break and entropy in place
+
+
+def _lowest_rank_argmax_oracle(scores, ranks):
+    """The whole-array tie-break: every column's rank where it holds the
+    row's top score, a sentinel elsewhere, then the lowest."""
+    top = scores.max(axis=1, keepdims=True)
+    return np.where(scores == top, ranks, np.iinfo(np.int64).max).argmin(axis=1)
+
+
+def _entropy_oracle(logits):
+    """``softmax_rows`` and ``where(p > 0, p * log(p), 0)`` on whole arrays."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    return p, -terms.sum(axis=1)
+
+
+def test_lowest_rank_argmax_matches_the_whole_array_oracle():
+    inf, nan = np.inf, np.nan
+    scores = np.array([
+        [0.0, 3.0, 1.0, 2.0, -1.0],  # one top score
+        [2.0, 1.0, 2.0, 0.0, 2.0],  # a three-way tie
+        [1.0, 1.0, 1.0, 1.0, 1.0],  # every column ties
+        [inf, 0.0, inf, -inf, 1.0],  # +inf twice
+        [-inf, -inf, -inf, -inf, -inf],  # no finite score: all tie at -inf
+        [-inf, -inf, 4.0, -inf, -inf],
+        [0.0, nan, 5.0, 5.0, 1.0],  # no maximum: column 0
+        [nan, inf, -inf, 0.0, inf],
+    ])
+    rng = np.random.default_rng(8)
+    ties = rng.integers(0, 3, (60, 5)).astype(float)
+    for ranks in (np.arange(5), np.array([4, 0, 3, 1, 2]), np.array([2, 4, 1, 0, 3])):
+        for s in (scores, ties):
+            got = evaluation._lowest_rank_argmax(s, ranks)
+            assert np.array_equal(got, _lowest_rank_argmax_oracle(s, ranks))
+
+
+def test_class_blocks_give_the_predictions_of_the_whole_restricted_head(monkeypatch):
+    rng = np.random.default_rng(9)
+    n_classes, dim, rows = 300, 16, 50
+    ids = [f"q{i:04d}" for i in rng.permutation(n_classes)]
+    weights = rng.standard_normal((n_classes, dim))
+    targets = [ids[r] for r in rng.permutation(n_classes)[:200]]
+    # an exact tie across the first block boundary; the lower id is in the later block
+    low, high = sorted([targets[10], targets[100]])
+    targets[10], targets[100] = high, low
+    weights[ids.index(low)] = weights[ids.index(high)] = 0.0
+    weights[ids.index(low), 0] = weights[ids.index(high), 0] = 10.0
+    # the same with the lower id in the earlier block (blocks 2 and 3)
+    low2, high2 = sorted([targets[150], targets[195]])
+    targets[150], targets[195] = low2, high2
+    weights[ids.index(low2)] *= 5.0
+    weights[ids.index(high2)] = weights[ids.index(low2)]
+    # an infinite feature makes row 3's logits +-inf, and NaN in one class of the last block
+    weights[ids.index(targets[199]), 0] = 0.0
+    head = ClassifierHead(ids, weights)
+    features = rng.standard_normal((rows, dim))
+    features[0] = 0.0
+    features[0, 0] = 5.0
+    features[1] = weights[ids.index(low2)]
+    features[3, 0] = np.inf
+
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 64 * dim)
+    assert [hi - lo for lo, hi in row_blocks(len(targets), dim, evaluation.EVAL_BLOCK)] == [64, 64, 64, 8]
+    with np.errstate(invalid="ignore"):
+        got = evaluation._classify_among(head, targets, features)
+        assert got == classify(head.subset(targets), features)
+    assert got[0] == low and got[1] == low2 and got[3] == targets[0]
+    with pytest.raises(ClassIdError, match="duplicate classifier id"):
+        evaluation._classify_among(head, targets + [targets[0]], features)
+    with pytest.raises(ClassIdError, match="unknown class id 'nope'"):
+        evaluation._classify_among(head, targets + ["nope", targets[0]], features)
+
+
+def test_evaluate_holds_no_restricted_head_copy(monkeypatch):
+    budget = 1 << 16
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
+    rng = np.random.default_rng(10)
+    n_classes, dim, rows = 4000, 256, 1000
+    ids = [f"c{i:04d}" for i in range(n_classes)]
+    head = ClassifierHead(ids, rng.standard_normal((n_classes, dim)), seen=np.arange(n_classes) % 2 == 0)
+    unseen = FeatureSet(rng.standard_normal((rows, dim)), [ids[1 + 2 * (i % 50)] for i in range(rows)])
+    seen = FeatureSet(rng.standard_normal((rows, dim)), [ids[2 * (i % 50)] for i in range(rows)])
+    restricted_head_bytes = (n_classes // 2) * dim * 8
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="without samples"):
+            evaluate(head, unseen, seen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 1.25 MiB: one head block and one logits block, or a logits block
+    # and the entropy's terms; gathering the whole restricted head traced 5.1 MiB
+    assert peak < restricted_head_bytes / 2
+    assert peak < 3 * budget * 8
+
+
+def test_entropy_in_place_is_bit_identical_and_the_public_ones_copy():
+    rng = np.random.default_rng(11)
+    logits = rng.standard_normal((6, 9)) * 30.0
+    logits[2] = [0.0, -1000.0, 1.0, -800.0, 0.5, 0.0, 2.0, -3.0, 1.0]  # two p = 0 by underflow
+    p_oracle, entropies = _entropy_oracle(logits)
+    assert np.count_nonzero(p_oracle[2] == 0.0) == 2
+    before = logits.copy()
+    assert np.array_equal(evaluation._entropies_in_place(logits.copy()), entropies)
+    assert np.array_equal(evaluation._row_entropies(logits), entropies)
+    assert np.array_equal(softmax_rows(logits), p_oracle)
+    assert mean_prediction_entropy(logits) == entropies.mean()
+    assert np.array_equal(logits, before)

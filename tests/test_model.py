@@ -233,6 +233,25 @@ def test_unseen_descriptors_feed_only_the_descriptor_autoencoder():
     assert off["a_to_a"] == pytest.approx(without["a_to_a"], abs=1e-15)
 
 
+def test_unseen_descriptors_leave_a_loss_without_the_descriptor_autoencoder_alone():
+    task = synth_generate(seed=3, n_seen=21, n_unseen=7, d_a=6, d_w=5, samples_per_class=1)
+    pairs = make_pairs(task.descriptors, task.head)
+    unseen = task.descriptors.subset(task.manifest.unseen).matrix
+    cfg = TrainConfig(lr=1e-2, batch_size=4, hidden_dim=8, max_epochs=3, stop_window=3, seed=7)
+    runs = []
+    for include in (True, False):
+        lc = LossConfig(use_a_to_a=False, use_w_to_w=False, use_w_to_a=False,
+                        include_unseen_descriptors=include)
+        assert not lc.uses_unseen_descriptors
+        model = IcisModel.init(6, 5, 8, RngState(4).spawn("model-init"))
+        trace = train(model, pairs, unseen, lc, cfg)
+        runs.append(([float(x).hex() for x in trace.total], model.parameters()))
+    # the unseen rows drew no shuffle of their own, so the traces and weights are equal
+    assert runs[0][0] == runs[1][0]
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))
+    assert LossConfig().uses_unseen_descriptors
+
+
 def test_proportional_slice_partitions_the_target_range():
     n_src, n_dst, batch = 23, 7, 5
     covered = []

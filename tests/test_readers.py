@@ -1,5 +1,6 @@
 """Property tests of the two binary readers, ``load_matrix`` and
-``load_checkpoint``, and the memory the matrix reader holds."""
+``load_checkpoint``, of the two text readers, ``load_ids`` and
+``load_manifest``, and of the memory the matrix reader holds."""
 
 import tempfile
 import tracemalloc
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from icis import data
-from icis.data import load_matrix, save_matrix
+from icis.data import (SplitManifest, load_ids, load_manifest, load_matrix, save_ids, save_manifest,
+                       save_matrix)
 from icis.errors import IcisError
 from icis.model import IcisModel, LossConfig, load_checkpoint, save_checkpoint
 from icis.tensor import RngState
@@ -122,3 +124,55 @@ def test_load_matrix_holds_the_result_and_one_chunk(tmp_path):
     # 8 MiB of float64 plus one float32 chunk and its mask; reading the whole
     # file first and converting it held 1.5 times the result
     assert peak < 1.1 * m.nbytes
+
+
+def _is_id(s: str) -> bool:
+    """An id that a one-id-per-line file keeps as it is: one line with no
+    surrounding whitespace."""
+    return s.splitlines() == [s] and s.strip() == s
+
+
+_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(_is_id)
+# a manifest also reads "#..." as a comment and "[...]" as a section header
+_MANIFEST_IDS = _IDS.filter(lambda s: not s.startswith("#") and not (s.startswith("[") and s.endswith("]")))
+
+
+@settings(deadline=None)
+@given(st.lists(_IDS, max_size=12))
+def test_ids_round_trip_is_exact(ids):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "x.ids"
+        save_ids(p, ids)
+        assert load_ids(p) == ids
+
+
+@settings(deadline=None)
+@given(st.lists(_MANIFEST_IDS, unique=True, max_size=12), st.data())
+def test_manifest_round_trip_is_exact(ids, draw):
+    n_seen = draw.draw(st.integers(0, len(ids)))
+    seen, unseen = ids[:n_seen], ids[n_seen:]
+    val_seen = draw.draw(st.lists(st.sampled_from(seen), unique=True) if seen else st.just([]))
+    manifest = SplitManifest(seen, unseen, val_seen)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "manifest.txt"
+        save_manifest(p, manifest)
+        assert load_manifest(p) == manifest
+
+
+def _text_files():
+    """Arbitrary bytes, or a valid manifest with one mutation."""
+    valid = "[seen]\na\nb\n[unseen]\nc\n[val_seen]\na\n".encode("utf-8")
+    return st.one_of(st.binary(max_size=64), _mutations().map(lambda m: _mutate(valid, m)))
+
+
+@settings(deadline=None)
+@given(_text_files())
+def test_damaged_ids_and_manifests_raise_only_icis_errors(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.txt"
+        p.write_bytes(raw)
+        for read in (load_ids, load_manifest):
+            try:
+                read(p)
+            except IcisError:
+                pass

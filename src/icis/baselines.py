@@ -202,12 +202,16 @@ def train_subreg(
             loss += lam * pen
         return {"reg": (loss, rows.size)}
 
-    return fit(model, a_seen.shape[0], step, cfg, RngState(cfg.seed).spawn("subreg-shuffle"),
+    # only the regression path trains, so Adam and zero_grad sweep its two layers alone
+    return fit(model.a_to_w, a_seen.shape[0], step, cfg, RngState(cfg.seed).spawn("subreg-shuffle"),
                stopping_threshold(LossConfig(distance=distance), cfg), n_extra=a_unseen.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # denoising refinement of predicted rows
+
+DAE_NOISE_SCALE = 0.1
+
 
 def dae_refine(
     seen_weights: np.ndarray,
@@ -217,16 +221,15 @@ def dae_refine(
     epochs: int = 200,
     lr: float = 1e-3,
     batch_size: int = 16,
-    noise_scale: float = 0.1,
-    net: MlpTwoLayer | None = None,
 ) -> np.ndarray:
     """Pass predicted rows through a denoising autoencoder fit to seen rows.
 
-    The autoencoder is a rectified two-layer net trained with squared error
-    to reproduce seen weight rows from inputs corrupted by Gaussian noise
-    scaled per dimension (``noise_scale`` times each coordinate's standard
-    deviation across seen rows). A pre-built ``net`` skips the seeded init
-    but is still trained, so ``lr = 0`` leaves it untouched.
+    The autoencoder is a rectified two-layer net, seeded from the
+    ``"dae-init"`` stream of ``seed`` and trained with squared error to
+    reproduce seen weight rows from inputs corrupted by Gaussian noise
+    scaled per dimension (``DAE_NOISE_SCALE`` times each coordinate's
+    standard deviation across seen rows); ``lr = 0`` leaves the initial net
+    untouched.
     """
     w = as_matrix(seen_weights)
     pred = as_matrix(predicted_weights)
@@ -242,19 +245,16 @@ def dae_refine(
     init_rng = root.spawn("dae-init")
     noise_rng = root.spawn("dae-noise")
     shuffle_rng = root.spawn("dae-shuffle")
-    if net is None:
-        net = MlpTwoLayer(
-            LinearLayer.init(d, hidden, init_rng, pre_rectifier=True),
-            LinearLayer.init(hidden, d, init_rng, pre_rectifier=False),
-        )
-    elif net.in_dim != d or net.out_dim != d:
-        raise IcisError("provided autoencoder dims do not match the weight dim")
+    net = MlpTwoLayer(
+        LinearLayer.init(d, hidden, init_rng, pre_rectifier=True),
+        LinearLayer.init(hidden, d, init_rng, pre_rectifier=False),
+    )
     loss_fn = batch_loss("l2")
     per_dim_std = w.std(axis=0)
 
     def step(rows, _extra_rows):
         target = w[rows]
-        noise = noise_rng.standard_normal((rows.shape[0], d)) * (noise_scale * per_dim_std)
+        noise = noise_rng.standard_normal((rows.shape[0], d)) * (DAE_NOISE_SCALE * per_dim_std)
         loss, grad = loss_fn(net.forward(target + noise), target)
         net.backward(grad)
         return {"reg": (loss, rows.size)}

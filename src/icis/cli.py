@@ -141,10 +141,10 @@ def _load_task(args):
 def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run_dir: Path):
     """One training run in its own directory: config, trace, checkpoint.
     ``unseen_rows`` join the descriptor autoencoder only if the loss uses them."""
-    run_dir.mkdir(parents=True, exist_ok=True)
     model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
                            train_config.hidden_dim,
                            RngState(train_config.seed).spawn("model-init"))
+    run_dir.mkdir(parents=True, exist_ok=True)
     settings = dict(sorted(asdict(train_config).items()))
     settings.update(sorted(asdict(loss_config).items()))
     settings["include_bias"] = include_bias

@@ -32,13 +32,26 @@ _HEADER_LEN = len(MATRIX_MAGIC) + 8
 # float32 chunk and its finiteness mask (320 KiB) fit in a 2 MiB L2.
 READ_CHUNK = 1 << 16
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 # ---------------------------------------------------------------------------
 # matrix container
 
+def check_float32_range(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``m`` if every entry is finite as float32, the type of the payload on
+    disk; otherwise an :class:`IcisError`. Writers call it before they open
+    the file, so a rejected matrix leaves no file behind."""
+    # min and max propagate NaN, so two reductions decide it with no temporary the size of m
+    if m.size and not (-_FLOAT32_MAX <= m.min() and m.max() <= _FLOAT32_MAX):
+        raise IcisError(f"{what} has entries that are not finite as float32")
+    return m
+
+
 def write_matrix_block(f, matrix) -> None:
     """Write one binary matrix block (magic, shape, float32 payload) to the
-    open binary file ``f``."""
+    open binary file ``f``; the caller has checked it with
+    :func:`check_float32_range`."""
     m = as_matrix(matrix)
     rows, cols = m.shape
     if rows >= 2**32 or cols >= 2**32:
@@ -102,7 +115,7 @@ def save_matrix(path, matrix) -> None:
     if path.suffix == ".csv":
         _save_matrix_csv(path, matrix)
         return
-    m = check_finite(as_matrix(matrix))
+    m = check_float32_range(as_matrix(matrix))
     with open(path, "wb") as f:
         write_matrix_block(f, m)
 
@@ -206,11 +219,10 @@ def rows_of(class_ids, ids) -> list:
         raise ClassIdError(f"unknown class id {exc.args[0]!r}") from None
 
 
-def _load_with_ids(matrix_path, ids_path, kind: str = "id", unit: str = "classes"):
-    """A matrix and its sidecar (``ids_path``, default next to the matrix),
-    which must list one entry per row."""
+def _load_with_ids(matrix_path, kind: str = "id", unit: str = "classes"):
+    """A matrix and the sidecar next to it, which must list one entry per row."""
     matrix = load_matrix(matrix_path)
-    ids = load_ids(ids_path if ids_path is not None else ids_path_for(matrix_path))
+    ids = load_ids(ids_path_for(matrix_path))
     if len(ids) != matrix.shape[0]:
         raise ClassIdError(
             f"{matrix_path}: matrix has {matrix.shape[0]} rows but {kind} sidecar lists {len(ids)} {unit}"
@@ -242,10 +254,6 @@ class DescriptorSet:
                 f"descriptor matrix has {self.matrix.shape[0]} rows but {len(self.class_ids)} class ids"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
     def vector(self, class_id) -> np.ndarray:
         return self.matrix[rows_of(self.class_ids, [class_id])[0]]
 
@@ -257,8 +265,8 @@ class DescriptorSet:
         _save_with_ids(matrix_path, self.matrix, self.class_ids)
 
 
-def load_descriptor_set(matrix_path, ids_path=None) -> DescriptorSet:
-    matrix, ids = _load_with_ids(matrix_path, ids_path)
+def load_descriptor_set(matrix_path) -> DescriptorSet:
+    matrix, ids = _load_with_ids(matrix_path)
     return DescriptorSet(ids, matrix)
 
 
@@ -322,15 +330,17 @@ class ClassifierHead:
         )
 
     def save(self, weights_path, biases_path=None) -> None:
-        _save_with_ids(weights_path, self.weights, self.class_ids)
         if self.biases is not None:
             if biases_path is None:
                 raise IcisError("head has biases; a biases path is required to save them")
+            check_float32_range(self.biases, "bias vector")  # before any file is written
+        _save_with_ids(weights_path, self.weights, self.class_ids)
+        if self.biases is not None:
             save_matrix(biases_path, self.biases.reshape(1, -1))
 
 
-def load_classifier_head(weights_path, ids_path=None, biases_path=None, seen_ids=None) -> ClassifierHead:
-    weights, ids = _load_with_ids(weights_path, ids_path)
+def load_classifier_head(weights_path, biases_path=None, seen_ids=None) -> ClassifierHead:
+    weights, ids = _load_with_ids(weights_path)
     biases = None
     if biases_path is not None:
         biases = load_matrix(biases_path)
@@ -362,10 +372,6 @@ class FeatureSet:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
     def restrict_to(self, class_ids) -> "FeatureSet":
         wanted = {str(c) for c in class_ids}
         mask = np.array([l in wanted for l in self.labels], dtype=bool)
@@ -381,8 +387,8 @@ class FeatureSet:
         _save_with_ids(matrix_path, self.features, self.labels)
 
 
-def load_feature_set(matrix_path, labels_path=None) -> FeatureSet:
-    features, labels = _load_with_ids(matrix_path, labels_path, "label", "samples")
+def load_feature_set(matrix_path) -> FeatureSet:
+    features, labels = _load_with_ids(matrix_path, "label", "samples")
     return FeatureSet(features, labels)
 
 
@@ -486,17 +492,6 @@ def make_pairs(descriptors: DescriptorSet, head: ClassifierHead, include_bias: b
     return PairSet(list(head.class_ids), descriptors.matrix[rows], weights)
 
 
-def derive_validation_split(seen_pairs: PairSet, manifest: SplitManifest):
-    """Partition seen pairs into train and validation pairs by class id."""
-    known = set(seen_pairs.class_ids)
-    unknown = [i for i in manifest.val_seen if i not in known]
-    if unknown:
-        raise ClassIdError(f"validation ids not among provided seen pairs: {unknown[:5]}")
-    val_ids = set(manifest.val_seen)
-    train_ids = [i for i in seen_pairs.class_ids if i not in val_ids]
-    return seen_pairs.subset(train_ids), seen_pairs.subset(manifest.val_seen)
-
-
 # ---------------------------------------------------------------------------
 # synthetic tasks
 
@@ -541,6 +536,8 @@ def synth_generate(
         raise IcisError("need at least 2 seen classes")
     if n_unseen < 0:
         raise IcisError("n_unseen must be >= 0")
+    if samples_per_class < 0:
+        raise IcisError("samples_per_class must be >= 0")
 
     n_total = n_seen + n_unseen
     width = max(3, len(str(n_total - 1)))

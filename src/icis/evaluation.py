@@ -172,16 +172,12 @@ def mean_prediction_entropy(logits) -> float:
     Entropy uses the convention ``0 * log 0 = 0``; a uniform row scores
     ``ln K`` and a one-hot row scores zero.
     """
-    return float(_row_entropies(logits).mean())
-
-
-def _row_entropies(logits) -> np.ndarray:
-    """Shannon entropy (nats) of the softmax of each row of the logits."""
-    return _entropies_in_place(as_matrix(logits).copy())
+    return float(_entropies_in_place(as_matrix(logits).copy()).mean())
 
 
 def _entropies_in_place(s: np.ndarray) -> np.ndarray:
-    """``_row_entropies(s)``, overwriting ``s``, which the caller owns.
+    """Shannon entropy (nats) of the softmax of each row of ``s``,
+    overwriting ``s``, which the caller owns.
 
     The float operations are those of ``softmax_rows`` and of
     ``where(p > 0, p * log(p), 0)``, so the result is bit-identical; the
@@ -268,37 +264,6 @@ class FailureHistogram:
         )
 
 
-def bin_predictions(descriptors: DescriptorSet, true_class, predictions, bin_size: int = 10) -> list:
-    """Empirical probability of predicting classes at each similarity rank.
-
-    Each prediction is mapped to its rank in the cosine-similarity ordering
-    around the true class (the class itself is rank 0) and ranks are binned
-    in groups of ``bin_size``. The returned probabilities sum to 1.
-    """
-    predictions = [str(p) for p in predictions]
-    _check_binning(predictions, bin_size)
-    return _bin_ranks(similarity_ranks(descriptors, true_class), predictions, bin_size)
-
-
-def _check_binning(predictions: list, bin_size: int) -> None:
-    if bin_size < 1:
-        raise IcisError("bin_size must be >= 1")
-    if not predictions:
-        raise IcisError("no predictions to bin")
-
-
-def _bin_ranks(ranks: dict, predictions: list, bin_size: int) -> list:
-    """``bin_predictions`` from ranks already computed around the true class."""
-    unknown = sorted({p for p in predictions if p not in ranks})
-    if unknown:
-        raise ClassIdError(f"predicted classes without descriptors: {unknown[:5]}")
-    n_bins = -(-len(ranks) // bin_size)
-    counts = [0] * n_bins
-    for p in predictions:
-        counts[ranks[p] // bin_size] += 1
-    return [c / len(predictions) for c in counts]
-
-
 def failure_histogram(
     head: ClassifierHead,
     features: FeatureSet,
@@ -309,21 +274,30 @@ def failure_histogram(
     """Classify the target class's samples with the full head and report
     where the predictions fall on the similarity ranking around it.
 
-    Includes the mean prediction entropy of those samples and per-class
-    prediction counts tagged seen/unseen from the head's flags.
+    Each prediction is mapped to its rank in the cosine-similarity ordering
+    around the target (the class itself is rank 0) and ranks are binned in
+    groups of ``bin_size``; the bin probabilities sum to 1. Includes the
+    mean prediction entropy of those samples and per-class prediction
+    counts tagged seen/unseen from the head's flags.
     """
+    if bin_size < 1:
+        raise IcisError("bin_size must be >= 1")
     target = str(target_class)
     class_feats = features.restrict_to([target])
     if class_feats.n_samples == 0:
         raise IcisError(f"no samples labelled {target!r} in the feature set")
     predictions = classify(head, class_feats.features)
-    _check_binning(predictions, bin_size)
     ranks = similarity_ranks(descriptors, target)
-    probs = _bin_ranks(ranks, predictions, bin_size)
-    seen_by_id = dict(zip(head.class_ids, (bool(s) for s in head.seen)))
+    unknown = sorted({p for p in predictions if p not in ranks})
+    if unknown:
+        raise ClassIdError(f"predicted classes without descriptors: {unknown[:5]}")
+    bins = [0] * -(-len(ranks) // bin_size)
     counts = {}
     for p in predictions:
+        bins[ranks[p] // bin_size] += 1
         counts[p] = counts.get(p, 0) + 1
+    probs = [b / len(predictions) for b in bins]
+    seen_by_id = dict(zip(head.class_ids, (bool(s) for s in head.seen)))
     rows = sorted(
         ((c, ranks[c], n, seen_by_id.get(c, False)) for c, n in counts.items()),
         key=lambda row: row[1],

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClassifierHead, PairSet, open_binary, read_matrix_block, write_matrix_block
+from .data import (ClassifierHead, PairSet, check_float32_range, open_binary, read_matrix_block,
+                   write_matrix_block)
 from .errors import ClassIdError, DataFormatError, DivergenceError, IcisError
 from .nn import AdamState, LinearLayer, MlpTwoLayer, adam_step, batch_loss
 from .tensor import RngState, as_matrix
@@ -29,6 +30,9 @@ from .tensor import RngState, as_matrix
 DEFAULT_HIDDEN = 2048
 
 TERM_NAMES = ("reg", "a_to_a", "w_to_w", "w_to_a")
+
+# An epoch loss above this (or not finite) stops training with a DivergenceError.
+DIVERGENCE_LIMIT = 1e8
 
 
 @dataclass
@@ -72,27 +76,17 @@ class LossConfig:
 @dataclass
 class TrainConfig:
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 16
     hidden_dim: int = DEFAULT_HIDDEN
     max_epochs: int = 500
     stop_window: int = 10
     stop_threshold: float = 2e-4
     seed: int = 0
-    divergence_limit: float = 1e8
 
     def __post_init__(self):
         # written as "not (valid)" so that NaN fails every check
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise IcisError(f"lr must be finite and >= 0, got {self.lr!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise IcisError(f"beta1 and beta2 must be in [0, 1), got {self.beta1!r}, {self.beta2!r}")
-        if not self.eps > 0.0:
-            raise IcisError(f"eps must be > 0, got {self.eps!r}")
-        if not self.divergence_limit > 0.0:
-            raise IcisError(f"divergence_limit must be > 0, got {self.divergence_limit!r}")
         if self.batch_size < 1:
             raise IcisError("batch_size must be >= 1")
         if self.max_epochs < 0:
@@ -170,11 +164,9 @@ class IcisModel:
         self.w_to_a = MlpTwoLayer(weight_encoder, desc_decoder)
 
     @classmethod
-    def init(cls, d_a: int, d_w: int, hidden: int = DEFAULT_HIDDEN, rng: RngState | None = None) -> "IcisModel":
+    def init(cls, d_a: int, d_w: int, hidden: int, rng: RngState) -> "IcisModel":
         """Seeded init; layers are created in a fixed order so equal seeds
         give bit-identical models."""
-        if rng is None:
-            rng = RngState(0).spawn("model-init")
         if min(d_a, d_w, hidden) < 1:
             raise IcisError("all model dims must be >= 1")
         return cls(
@@ -274,10 +266,10 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
     ``module`` (zeroed just before) and returns ``{term: (mean, row
     count)}``; one Adam step follows. Epoch term means are row-weighted,
     their sum is the epoch loss. Raises DivergenceError when the epoch loss
-    stops being finite or exceeds ``cfg.divergence_limit``, with the
-    partial trace on the exception; stops early by :func:`should_stop`.
+    stops being finite or exceeds ``DIVERGENCE_LIMIT``, with the partial
+    trace on the exception; stops early by :func:`should_stop`.
     """
-    opt = AdamState(lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = AdamState(lr=cfg.lr)
     trace = LossTrace(threshold=threshold)
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n)
@@ -299,7 +291,7 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
         trace.append(epoch_total, term_means)
         if callback is not None:
             callback(epoch, epoch_total)
-        if not np.isfinite(epoch_total) or epoch_total > cfg.divergence_limit:
+        if not np.isfinite(epoch_total) or epoch_total > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"training diverged at epoch {epoch}: mean loss {epoch_total!r}", trace=trace
             )
@@ -322,8 +314,8 @@ def train(
     ``unseen_descriptors`` (rows only, no weights) join the descriptor
     autoencoding term when ``loss_config.uses_unseen_descriptors``; the
     regression and weight-side terms only ever touch seen pairs. Raises
-    DivergenceError when the epoch loss stops being finite or exceeds the
-    configured limit; the partial trace rides along on the exception.
+    DivergenceError when the epoch loss stops being finite or exceeds
+    ``DIVERGENCE_LIMIT``; the partial trace rides along on the exception.
     """
     loss_config = loss_config if loss_config is not None else LossConfig()
     cfg = train_config if train_config is not None else TrainConfig()
@@ -452,6 +444,9 @@ def save_checkpoint(path, model: IcisModel, loss_config: LossConfig | None = Non
     if seed is not None:
         entries.append(("seed", seed))
     header = "".join(f"{k}={v}\n" for k, v in entries).encode("utf-8")
+    for layer in model.layers():
+        check_float32_range(layer.weight, "layer weights")
+        check_float32_range(layer.bias, "layer biases")
     with open(Path(path), "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(header)))

@@ -61,6 +61,8 @@ class RngState:
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise IcisError(f"seed must be >= 0, got {self.seed}")
         self.stream = int(stream)
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((self.seed, self.stream))))
 

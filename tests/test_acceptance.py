@@ -314,10 +314,8 @@ def test_criterion_8_baseline_sanity():
 def test_criterion_9_real_data_reproduction():
     root = os.environ["ICIS_CUB_DIR"]
     descriptors = load_descriptor_set(os.path.join(root, "descriptors.wsmat"))
-    head = load_classifier_head(os.path.join(root, "head.wsmat"),
-                                os.path.join(root, "head.ids"))
-    features = load_feature_set(os.path.join(root, "features.wsmat"),
-                                os.path.join(root, "features.ids"))
+    head = load_classifier_head(os.path.join(root, "head.wsmat"))
+    features = load_feature_set(os.path.join(root, "features.wsmat"))
     manifest = load_manifest(os.path.join(root, "manifest.txt"))
 
     pairs = make_pairs(descriptors.subset(manifest.seen), head)

@@ -234,6 +234,29 @@ def test_exit_codes(tmp_path):
     assert (div / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("synth", ["--seed", "-1"]),
+    ("synth", ["--samples-per-class", "-1"]),
+    ("train", ["--seed", "-3"]),
+    ("ablate", ["--seed", "-1"]),
+    ("sweep", ["--seed", "-2"]),
+    ("baseline", ["--method", "dae", "--seed", "-1"]),
+    ("baseline", ["--method", "subreg", "--seed", "-1"]),
+])
+def test_negative_seeds_and_sample_counts_are_data_errors(tmp_path, capsys, command, flags):
+    out = ["--out", str(tmp_path / "out")]
+    if command == "synth":
+        args = SYNTH + out
+    else:
+        task = _synth(tmp_path)
+        features = [] if command == "train" else ["--features", str(task / "features.wsmat")]
+        args = [command, *_task_args(task), *features, *out, *FAST]
+    capsys.readouterr()
+    assert main(args + flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >= 0" in err, err
+
+
 # per subcommand: the files it reads, in reading order, and the other flags it needs
 READ_ORDER = {
     "train": (["manifest", "descriptors", "head", "biases"], ["--out", "run"]),

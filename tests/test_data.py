@@ -15,7 +15,6 @@ from icis.data import (
     MATRIX_MAGIC,
     PairSet,
     SplitManifest,
-    derive_validation_split,
     ids_path_for,
     load_classifier_head,
     load_descriptor_set,
@@ -116,6 +115,29 @@ def test_matrix_save_rejects_nonfinite(tmp_path):
         save_matrix(tmp_path / "x.wsmat", [[np.inf]])
 
 
+@pytest.mark.parametrize("bad", [1e39, -1e39, float("nan")])
+def test_matrix_save_rejects_what_float32_cannot_hold_and_writes_nothing(tmp_path, bad):
+    p = tmp_path / "x.wsmat"
+    with pytest.raises(IcisError, match="float32"):
+        save_matrix(p, [[bad, 1.0]])
+    assert not p.exists()
+
+
+def test_matrix_float32_max_round_trips(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    save_matrix(tmp_path / "x.wsmat", [[top, -top]])
+    assert load_matrix(tmp_path / "x.wsmat").tolist() == [[top, -top]]
+
+
+@pytest.mark.parametrize("weights, biases", [([[1e39, 1.0], [0.0, 1.0]], None),
+                                             ([[1.0, 0.0], [0.0, 1.0]], [0.0, 1e39])])
+def test_head_save_rejects_what_float32_cannot_hold_and_writes_nothing(tmp_path, weights, biases):
+    head = ClassifierHead(["a", "b"], weights, biases)
+    with pytest.raises(IcisError, match="float32"):
+        head.save(tmp_path / "h.wsmat", tmp_path / "h.biases.wsmat")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_matrix_missing_file(tmp_path):
     with pytest.raises(DataFormatError):
         load_matrix(tmp_path / "does-not-exist.wsmat")
@@ -180,7 +202,7 @@ def test_ids_path_swaps_suffix(tmp_path):
 
 def test_descriptor_set_lookup_and_subset():
     ds = DescriptorSet(["a", "b", "c"], np.eye(3))
-    assert ds.dim == 3
+    assert ds.matrix.shape[1] == 3
     assert ds.vector("b").tolist() == [0.0, 1.0, 0.0]
     sub = ds.subset(["c", "a"])
     assert sub.class_ids == ["c", "a"]
@@ -385,22 +407,6 @@ def test_pair_set_duplicate_id_is_an_error():
     # ids are compared as strings, as subset looks them up
     with pytest.raises(ClassIdError):
         PairSet([1, "1"], np.eye(2), np.eye(2))
-
-
-def test_validation_split_partitions_pairs():
-    pairs = PairSet(["a", "b", "c", "d"], np.eye(4), np.eye(4))
-    manifest = SplitManifest(["a", "b", "c", "d"], [], val_seen=["b", "d"])
-    train, val = derive_validation_split(pairs, manifest)
-    assert train.class_ids == ["a", "c"]
-    assert val.class_ids == ["b", "d"]
-    assert sorted(train.class_ids + val.class_ids) == pairs.class_ids
-
-
-def test_validation_split_unknown_id_is_an_error():
-    pairs = PairSet(["a", "b"], np.eye(2), np.eye(2))
-    manifest = SplitManifest(["a", "b", "z"], [], val_seen=["z"])
-    with pytest.raises(ClassIdError):
-        derive_validation_split(pairs, manifest)
 
 
 # ---------------------------------------------------------------------------

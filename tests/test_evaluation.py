@@ -12,7 +12,6 @@ from icis.data import ClassifierHead, DescriptorSet, FeatureSet
 from icis.errors import ClassIdError, IcisError
 from icis.evaluation import (
     EvalReport,
-    bin_predictions,
     classify,
     evaluate,
     failure_histogram,
@@ -223,28 +222,40 @@ def test_similarity_ranks_match_sort_oracle():
     assert [c for c, _ in sorted(ranks.items(), key=lambda kv: kv[1])] == expected_order
 
 
+def _histogram_of(predicted, bin_size, head_ids=("t", "near", "mid", "far", "anti")):
+    """``failure_histogram`` of "t" on the line descriptors, with one sample
+    of "t" per entry of ``predicted``: a one-hot head predicts that entry."""
+    head = ClassifierHead(list(head_ids), np.eye(len(head_ids)))
+    columns = [head_ids.index(p) for p in predicted]
+    features = FeatureSet(np.eye(len(head_ids))[columns], ["t"] * len(columns))
+    return failure_histogram(head, features, _line_descriptors(), "t", bin_size=bin_size)
+
+
 def test_bin_predictions_all_correct_mass_in_bin_zero():
-    ds = _line_descriptors()
-    probs = bin_predictions(ds, "t", ["t", "t", "t"], bin_size=2)
+    probs = _histogram_of(["t", "t", "t"], bin_size=2).bin_probabilities
     assert probs[0] == pytest.approx(1.0)
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bin_predictions_spread_counts():
-    ds = _line_descriptors()
     # ranks: t=0 near=1 mid=2 far=3 anti=4; bin_size 2 -> bins {0,1} {2,3} {4}
-    probs = bin_predictions(ds, "t", ["t", "near", "mid", "anti"], bin_size=2)
+    probs = _histogram_of(["t", "near", "mid", "anti"], bin_size=2).bin_probabilities
     assert probs == pytest.approx([0.5, 0.25, 0.25])
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bin_predictions_unknown_class_is_an_error():
-    with pytest.raises(ClassIdError):
-        bin_predictions(_line_descriptors(), "t", ["mystery"], bin_size=2)
-    with pytest.raises(IcisError):
-        bin_predictions(_line_descriptors(), "t", [], bin_size=2)
-    with pytest.raises(IcisError):
-        bin_predictions(_line_descriptors(), "t", ["t"], bin_size=0)
+    with pytest.raises(ClassIdError, match="mystery"):
+        _histogram_of(["mystery"], bin_size=2, head_ids=("t", "mystery"))
+
+
+def test_failure_histogram_checks_bin_size_before_classifying(monkeypatch):
+    def refused(*args):
+        raise AssertionError("classify ran before bin_size was checked")
+
+    monkeypatch.setattr(evaluation, "classify", refused)
+    with pytest.raises(IcisError, match="bin_size"):
+        _histogram_of(["t"], bin_size=0)
 
 
 def test_failure_histogram_reports_counts_with_seen_tags():
@@ -276,7 +287,7 @@ def test_failure_histogram_ranks_the_classes_once(monkeypatch):
     ranks = similarity_ranks(ds, "c3")
     counts = {p: predictions.count(p) for p in set(predictions)}
     expected_rows = sorted(((c, ranks[c], n, int(c[1:]) % 2 == 0) for c, n in counts.items()), key=lambda r: r[1])
-    expected_probs = bin_predictions(ds, "c3", predictions, bin_size=3)
+    expected_probs = [sum(ranks[p] // 3 == b for p in predictions) / len(predictions) for b in range(4)]
 
     calls = []
 
@@ -412,8 +423,8 @@ def test_blocked_scoring_is_bit_identical_to_the_whole_array(monkeypatch, rows, 
     predictions = classify(head, features)
     assert predictions == evaluation.lowest_id_argmax(whole, head.class_ids)
     assert predictions[7] == predictions[8] == head.class_ids[1] == "k01998"
-    rows_entropy = np.concatenate([evaluation._row_entropies(b) for b in blocks])
-    assert np.array_equal(rows_entropy, evaluation._row_entropies(whole))
+    rows_entropy = np.concatenate([evaluation._entropies_in_place(b.copy()) for b in blocks])
+    assert np.array_equal(rows_entropy, evaluation._entropies_in_place(whole.copy()))
     assert evaluation._head_entropy(head, features) == mean_prediction_entropy(whole)
 
 
@@ -562,7 +573,6 @@ def test_entropy_in_place_is_bit_identical_and_the_public_ones_copy():
     assert np.count_nonzero(p_oracle[2] == 0.0) == 2
     before = logits.copy()
     assert np.array_equal(evaluation._entropies_in_place(logits.copy()), entropies)
-    assert np.array_equal(evaluation._row_entropies(logits), entropies)
     assert np.array_equal(softmax_rows(logits), p_oracle)
     assert mean_prediction_entropy(logits) == entropies.mean()
     assert np.array_equal(logits, before)

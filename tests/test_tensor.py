@@ -149,6 +149,11 @@ def test_rand_normal_negative_std_is_an_error():
         rand_normal(RngState(0), 2, 2, -1.0)
 
 
+def test_rng_negative_seed_is_an_error():
+    with pytest.raises(IcisError, match="seed must be >= 0"):
+        RngState(-1)
+
+
 def test_permutation_is_seeded():
     p1 = RngState(5).permutation(10)
     p2 = RngState(5).permutation(10)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, PairSet
 from .errors import IcisError
-from .evaluation import lowest_id_argmax, softmax_rows
+from .evaluation import classify, softmax_rows
 from .model import IcisModel, LossConfig, LossTrace, TrainConfig, fit, stopping_threshold
 from .nn import LinearLayer, MlpTwoLayer, batch_loss
 from .tensor import RngState, as_matrix, row_normalize
@@ -58,8 +58,9 @@ def conse_classify(
     norms = np.linalg.norm(combined, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise IcisError("combined semantic vector collapsed to zero")
-    sims = (combined / norms) @ row_normalize(target_descriptors.matrix).T
-    return lowest_id_argmax(sims, target_descriptors.class_ids)
+    # cosine similarities as the logits of a head of unit descriptor rows
+    targets = ClassifierHead(target_descriptors.class_ids, row_normalize(target_descriptors.matrix))
+    return classify(targets, combined / norms)
 
 
 # ---------------------------------------------------------------------------
@@ -101,31 +102,32 @@ def vgse_wavg_weights(
     return alpha @ head.weights
 
 
-def smo_coefficients(anchor: np.ndarray, seen_matrix: np.ndarray, gamma: float = 1e-3) -> np.ndarray:
-    """Ridge-regularised least-squares reconstruction coefficients of one
-    descriptor from the seen descriptors, constrained to sum to one.
+def smo_coefficients(anchors: np.ndarray, seen_matrix: np.ndarray, gamma: float = 1e-3) -> np.ndarray:
+    """Ridge-regularised least-squares reconstruction coefficients of each
+    anchor descriptor (one per row) from the seen descriptors, constrained
+    to sum to one; one coefficient row per anchor.
 
     Solves ``min |anchor - beta^T A|^2 + gamma |beta|^2  s.t.  sum beta = 1``
     through the stationarity system: with ``G = A A^T + gamma I`` and
     ``c = A anchor``, the multiplier is
     ``lam = (1^T G^-1 c - 1) / (1^T G^-1 1)`` and ``beta = G^-1 (c - lam 1)``.
+    ``G`` is the same for every anchor, so one solve serves them all.
     """
     if gamma < 0.0:
         raise IcisError("gamma must be >= 0")
     a = as_matrix(seen_matrix)
-    anchor = np.asarray(anchor, dtype=np.float64).reshape(-1)
-    if anchor.shape[0] != a.shape[1]:
-        raise IcisError(f"anchor dim {anchor.shape[0]} does not match descriptors {a.shape[1]}")
+    anchors = as_matrix(anchors)
+    if anchors.shape[1] != a.shape[1]:
+        raise IcisError(f"anchor dim {anchors.shape[1]} does not match descriptors {a.shape[1]}")
     g = a @ a.T + gamma * np.eye(a.shape[0])
-    c = a @ anchor
     ones = np.ones(a.shape[0])
     try:
-        solved = np.linalg.solve(g, np.column_stack([c, ones]))
+        solved = np.linalg.solve(g, np.column_stack([a @ anchors.T, ones]))
     except np.linalg.LinAlgError as exc:
         raise IcisError(f"similarity system is singular; use gamma > 0 ({exc})") from exc
-    x_c, x_1 = solved[:, 0], solved[:, 1]
+    x_c, x_1 = solved[:, :-1], solved[:, -1]
     lam = (ones @ x_c - 1.0) / (ones @ x_1)
-    return x_c - lam * x_1
+    return x_c.T - lam[:, None] * x_1
 
 
 def vgse_smo_weights(
@@ -137,11 +139,7 @@ def vgse_smo_weights(
     """Unseen rows from sum-one ridge reconstruction coefficients of each
     unseen descriptor in the span of seen descriptors."""
     a_seen = seen_descriptors.subset(head.class_ids).matrix
-    rows = [
-        smo_coefficients(unseen_descriptors.matrix[i], a_seen, gamma) @ head.weights
-        for i in range(len(unseen_descriptors.class_ids))
-    ]
-    return np.asarray(rows).reshape(len(rows), head.weight_dim)
+    return smo_coefficients(unseen_descriptors.matrix, a_seen, gamma) @ head.weights
 
 
 # ---------------------------------------------------------------------------

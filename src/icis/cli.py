@@ -276,7 +276,6 @@ def _run_variant(name, loss_config, pairs, unseen, head, manifest, features,
 def cmd_ablate(args) -> int:
     manifest, descriptors, head, features = _load_task(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train_config = _train_config_from_args(args)
     pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
     unseen = descriptors.subset(manifest.unseen)
@@ -296,7 +295,6 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     manifest, descriptors, head, features = _load_task(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     except ValueError as exc:

@@ -16,15 +16,6 @@ from .nn import EVAL_BLOCK, row_blocks
 from .tensor import as_matrix
 
 
-def lowest_id_argmax(scores: np.ndarray, class_ids) -> list:
-    """Class id of each row's top score, one column per id in ``class_ids``.
-
-    Exact ties go to the lowest class id, so results do not depend on the
-    column order.
-    """
-    return [class_ids[j] for j in _lowest_rank_argmax(scores, _id_ranks(class_ids))]
-
-
 def _id_ranks(class_ids) -> np.ndarray:
     """Rank of each class id (by column) under ascending id sort."""
     return np.argsort(np.argsort(class_ids, kind="stable"), kind="stable")
@@ -44,53 +35,37 @@ def _lowest_rank_argmax(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return columns
 
 
-def _score_blocks(head: ClassifierHead, features, score) -> list:
-    """``score(head.logits(rows))`` for each block of feature rows of about
-    ``EVAL_BLOCK`` logits, in row order.
+def classify(head: ClassifierHead, features, among=None) -> list:
+    """Predicted class id per feature row, among the classes of ``among``
+    (default: every head class); an exact tie goes to the lowest class id.
 
-    ``score`` owns its block and may overwrite it. No name holds a block
-    past its ``score`` call, so one logits block is live at a time. With
-    OpenBLAS the blocks equal one whole product on the heads of 1000 to
-    20000 classes measured; a narrow head, split only past ``EVAL_BLOCK``
-    logits, can differ from it in the last bit on a few rows."""
-    features = as_matrix(features)
-    return [score(head.logits(features[lo:hi]))
-            for lo, hi in row_blocks(features.shape[0], head.n_classes, EVAL_BLOCK)]
-
-
-def classify(head: ClassifierHead, features) -> list:
-    """Predicted class id per feature row.
-
-    Ties on the top score go to the lowest class id, so results do not
-    depend on row order in the head. The rows are scored in blocks, so no
-    temporary grows with samples x classes.
+    The classes are gathered in blocks of about ``EVAL_BLOCK`` weights, each
+    scored over feature-row blocks of about ``EVAL_BLOCK`` logits, so neither
+    the head nor samples x classes is held at once. A row that meets a NaN
+    gets the first id of ``among``.
     """
-    ranks = _id_ranks(head.class_ids)
-    columns = np.concatenate(_score_blocks(head, features, lambda s: _lowest_rank_argmax(s, ranks)))
-    return [head.class_ids[j] for j in columns]
-
-
-def _classify_among(head: ClassifierHead, ids: list, features) -> list:
-    """``classify(head.subset(ids), features)`` without gathering every row
-    of ``ids`` at once.
-
-    The rows of ``ids`` are gathered about ``EVAL_BLOCK`` weights at a time,
-    and each class block is scored over the feature-row blocks. Every
-    feature row keeps its best score so far and, on an exact tie across
-    blocks, the lower id; a row that meets a NaN gets ``ids[0]``, as there.
-    """
-    rows_of(head.class_ids, ids)  # unknown ids, then duplicates, as head.subset(ids) reports them
-    _check_unique(ids, "classifier")
+    if among is None:
+        ids = head.class_ids
+    else:
+        ids = [str(c) for c in among]
+        rows_of(head.class_ids, ids)  # unknown ids, then duplicates, as head.subset(ids) reports them
+        _check_unique(ids, "classifier")
+    if not ids:
+        raise IcisError("no classes to classify among")
     features = as_matrix(features)
     ranks = _id_ranks(ids)
     best = np.full(features.shape[0], -np.inf)
     winner = np.zeros(features.shape[0], dtype=np.intp)
+    top = np.empty_like(best)
+    column = np.empty_like(winner)
     for clo, chi in row_blocks(len(ids), head.weight_dim, EVAL_BLOCK):
-        # the block's head is not named here, so it is freed before the next one is gathered
-        parts = _score_blocks(head.subset(ids[clo:chi]), features,
-                              lambda s: (s.max(axis=1), clo + _lowest_rank_argmax(s, ranks[clo:chi])))
-        top = np.concatenate([t for t, _ in parts])
-        column = np.concatenate([c for _, c in parts])
+        block = head.subset(ids[clo:chi])
+        for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
+            scores = block.logits(features[lo:hi])
+            top[lo:hi] = scores.max(axis=1)
+            column[lo:hi] = clo + _lowest_rank_argmax(scores, ranks[clo:chi])
+            del scores  # one logits block is live at a time
+        del block  # freed before the next class block is gathered
         lost = np.isnan(top)
         column[lost] = 0
         take = lost | (top > best) | ((top == best) & (ranks[column] < ranks[winner]))
@@ -190,9 +165,15 @@ def _entropies_in_place(s: np.ndarray) -> np.ndarray:
 
 
 def _head_entropy(head: ClassifierHead, features) -> float:
-    """``mean_prediction_entropy(head.logits(features))``, scored in row
-    blocks; the per-row entropies are averaged once, as there."""
-    return float(np.concatenate(_score_blocks(head, features, _entropies_in_place)).mean())
+    """``mean_prediction_entropy(head.logits(features))``, scored in blocks
+    of about ``EVAL_BLOCK`` logits and averaged once, as there. With OpenBLAS
+    the blocks equal one whole product on the heads of 1000 to 20000 classes
+    measured; a narrow head can differ from it in the last bit on a few rows."""
+    features = as_matrix(features)
+    return float(np.concatenate([
+        _entropies_in_place(head.logits(features[lo:hi]))
+        for lo, hi in row_blocks(features.shape[0], head.n_classes, EVAL_BLOCK)
+    ]).mean())
 
 
 def similarity_ranks(descriptors: DescriptorSet, anchor_id) -> dict:
@@ -382,7 +363,7 @@ def evaluate(
 
     report = EvalReport(n_unseen_samples=unseen_features.n_samples)
 
-    zsl_pred = _classify_among(head, unseen_ids, unseen_features.features)
+    zsl_pred = classify(head, unseen_features.features, among=unseen_ids)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(
         unseen_features.labels, zsl_pred, unseen_ids
     )

@@ -293,7 +293,7 @@ def test_criterion_8_baseline_sanity():
         tr = rng.spawn(f"kkt-{trial}")
         seen_a = tr.normal(10, d_a)
         unseen_a = tr.normal(1, d_a)[0]
-        beta = smo_coefficients(unseen_a, seen_a, gamma=gamma)
+        beta = smo_coefficients(unseen_a[None], seen_a, gamma=gamma)[0]
 
         gram = seen_a @ seen_a.T + gamma * np.eye(10)
         kkt = np.zeros((11, 11))

@@ -203,14 +203,14 @@ def test_smo_single_seen_class_copies_its_row():
 def test_smo_coefficients_sum_to_one():
     rng = RngState(4)
     a = rng.normal(6, 4)
-    beta = smo_coefficients(rng.normal(1, 4)[0], a)
+    beta = smo_coefficients(rng.normal(1, 4)[0][None], a)[0]
     assert beta.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_smo_recovers_a_matching_seen_descriptor_as_gamma_vanishes():
     rng = RngState(5)
     a = rng.normal(3, 5)  # 3 independent rows in 5 dims
-    beta = smo_coefficients(a[0], a, gamma=1e-12)
+    beta = smo_coefficients(a[0][None], a, gamma=1e-12)[0]
     assert np.allclose(beta, [1.0, 0.0, 0.0], atol=1e-4)
 
 
@@ -224,7 +224,7 @@ def test_smo_matches_lagrange_elimination_oracle():
         anchor = rng.normal(1, d)[0]
         gamma = 1e-3
 
-        beta = smo_coefficients(anchor, a, gamma=gamma)
+        beta = smo_coefficients(anchor[None], a, gamma=gamma)[0]
 
         # residual form: anchor - A^T beta with beta = [z; 1 - sum z]
         # objective: |anchor - A^T beta|^2 + gamma |beta|^2
@@ -240,13 +240,22 @@ def test_smo_matches_lagrange_elimination_oracle():
         assert np.allclose(beta, expected, atol=1e-8)
 
 
+def test_smo_coefficients_of_many_anchors_are_those_of_each_alone():
+    rng = RngState(7)
+    a = rng.normal(10, 12)
+    anchors = rng.normal(6, 12)
+    beta = smo_coefficients(anchors, a)
+    assert beta.shape == (6, 10)
+    for i in range(6):
+        assert np.allclose(beta[i], smo_coefficients(anchors[i:i + 1], a)[0], rtol=1e-12, atol=1e-12)
+
 def test_smo_singular_system_suggests_regularisation():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])  # duplicate rows, singular at gamma 0
     with pytest.raises(IcisError) as err:
-        smo_coefficients(np.array([0.5, 0.5]), a, gamma=0.0)
+        smo_coefficients(np.array([0.5, 0.5])[None], a, gamma=0.0)
     assert "gamma" in str(err.value)
     with pytest.raises(IcisError):
-        smo_coefficients(np.array([0.5, 0.5]), a, gamma=-1.0)
+        smo_coefficients(np.array([0.5, 0.5])[None], a, gamma=-1.0)
 
 
 def test_row_average_baselines_stay_in_the_seen_span():

@@ -257,6 +257,19 @@ def test_negative_seeds_and_sample_counts_are_data_errors(tmp_path, capsys, comm
     assert err.startswith("error: ") and "must be >= 0" in err, err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("ablate", ["--seed", "-1"]),
+    ("sweep", ["--fractions", "x"]),
+])
+def test_refused_ladder_runs_leave_no_out_directory(tmp_path, capsys, command, flags):
+    task = _synth(tmp_path)
+    out = tmp_path / "out"
+    args = [command, *_task_args(task), "--features", str(task / "features.wsmat"), "--out", str(out), *FAST]
+    assert main(args + flags) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # per subcommand: the files it reads, in reading order, and the other flags it needs
 READ_ORDER = {
     "train": (["manifest", "descriptors", "head", "biases"], ["--out", "run"]),

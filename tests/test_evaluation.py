@@ -415,13 +415,13 @@ def test_blocked_scoring_is_bit_identical_to_the_whole_array(monkeypatch, rows, 
     # which joins the block before it
     head, features = _wide_task(rows)
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * head.n_classes)
-    blocks = evaluation._score_blocks(head, features, lambda s: s)
+    blocks = [head.logits(features[lo:hi]) for lo, hi in row_blocks(rows, head.n_classes, evaluation.EVAL_BLOCK)]
     assert [b.shape[0] for b in blocks] == sizes
     whole = head.logits(features)
     assert whole[7, 0] == whole[7, 1] == whole[7].max() and whole[8, 0] == whole[8].max()
     assert np.array_equal(np.concatenate(blocks), whole)
     predictions = classify(head, features)
-    assert predictions == evaluation.lowest_id_argmax(whole, head.class_ids)
+    assert predictions == [head.class_ids[j] for j in _lowest_rank_argmax_oracle(whole, _ranks(head.class_ids))]
     assert predictions[7] == predictions[8] == head.class_ids[1] == "k01998"
     rows_entropy = np.concatenate([evaluation._entropies_in_place(b.copy()) for b in blocks])
     assert np.array_equal(rows_entropy, evaluation._entropies_in_place(whole.copy()))
@@ -473,6 +473,10 @@ def _lowest_rank_argmax_oracle(scores, ranks):
     row's top score, a sentinel elsewhere, then the lowest."""
     top = scores.max(axis=1, keepdims=True)
     return np.where(scores == top, ranks, np.iinfo(np.int64).max).argmin(axis=1)
+
+
+def _ranks(ids):
+    return np.argsort(np.argsort(ids, kind="stable"), kind="stable")
 
 
 def _entropy_oracle(logits):
@@ -533,13 +537,73 @@ def test_class_blocks_give_the_predictions_of_the_whole_restricted_head(monkeypa
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 64 * dim)
     assert [hi - lo for lo, hi in row_blocks(len(targets), dim, evaluation.EVAL_BLOCK)] == [64, 64, 64, 8]
     with np.errstate(invalid="ignore"):
-        got = evaluation._classify_among(head, targets, features)
+        got = classify(head, features, among=targets)
         assert got == classify(head.subset(targets), features)
+        whole = head.subset(targets).logits(features)
+    assert got == [targets[j] for j in _lowest_rank_argmax_oracle(whole, _ranks(targets))]
     assert got[0] == low and got[1] == low2 and got[3] == targets[0]
     with pytest.raises(ClassIdError, match="duplicate classifier id"):
-        evaluation._classify_among(head, targets + [targets[0]], features)
+        classify(head, features, among=targets + [targets[0]])
     with pytest.raises(ClassIdError, match="unknown class id 'nope'"):
-        evaluation._classify_among(head, targets + ["nope", targets[0]], features)
+        classify(head, features, among=targets + ["nope", targets[0]])
+
+
+def test_the_full_head_is_walked_in_class_blocks_with_ties_either_way(monkeypatch):
+    rng = np.random.default_rng(12)
+    n_classes, dim, rows = 200, 16, 40
+    ids = [f"f{i:04d}" for i in rng.permutation(n_classes)]
+    weights = rng.standard_normal((n_classes, dim))
+    # head rows 10 and 100 tie exactly, and the lower id sits in the later block
+    ids[10], ids[100] = sorted([ids[10], ids[100]], reverse=True)
+    weights[[10, 100]] = 0.0
+    weights[[10, 100], 0] = 10.0
+    # head rows 150 and 195 tie exactly, and the lower id sits in the earlier block
+    ids[150], ids[195] = sorted([ids[150], ids[195]])
+    weights[150] *= 5.0
+    weights[195] = weights[150]
+    weights[199, 0] = 0.0  # a NaN logit for row 3 in the last block
+    biases = 0.1 * rng.standard_normal(n_classes)
+    biases[100], biases[195] = biases[10], biases[150]
+    head = ClassifierHead(ids, weights, biases)
+    features = rng.standard_normal((rows, dim))
+    features[0] = 0.0
+    features[0, 0] = 5.0
+    features[1] = weights[150]
+    features[3, 0] = np.inf
+
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 64 * dim)
+    assert [hi - lo for lo, hi in row_blocks(n_classes, dim, evaluation.EVAL_BLOCK)] == [64, 64, 64, 8]
+    with np.errstate(invalid="ignore"):
+        got = classify(head, features)
+        whole = head.logits(features)
+    assert got == [ids[j] for j in _lowest_rank_argmax_oracle(whole, _ranks(ids))]
+    assert got[0] == ids[100] and got[1] == ids[150] and got[3] == ids[0]
+
+
+def test_classify_with_no_classes_is_an_error():
+    head = ClassifierHead(["a", "b"], np.eye(2))
+    with pytest.raises(IcisError, match="no classes to classify among"):
+        classify(head, np.eye(2), among=[])
+
+
+def test_full_head_classify_holds_one_class_block_not_the_head(monkeypatch):
+    budget = 1 << 16
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
+    rng = np.random.default_rng(13)
+    n_classes, dim, rows = 4000, 256, 1000
+    head = ClassifierHead([f"c{i:04d}" for i in range(n_classes)], rng.standard_normal((n_classes, dim)))
+    features = rng.standard_normal((rows, dim))
+    head_bytes = n_classes * dim * 8
+    tracemalloc.start()
+    try:
+        classify(head, features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 1.2 MiB: one class block, one logits block and the id bookkeeping;
+    # gathering the whole head at once would hold 8.2 MB
+    assert peak < head_bytes / 4
+    assert peak < 3 * budget * 8
 
 
 def test_evaluate_holds_no_restricted_head_copy(monkeypatch):

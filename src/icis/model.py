@@ -9,8 +9,9 @@ Four linear layers are shared across four two-layer compositions:
 
 The regression path descriptor -> latent -> weight is the product being
 trained; the two autoencoding paths and the weight-to-descriptor alignment
-path regularise the shared latent space. Gradients from all enabled paths
-accumulate into the same four layers before each optimiser step.
+path regularise the shared latent space. Each enabled path's backward
+records its gradient factors on the layers it uses; the optimiser step then
+writes each layer's gradient, the sum over the paths, one block at a time.
 """
 
 import math
@@ -194,6 +195,9 @@ class IcisModel:
     def parameters(self) -> list:
         return [p for layer in self.layers() for p in layer.parameters()]
 
+    def gradient_writers(self) -> list:
+        return [g for layer in self.layers() for g in layer.gradient_writers()]
+
     def gradients(self) -> list:
         return [g for layer in self.layers() for g in layer.gradients()]
 
@@ -213,9 +217,10 @@ def total_loss(model: IcisModel, descriptors, weights, loss_config: LossConfig,
     weights from descriptors, ``a_to_a`` and ``w_to_w`` autoencode within a
     space, ``w_to_a`` maps weights back to their descriptors. Unseen
     descriptor rows, when provided and enabled, join only the descriptor
-    autoencoding term. With ``accumulate_grads`` each term's gradients add
-    into the shared layers (zeroing first is the caller's job), so the total
-    gradient is the sum of per-term gradients.
+    autoencoding term. With ``accumulate_grads`` each term's backward
+    records its gradient factors on the shared layers (clearing them first
+    with ``zero_grad`` is the caller's job), so the gradient a layer writes
+    is the sum of per-term gradients.
     """
     a, w = as_matrix(descriptors), as_matrix(weights)
     if a.shape[0] != w.shape[0]:
@@ -262,9 +267,11 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
     Each epoch shuffles the ``n`` training rows and, when ``n_extra``,
     the extra rows, then walks the batches. Per batch the extra rows are
     the proportional share of the extra order, so every extra row is seen
-    once per epoch. ``step(rows, extra_rows)`` accumulates gradients into
-    ``module`` (zeroed just before) and returns ``{term: (mean, row
-    count)}``; one Adam step follows. Epoch term means are row-weighted,
+    once per epoch. ``step(rows, extra_rows)`` runs the backward passes of
+    ``module`` (its recorded factors cleared with ``zero_grad`` just before)
+    and returns ``{term: (mean, row count)}``; one Adam step follows, which
+    writes each gradient block by block from the module's gradient writers
+    and consumes it there. Epoch term means are row-weighted,
     their sum is the epoch loss. Raises DivergenceError when the epoch loss
     stops being finite or exceeds ``DIVERGENCE_LIMIT``, with the partial
     trace on the exception; stops early by :func:`should_stop`.
@@ -281,7 +288,7 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
             extra_rows = extra_order[_proportional_slice(start, end, n, n_extra)]
             module.zero_grad()
             terms = step(order[start:end], extra_rows)
-            adam_step(opt, module.parameters(), module.gradients())
+            adam_step(opt, module.parameters(), module.gradient_writers())
             for name, (mean, count) in terms.items():
                 sums[name] = sums.get(name, 0.0) + mean * count
                 counts[name] = counts.get(name, 0) + count

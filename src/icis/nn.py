@@ -2,13 +2,18 @@
 losses used for weight regression, and the Adam optimiser.
 
 The networks here are deliberately small and explicit: a ``LinearLayer``
-holds its parameters and gradient accumulators, and ``MlpTwoLayer`` composes
-two layers with a rectifier between them (the encoder half ends in the
-rectifier, the decoder half is purely affine). Gradients are derived by
+holds its parameters and the ``(upstream, input)`` factors that backward
+records on it, and ``MlpTwoLayer`` composes two layers with a rectifier
+between them (the encoder half ends in the rectifier, the decoder half is
+purely affine). No gradient is stored: a :class:`GradientWriter` writes a
+layer's gradient from its factors one row block at a time, and
+``adam_step`` consumes each block as it is written. Gradients are derived by
 chain rule in closed form rather than by an autodiff framework, so the test
 suite can check them against central finite differences as a genuinely
 independent second route.
 """
+
+import math
 
 import numpy as np
 
@@ -72,15 +77,19 @@ def batch_loss(distance: str):
 
 
 class LinearLayer:
-    """Affine map ``y = x @ W.T + b`` with gradient accumulators."""
+    """Affine map ``y = x @ W.T + b`` with the gradient factors recorded on it.
+
+    ``factors`` holds one ``(upstream, x)`` pair per backward term since the
+    last ``zero_grad``: d(loss)/d(W) is the sum of ``upstream.T @ x`` over the
+    pairs and d(loss)/d(b) the sum of ``upstream.sum(axis=0)``.
+    """
 
     def __init__(self, weight, bias):
         self.weight = as_matrix(weight)
         self.bias = as_vector(bias)
         if self.bias.shape[0] != self.weight.shape[0]:
             raise ShapeMismatchError("bias length must match output dim", left=self.bias.shape, right=self.weight.shape)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+        self.factors = []
 
     @property
     def in_dim(self) -> int:
@@ -103,22 +112,79 @@ class LinearLayer:
         return x @ self.weight.T + self.bias
 
     def zero_grad(self):
-        self.grad_weight[:] = 0.0
-        self.grad_bias[:] = 0.0
+        self.factors.clear()
 
     def parameters(self):
         return [self.weight, self.bias]
 
+    def gradient_writers(self):
+        return [GradientWriter(self, bias=False), GradientWriter(self, bias=True)]
+
     def gradients(self):
-        return [self.grad_weight, self.grad_bias]
+        """The gradients as fresh arrays, written as ``adam_step`` writes them."""
+        return [g.array() for g in self.gradient_writers()]
+
+    @property
+    def grad_weight(self) -> np.ndarray:
+        return GradientWriter(self, bias=False).array()
+
+    @property
+    def grad_bias(self) -> np.ndarray:
+        return GradientWriter(self, bias=True).array()
+
+
+class GradientWriter:
+    """The gradient of one layer's weight or bias, written on demand from
+    the layer's recorded factors, rows ``lo:hi`` at a time.
+
+    The first pair is written straight into the output and each later
+    pair's product is added in record order: the float operations of
+    accumulating every pair into a zero-filled buffer, so the values are the
+    same bit for bit. With no pair recorded the gradient is exact zeros.
+    """
+
+    def __init__(self, layer: LinearLayer, bias: bool):
+        self.layer = layer
+        self.bias = bias
+        self.shape = layer.bias.shape if bias else layer.weight.shape
+
+    def blocks(self):
+        """The ``(lo, hi)`` row bounds ``adam_step`` writes: a weight in
+        blocks of about ``GRAD_BLOCK`` elements, a bias in one block."""
+        if self.bias:
+            return [(0, self.shape[0])]
+        return row_blocks(*self.shape, GRAD_BLOCK)
+
+    def write(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """Write gradient rows ``lo:hi`` into ``out``, a C-contiguous array
+        of shape ``(hi - lo,) + shape[1:]``."""
+        if not self.layer.factors:
+            out[...] = 0.0
+        for k, (upstream, x) in enumerate(self.layer.factors):
+            u = upstream[:, lo:hi]
+            if self.bias:
+                if k:
+                    out += u.sum(axis=0)
+                else:
+                    out[...] = u.sum(axis=0)
+            elif k:
+                out += u.T @ x
+            else:
+                np.matmul(u.T, x, out=out)
+
+    def array(self) -> np.ndarray:
+        g = np.empty(self.shape)
+        for lo, hi in self.blocks():
+            self.write(g[lo:hi], lo, hi)
+        return g
 
 
 class MlpTwoLayer:
     """Composition ``layer2(relu(layer1(x)))``.
 
     The two layers may be shared with other compositions; ``backward``
-    accumulates into their gradient buffers, so loss terms that reuse an
-    encoder or decoder simply sum their contributions.
+    records its factors on them, so loss terms that reuse an encoder or
+    decoder simply add their contributions to the gradient each layer writes.
     """
 
     def __init__(self, layer1: LinearLayer, layer2: LinearLayer):
@@ -138,6 +204,9 @@ class MlpTwoLayer:
 
     def parameters(self) -> list:
         return self.layer1.parameters() + self.layer2.parameters()
+
+    def gradient_writers(self) -> list:
+        return self.layer1.gradient_writers() + self.layer2.gradient_writers()
 
     def gradients(self) -> list:
         return self.layer1.gradients() + self.layer2.gradients()
@@ -162,11 +231,16 @@ class MlpTwoLayer:
         return self.layer2.forward(hidden)
 
     def backward(self, upstream: np.ndarray) -> None:
-        """Accumulate parameter gradients for the cached batch.
+        """Record the parameter-gradient factors of the cached batch.
 
-        ``upstream`` is d(loss)/d(output). The rectifier gate uses the cached
-        pre-activations, with zero slope at exactly zero. The input gradient
-        is not computed: every input here is data, not a trained layer.
+        ``upstream`` is d(loss)/d(output). Layer 2 records ``(upstream,
+        hidden)`` and layer 1 ``(dpre, x)``; their gradients are written from
+        these later, by ``adam_step`` or ``gradients()``. The recorded arrays
+        are ``upstream`` and the forward cache's own, so nothing may write to
+        them before the next ``zero_grad``. The rectifier gate uses the
+        cached pre-activations, with zero slope at exactly zero. The input
+        gradient is not computed: every input here is data, not a trained
+        layer.
         """
         if self._cache is None:
             raise IcisError("backward called without a cached forward pass")
@@ -174,27 +248,10 @@ class MlpTwoLayer:
         upstream = as_matrix(upstream)
         if upstream.shape != (x.shape[0], self.out_dim):
             raise ShapeMismatchError("upstream gradient shape mismatch", left=upstream.shape, right=(x.shape[0], self.out_dim))
-        _accumulate_outer(self.layer2.grad_weight, upstream, hidden)
-        self.layer2.grad_bias += upstream.sum(axis=0)
+        self.layer2.factors.append((upstream, hidden))
         dhidden = upstream @ self.layer2.weight
-        dpre = dhidden * (pre > 0.0)
-        _accumulate_outer(self.layer1.grad_weight, dpre, x)
-        self.layer1.grad_bias += dpre.sum(axis=0)
+        self.layer1.factors.append((dhidden * (pre > 0.0), x))
         self._cache = None
-
-
-def _accumulate_outer(grad: np.ndarray, upstream: np.ndarray, x: np.ndarray) -> None:
-    """``grad += upstream.T @ x``, one block of about ``GRAD_BLOCK`` elements
-    of ``grad`` at a time, so no temporary the size of ``grad`` is built.
-
-    Each element is the same dot product over the batch as in the
-    whole-array product; at 2048 and 312 columns the result is bit-identical
-    to it, at 2049 columns OpenBLAS may round a block a few ulps
-    differently. No block has a single row (see :func:`row_blocks`).
-    """
-    rows, cols = grad.shape
-    for lo, hi in row_blocks(rows, cols, GRAD_BLOCK):
-        grad[lo:hi] += upstream[:, lo:hi].T @ x
 
 
 def row_blocks(rows: int, width: int, budget: int):
@@ -220,8 +277,9 @@ def row_blocks(rows: int, width: int, budget: int):
 # p, g, m, v and the two scratch buffers (6 x 256 KiB) fit in a 2 MiB L2.
 ADAM_CHUNK = 32768
 
-# Backward accumulates each weight gradient in row blocks of about this many
-# elements: one block's outer-product temporary (1 MiB) fits in a 2 MiB L2.
+# Adam writes each weight gradient in row blocks of about this many elements
+# into a 1 MiB scratch block and consumes it at once, while most of it is
+# still in a 2 MiB L2.
 GRAD_BLOCK = 131072
 
 # Evaluation scores the feature rows in blocks of about this many logits
@@ -235,7 +293,9 @@ class AdamState:
 
     The first and second moments are built on the first step, one array per
     parameter; later steps must pass parameters of the same count and shapes.
-    The two scratch buffers are the only temporaries a step uses.
+    The scratch is two ``ADAM_CHUNK`` buffers and one gradient block of
+    ``GRAD_BLOCK`` elements, which grows for a block that needs more (a
+    one-row remainder joins the block before it, see :func:`row_blocks`).
     """
 
     def __init__(self, lr: float = 1e-5, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -247,15 +307,19 @@ class AdamState:
         self._m = None
         self._v = None
         self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        self._grad_block = np.empty(GRAD_BLOCK)
 
 
 def adam_step(state: AdamState, params, grads):
     """One Adam update with bias correction; parameters update in place.
 
-    Each parameter is swept in chunks of ``ADAM_CHUNK`` elements through the
-    state's scratch buffers. Every operation is elementwise and keeps the
-    order ``p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)``, so the result
-    is bit-identical to a whole-array update, whatever the chunk size.
+    Each entry of ``grads`` is an array or a :class:`GradientWriter`. A
+    writer's gradient is written one row block at a time into the state's
+    gradient block and consumed there, so it never exists whole. Each block
+    is swept in chunks of ``ADAM_CHUNK`` elements through the state's
+    scratch buffers. Every operation is elementwise and keeps the order
+    ``p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)``, so the result is
+    bit-identical to a whole-array update, whatever the block and chunk sizes.
     """
     if len(params) != len(grads):
         raise ShapeMismatchError("params/grads count mismatch", left=len(params), right=len(grads))
@@ -263,8 +327,9 @@ def adam_step(state: AdamState, params, grads):
         if p.shape != g.shape:
             raise ShapeMismatchError("parameter/gradient shape mismatch", left=p.shape, right=g.shape)
         # reshape(-1) of a non-contiguous array is a copy, so an update to it would be lost
-        if not (p.flags.c_contiguous and g.flags.c_contiguous):
-            raise ShapeMismatchError("parameter or gradient is not C-contiguous", left=p.strides, right=g.strides)
+        if not p.flags.c_contiguous or (isinstance(g, np.ndarray) and not g.flags.c_contiguous):
+            raise ShapeMismatchError("parameter or gradient is not C-contiguous",
+                                     left=p.strides, right=getattr(g, "strides", None))
     if state._m is None:
         state._m = [np.zeros_like(p) for p in params]
         state._v = [np.zeros_like(p) for p in params]
@@ -278,22 +343,41 @@ def adam_step(state: AdamState, params, grads):
     bc2 = 1.0 - b2**t
     scratch_a, scratch_b = state._scratch
     for p, g, m, v in zip(params, grads, state._m, state._v):
-        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for lo in range(0, p.size, ADAM_CHUNK):
-            hi = min(lo + ADAM_CHUNK, p.size)
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
-            mc *= b1
-            np.multiply(1.0 - b1, gc, out=a)
-            mc += a
-            vc *= b2
-            np.multiply(1.0 - b2, gc, out=a)
-            a *= gc
-            vc += a
-            np.divide(vc, bc2, out=a)
-            np.sqrt(a, out=a)
-            a += eps
-            np.divide(mc, bc1, out=b)
-            np.multiply(lr, b, out=b)
-            b /= a
-            pc -= b
+        p, m, v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for base, gb in _gradient_blocks(state, g):
+            pb, mb, vb = (x[base : base + gb.size] for x in (p, m, v))
+            for lo in range(0, gb.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, gb.size)
+                pc, gc, mc, vc = pb[lo:hi], gb[lo:hi], mb[lo:hi], vb[lo:hi]
+                a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+                mc *= b1
+                np.multiply(1.0 - b1, gc, out=a)
+                mc += a
+                vc *= b2
+                np.multiply(1.0 - b2, gc, out=a)
+                a *= gc
+                vc += a
+                np.divide(vc, bc2, out=a)
+                np.sqrt(a, out=a)
+                a += eps
+                np.divide(mc, bc1, out=b)
+                np.multiply(lr, b, out=b)
+                b /= a
+                pc -= b
+
+
+def _gradient_blocks(state: AdamState, g):
+    """``(offset, flat block)`` pairs that cover the gradient ``g``: an
+    array is one block; a writer's row blocks are written in turn into the
+    state's gradient block, each valid until the next is written."""
+    if isinstance(g, np.ndarray):
+        yield 0, g.reshape(-1)
+        return
+    width = math.prod(g.shape[1:])
+    for lo, hi in g.blocks():
+        size = (hi - lo) * width
+        if state._grad_block.size < size:
+            state._grad_block = np.empty(size)
+        block = state._grad_block[:size]
+        g.write(block.reshape((hi - lo,) + g.shape[1:]), lo, hi)
+        yield lo * width, block

@@ -93,4 +93,5 @@ def rand_normal(rng: RngState, rows: int, cols: int, std: float) -> np.ndarray:
     if std < 0:
         raise IcisError(f"standard deviation must be >= 0, got {std}")
     draws = rng._gen.standard_normal((int(rows), int(cols)))
-    return draws * float(std)
+    draws *= float(std)
+    return draws

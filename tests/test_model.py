@@ -1,6 +1,8 @@
 """Tests for the weight-inference model: configs, loss terms, training,
 stopping, injection, and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from icis.model import (
     TrainConfig,
     _proportional_slice,
     ablation_variants,
+    fit,
     infer_and_inject,
     infer_weights,
     inject,
@@ -23,7 +26,7 @@ from icis.model import (
     total_loss,
     train,
 )
-from icis.nn import LinearLayer, batch_cosine_loss
+from icis.nn import LinearLayer, MlpTwoLayer, batch_cosine_loss, batch_l2_loss
 from icis.tensor import RngState
 
 # ---------------------------------------------------------------------------
@@ -340,6 +343,40 @@ def test_train_divergence_carries_partial_trace():
         train(m, pairs, loss_config=LossConfig(distance="l2"), train_config=cfg)
     assert err.value.trace is not None
     assert err.value.trace.epochs_run >= 1
+
+
+def test_fit_holds_no_gradient_buffer_and_steps_without_weight_sized_temporaries():
+    side = 1024  # each weight is 8 MiB
+    held = []
+
+    def step(rows, _extra_rows):
+        if len(held) == 1:
+            # the first step built m and v; from here only p, m and v should be held
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        else:
+            held.append(None)
+        for _ in range(2):  # two terms, so a later pair's product is added too
+            loss, grad = batch_l2_loss(net.forward(x[rows]), x[rows])
+            net.backward(grad)
+        return {"reg": (loss, rows.size)}
+
+    tracemalloc.start()
+    try:
+        rng = RngState(90)
+        net = MlpTwoLayer(LinearLayer.init(side, side, rng, pre_rectifier=True),
+                          LinearLayer.init(side, side, rng, pre_rectifier=False))
+        x = RngState(91).normal(4, side)
+        fit(net, 4, step, TrainConfig(lr=1e-3, batch_size=2, max_epochs=1, stop_window=1), RngState(92), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weight = net.layer1.weight.nbytes
+    params = sum(p.nbytes for p in net.parameters())
+    assert len(held) == 2
+    # p, m, v, Adam's scratch (1.5 MiB) and the data; a gradient buffer would add 2 weights
+    assert held[1] < 3 * params + weight / 2
+    assert peak - held[1] < weight / 4
 
 
 def test_train_callback_sees_every_epoch():

@@ -10,9 +10,9 @@ from icis.nn import (
     ADAM_CHUNK,
     GRAD_BLOCK,
     AdamState,
+    GradientWriter,
     LinearLayer,
     MlpTwoLayer,
-    _accumulate_outer,
     adam_step,
     batch_cosine_loss,
     batch_l2_loss,
@@ -279,22 +279,40 @@ def test_mlp_backward_without_forward_is_an_error():
 
 
 def accumulate_outer_oracle(grad, upstream, x):
-    """The whole-array weight-gradient accumulation that ``_accumulate_outer``
+    """The whole-array weight-gradient accumulation that the block writer
     replaced."""
     grad += upstream.T @ x
+
+
+def written_gradients(rows, cols, pairs, zero_grad_first):
+    """The weight and bias gradients a layer writes from ``pairs``, recorded
+    on a fresh layer or after a stale pair and a ``zero_grad``."""
+    layer = LinearLayer(np.zeros((rows, cols)), np.zeros(rows))
+    if zero_grad_first:
+        layer.factors.append((np.ones((2, rows)), np.ones((2, cols))))
+        layer.zero_grad()
+    layer.factors.extend(pairs)
+    return GradientWriter(layer, bias=False).array(), GradientWriter(layer, bias=True).array()
+
+
+def assert_writes_the_accumulated_gradient(rows, cols, pairs, zero_grad_first):
+    got, got_bias = written_gradients(rows, cols, pairs, zero_grad_first)
+    want, want_bias = np.zeros((rows, cols)), np.zeros(rows)
+    for upstream, x in pairs:
+        accumulate_outer_oracle(want, upstream, x)
+        want_bias += upstream.sum(axis=0)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_bias, want_bias)
 
 
 @pytest.mark.parametrize("rows, cols", [(2048, 2048), (2048, 312), (312, 2048)])
 @pytest.mark.parametrize("batch", [16, 6, 21])
 def test_blocked_accumulation_is_bit_identical_at_the_cub_shapes(rows, cols, batch):
     rng = np.random.default_rng(rows + cols + batch)
-    start = rng.standard_normal((rows, cols))
-    upstream = rng.standard_normal((batch, rows))
-    x = rng.standard_normal((batch, cols))
-    got, want = start.copy(), start.copy()
-    _accumulate_outer(got, upstream, x)
-    accumulate_outer_oracle(want, upstream, x)
-    assert np.array_equal(got, want)
+    for n_pairs in (1, 2, 3):
+        pairs = [(rng.standard_normal((batch, rows)), rng.standard_normal((batch, cols))) for _ in range(n_pairs)]
+        for zero_grad_first in (False, True):
+            assert_writes_the_accumulated_gradient(rows, cols, pairs, zero_grad_first)
 
 
 def test_blocked_accumulation_with_a_short_last_block_and_two_calls():
@@ -305,14 +323,22 @@ def test_blocked_accumulation_with_a_short_last_block_and_two_calls():
     # joins the block before it (a one-row block would go to GEMV and round
     # differently)
     for rows in (3 * step + 5, 2 * step + 1):
-        start = rng.standard_normal((rows, cols))
-        got, want = start.copy(), start.copy()
-        for _ in range(2):
-            upstream = rng.standard_normal((16, rows))
-            x = rng.standard_normal((16, cols))
-            _accumulate_outer(got, upstream, x)
-            accumulate_outer_oracle(want, upstream, x)
-        assert np.array_equal(got, want)
+        pairs = [(rng.standard_normal((16, rows)), rng.standard_normal((16, cols))) for _ in range(2)]
+        for zero_grad_first in (False, True):
+            assert_writes_the_accumulated_gradient(rows, cols, pairs, zero_grad_first)
+
+
+def test_zero_grad_drops_the_factors_and_the_gradient_reads_zeros():
+    rng = RngState(50)
+    net = MlpTwoLayer(LinearLayer.init(3, 4, rng, pre_rectifier=True),
+                      LinearLayer.init(4, 2, rng, pre_rectifier=False))
+    net.forward(RngState(51).normal(5, 3))
+    net.backward(RngState(52).normal(5, 2))
+    assert any(g.any() for g in net.gradients())
+    net.zero_grad()
+    assert net.layer1.factors == [] and net.layer2.factors == []
+    for g, p in zip(net.gradients(), net.parameters()):
+        assert g.shape == p.shape and np.array_equal(g, np.zeros_like(p))
 
 
 def test_mlp_backward_builds_no_weight_sized_temporary():
@@ -414,6 +440,44 @@ def test_adam_rejects_non_contiguous_parameters_and_gradients():
     with pytest.raises(ShapeMismatchError, match="not C-contiguous"):
         adam_step(state, [np.zeros((3, 4))], [np.ones((4, 3)).T])
     assert not base.any() and state.step_count == 0
+
+
+def test_adam_rejects_writers_of_another_shape():
+    layer = LinearLayer(np.ones((2, 3)), np.ones(2))
+    weight_grad, bias_grad = layer.gradient_writers()
+    p = np.zeros((3, 2))
+    state = AdamState(lr=0.1)
+    with pytest.raises(ShapeMismatchError, match="shape mismatch"):
+        adam_step(state, [p], [weight_grad])
+    with pytest.raises(ShapeMismatchError, match="shape mismatch"):
+        adam_step(state, [np.zeros(3)], [bias_grad])
+    assert not p.any() and state.step_count == 0
+
+
+def test_adam_over_writers_is_bit_identical_to_adam_over_their_arrays():
+    # weights of several gradient blocks and Adam chunks, two terms per step;
+    # layer 2's 375 rows end in 187 + 1, a block larger than GRAD_BLOCK
+    def net():
+        rng = RngState(70)
+        return MlpTwoLayer(LinearLayer.init(300, 700, rng, pre_rectifier=True),
+                           LinearLayer.init(700, 375, rng, pre_rectifier=False))
+
+    by_writer, by_array = net(), net()
+    state_w, state_a = AdamState(lr=1e-2), AdamState(lr=1e-2)
+    data = RngState(71)
+    for _ in range(2):
+        batches = [(data.normal(6, 300), data.normal(6, 375)) for _ in range(2)]
+        for model in (by_writer, by_array):
+            model.zero_grad()
+            for x, upstream in batches:
+                model.forward(x)
+                model.backward(upstream)
+        adam_step(state_w, by_writer.parameters(), by_writer.gradient_writers())
+        adam_step(state_a, by_array.parameters(), by_array.gradients())
+    for got, want in zip(by_writer.parameters() + state_w._m + state_w._v,
+                         by_array.parameters() + state_a._m + state_a._v):
+        assert np.array_equal(got, want)
+    assert state_w._grad_block.size == 188 * 700 > GRAD_BLOCK
 
 
 def adam_step_oracle(state: dict, params, grads):

@@ -138,6 +138,16 @@ def test_rand_normal_scales_by_std():
     assert np.allclose(scaled, base * 2.5, atol=1e-12)
 
 
+def test_rand_normal_scales_the_draws_in_place():
+    std = 0.3
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 0)))).standard_normal((500, 400)) * std
+    rng = RngState(5)
+    peak = _traced_peak(lambda: rand_normal(rng, 500, 400, std))
+    assert np.array_equal(rand_normal(RngState(5), 500, 400, std), want)
+    # the draws themselves, and no second array of their size
+    assert want.nbytes <= peak < 1.5 * want.nbytes
+
+
 def test_rand_normal_large_sample_moments():
     out = rand_normal(RngState(42), 400, 250, 0.5)
     assert abs(out.mean()) < 0.01

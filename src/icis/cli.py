@@ -56,7 +56,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-TERM_FLAGS = {"a2w": "use_a_to_w", "a2a": "use_a_to_a", "w2w": "use_w_to_w", "w2a": "use_w_to_a"}
+# a2w, the regression term, is always on; each other term maps to its LossConfig switch
+TERM_FLAGS = {"a2a": "use_a_to_a", "w2w": "use_w_to_w", "w2a": "use_w_to_a"}
+TERMS = ("a2w", *TERM_FLAGS)
 
 
 def _write_config(path: Path, settings: dict) -> None:
@@ -71,9 +73,11 @@ def _write_report(run_dir: Path, report: EvalReport) -> None:
 
 def _loss_config_from_args(args) -> LossConfig:
     names = [t.strip() for t in args.terms.split(",") if t.strip()]
-    unknown = [t for t in names if t not in TERM_FLAGS]
+    unknown = [t for t in names if t not in TERMS]
     if unknown:
-        raise IcisError(f"unknown loss terms {unknown}; choose from {sorted(TERM_FLAGS)}")
+        raise IcisError(f"unknown loss terms {unknown}; choose from {sorted(TERMS)}")
+    if "a2w" not in names:
+        raise IcisError("the descriptor-to-weight regression term cannot be disabled")
     flags = {flag: key in names for key, flag in TERM_FLAGS.items()}
     return LossConfig(
         distance=args.distance,

@@ -14,6 +14,7 @@ Formats (documented bit-exactly in the README):
 """
 
 import csv as _csv
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -93,7 +94,8 @@ def read_matrix_block(f, path) -> np.ndarray:
         if chunk.size < count:
             raise DataFormatError(path, "truncated payload", offset=f.tell())
         if not np.isfinite(chunk).all():
-            raise DataFormatError(path, "payload contains non-finite values", offset=pos + _HEADER_LEN)
+            bad = lo + int(np.argmin(np.isfinite(chunk)))
+            raise DataFormatError(path, "payload contains a non-finite value", offset=pos + _HEADER_LEN + 4 * bad)
         flat[lo : lo + count] = chunk
     return m
 
@@ -157,15 +159,15 @@ def _load_matrix_csv(path: Path) -> np.ndarray:
                 if len(record) != cols:
                     raise DataFormatError(path, f"line {lineno}: expected {cols} fields, got {len(record)}")
                 try:
-                    rows.append([float(x) for x in record])
+                    values = [float(x) for x in record]
                 except ValueError as exc:
                     raise DataFormatError(path, f"line {lineno}: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise DataFormatError(path, f"line {lineno}: non-finite value")
+                rows.append(values)
     except OSError as exc:
         raise DataFormatError(path, f"cannot read file: {exc}") from exc
-    m = np.asarray(rows, dtype=np.float64).reshape(len(rows), cols)
-    if not np.all(np.isfinite(m)):
-        raise DataFormatError(path, "CSV contains non-finite values")
-    return m
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), cols)
 
 
 # ---------------------------------------------------------------------------

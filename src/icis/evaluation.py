@@ -6,7 +6,7 @@ Accuracies are reported in percent; entropies in nats.
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -309,37 +309,24 @@ class EvalReport:
     per_class: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    _FIELDS = (
-        "zsl_accuracy",
-        "gzsl_unseen",
-        "gzsl_seen",
-        "harmonic",
-        "zsl_micro",
-        "entropy_unseen",
-        "entropy_seen",
-        "n_unseen_samples",
-        "n_seen_samples",
-    )
-
     def to_text(self) -> str:
+        """One ``name = value`` line per set scalar field, in declaration
+        order, then the ``extra`` entries by key."""
         lines = []
-        for name in self._FIELDS:
-            value = getattr(self, name)
-            if value is None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("per_class", "extra") or value is None:
                 continue
             if isinstance(value, float):
-                lines.append(f"{name} = {value:.4f}")
+                lines.append(f"{f.name} = {value:.4f}")
             else:
-                lines.append(f"{name} = {value}")
+                lines.append(f"{f.name} = {value}")
         for key in sorted(self.extra):
             lines.append(f"{key} = {self.extra[key]}")
         return "".join(f"{l}\n" for l in lines)
 
     def to_json(self) -> str:
-        payload = {name: getattr(self, name) for name in self._FIELDS}
-        payload["per_class"] = self.per_class
-        payload["extra"] = self.extra
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def evaluate(

@@ -40,13 +40,13 @@ DIVERGENCE_LIMIT = 1e8
 class LossConfig:
     """Which loss terms are active and which distance they use.
 
-    The descriptor-to-weight regression term is never ablated; the three
-    auxiliary terms and the use of unseen descriptors in the descriptor
-    autoencoder can be toggled. One distance applies to all enabled terms.
+    The descriptor-to-weight regression term is always on, so it has no
+    switch; the three auxiliary terms and the use of unseen descriptors in
+    the descriptor autoencoder can be toggled. One distance applies to all
+    enabled terms.
     """
 
     distance: str = "cosine"
-    use_a_to_w: bool = True
     use_a_to_a: bool = True
     use_w_to_w: bool = True
     use_w_to_a: bool = True
@@ -54,8 +54,6 @@ class LossConfig:
 
     def __post_init__(self):
         batch_loss(self.distance)  # validates the name
-        if not self.use_a_to_w:
-            raise IcisError("the descriptor-to-weight regression term cannot be disabled")
 
     @property
     def uses_unseen_descriptors(self) -> bool:
@@ -198,9 +196,6 @@ class IcisModel:
     def gradient_writers(self) -> list:
         return [g for layer in self.layers() for g in layer.gradient_writers()]
 
-    def gradients(self) -> list:
-        return [g for layer in self.layers() for g in layer.gradients()]
-
     def zero_grad(self) -> None:
         for layer in self.layers():
             layer.zero_grad()
@@ -210,17 +205,17 @@ class IcisModel:
 # loss terms
 
 def total_loss(model: IcisModel, descriptors, weights, loss_config: LossConfig,
-               unseen_descriptors=None, accumulate_grads: bool = False) -> dict:
+               unseen_descriptors=None) -> dict:
     """All enabled terms on one batch, as {term: mean loss, "total": sum}.
 
     Each term is one (composition, input, target) row: ``reg`` regresses
     weights from descriptors, ``a_to_a`` and ``w_to_w`` autoencode within a
     space, ``w_to_a`` maps weights back to their descriptors. Unseen
     descriptor rows, when provided and enabled, join only the descriptor
-    autoencoding term. With ``accumulate_grads`` each term's backward
-    records its gradient factors on the shared layers (clearing them first
-    with ``zero_grad`` is the caller's job), so the gradient a layer writes
-    is the sum of per-term gradients.
+    autoencoding term. Each term's backward records its gradient factors on
+    the shared layers (clearing them first with ``zero_grad`` is the
+    caller's job), so the gradient a layer's writers produce is the sum of
+    per-term gradients.
     """
     a, w = as_matrix(descriptors), as_matrix(weights)
     if a.shape[0] != w.shape[0]:
@@ -241,8 +236,7 @@ def total_loss(model: IcisModel, descriptors, weights, loss_config: LossConfig,
     for name in loss_config.enabled_terms():
         net, x, target = paths[name]
         values[name], grad = loss_fn(net.forward(x), target)
-        if accumulate_grads:
-            net.backward(grad)
+        net.backward(grad)
     values["total"] = sum(values.values())
     return values
 
@@ -267,12 +261,13 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
     Each epoch shuffles the ``n`` training rows and, when ``n_extra``,
     the extra rows, then walks the batches. Per batch the extra rows are
     the proportional share of the extra order, so every extra row is seen
-    once per epoch. ``step(rows, extra_rows)`` runs the backward passes of
-    ``module`` (its recorded factors cleared with ``zero_grad`` just before)
-    and returns ``{term: (mean, row count)}``; one Adam step follows, which
-    writes each gradient block by block from the module's gradient writers
-    and consumes it there. Epoch term means are row-weighted,
-    their sum is the epoch loss. Raises DivergenceError when the epoch loss
+    once per epoch. ``step(rows, extra_rows)`` computes the batch losses,
+    whose backward passes record their gradient factors on ``module``
+    (cleared with ``zero_grad`` just before), and returns ``{term: (mean,
+    row count)}``. One Adam step follows: the module's gradient writers
+    write each gradient block by block from those factors, and Adam
+    consumes each block there. Epoch term means are row-weighted, their sum
+    is the epoch loss. Raises DivergenceError when the epoch loss
     stops being finite or exceeds ``DIVERGENCE_LIMIT``, with the partial
     trace on the exception; stops early by :func:`should_stop`.
     """
@@ -345,7 +340,7 @@ def train(
     def step(rows, extra_rows):
         chunk = a_extra[extra_rows] if extra_rows.size else None
         values = total_loss(model, a_seen[rows], w_seen[rows], loss_config,
-                            unseen_descriptors=chunk, accumulate_grads=True)
+                            unseen_descriptors=chunk)
         counts = {name: rows.size for name in loss_config.enabled_terms()}
         if "a_to_a" in counts:
             counts["a_to_a"] += extra_rows.size
@@ -428,7 +423,6 @@ def infer_and_inject(
 # checkpoints
 
 CHECKPOINT_MAGIC = b"WSCKPT1\n"
-_LAYER_KEYS = ("desc_encoder", "desc_decoder", "weight_encoder", "weight_decoder")
 
 
 def save_checkpoint(path, model: IcisModel, loss_config: LossConfig | None = None,
@@ -483,7 +477,7 @@ def load_checkpoint(path):
             raise DataFormatError(path, f"header is not UTF-8: {exc.reason}", offset=pos + exc.start) from None
         meta, header_line, dims, loss_config = _checkpoint_header(path, header_text)
         layers = []
-        for _key in _LAYER_KEYS:
+        for _ in range(4):  # the layers in IcisModel.layers() order
             weight = read_matrix_block(f, path)
             bias = read_matrix_block(f, path)
             layers.append(LinearLayer(weight, bias.reshape(-1)))

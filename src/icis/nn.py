@@ -7,10 +7,12 @@ records on it, and ``MlpTwoLayer`` composes two layers with a rectifier
 between them (the encoder half ends in the rectifier, the decoder half is
 purely affine). No gradient is stored: a :class:`GradientWriter` writes a
 layer's gradient from its factors one row block at a time, and
-``adam_step`` consumes each block as it is written. Gradients are derived by
-chain rule in closed form rather than by an autodiff framework, so the test
-suite can check them against central finite differences as a genuinely
-independent second route.
+``adam_step`` consumes each block as it is written; that writer is the only
+route from a loss to Adam, and ``GradientWriter.array`` writes the same
+blocks into one array for a reader that needs the gradient whole.
+Gradients are derived by chain rule in closed form rather than by an
+autodiff framework, so the test suite can check them against central finite
+differences as a genuinely independent second route.
 """
 
 import math
@@ -120,18 +122,6 @@ class LinearLayer:
     def gradient_writers(self):
         return [GradientWriter(self, bias=False), GradientWriter(self, bias=True)]
 
-    def gradients(self):
-        """The gradients as fresh arrays, written as ``adam_step`` writes them."""
-        return [g.array() for g in self.gradient_writers()]
-
-    @property
-    def grad_weight(self) -> np.ndarray:
-        return GradientWriter(self, bias=False).array()
-
-    @property
-    def grad_bias(self) -> np.ndarray:
-        return GradientWriter(self, bias=True).array()
-
 
 class GradientWriter:
     """The gradient of one layer's weight or bias, written on demand from
@@ -173,6 +163,8 @@ class GradientWriter:
                 np.matmul(u.T, x, out=out)
 
     def array(self) -> np.ndarray:
+        """The whole gradient as a fresh array, written block by block as
+        ``adam_step`` writes it."""
         g = np.empty(self.shape)
         for lo, hi in self.blocks():
             self.write(g[lo:hi], lo, hi)
@@ -208,9 +200,6 @@ class MlpTwoLayer:
     def gradient_writers(self) -> list:
         return self.layer1.gradient_writers() + self.layer2.gradient_writers()
 
-    def gradients(self) -> list:
-        return self.layer1.gradients() + self.layer2.gradients()
-
     def zero_grad(self) -> None:
         self.layer1.zero_grad()
         self.layer2.zero_grad()
@@ -235,7 +224,7 @@ class MlpTwoLayer:
 
         ``upstream`` is d(loss)/d(output). Layer 2 records ``(upstream,
         hidden)`` and layer 1 ``(dpre, x)``; their gradients are written from
-        these later, by ``adam_step`` or ``gradients()``. The recorded arrays
+        these later, by their :class:`GradientWriter`. The recorded arrays
         are ``upstream`` and the forward cache's own, so nothing may write to
         them before the next ``zero_grad``. The rectifier gate uses the
         cached pre-activations, with zero slope at exactly zero. The input
@@ -313,9 +302,10 @@ class AdamState:
 def adam_step(state: AdamState, params, grads):
     """One Adam update with bias correction; parameters update in place.
 
-    Each entry of ``grads`` is an array or a :class:`GradientWriter`. A
-    writer's gradient is written one row block at a time into the state's
-    gradient block and consumed there, so it never exists whole. Each block
+    Each entry of ``grads`` is a :class:`GradientWriter` (or any object with
+    its ``shape``, ``blocks`` and ``write``). Its gradient is written one row
+    block at a time into the state's gradient block and consumed there, so
+    it never exists whole. Each block
     is swept in chunks of ``ADAM_CHUNK`` elements through the state's
     scratch buffers. Every operation is elementwise and keeps the order
     ``p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)``, so the result is
@@ -327,9 +317,8 @@ def adam_step(state: AdamState, params, grads):
         if p.shape != g.shape:
             raise ShapeMismatchError("parameter/gradient shape mismatch", left=p.shape, right=g.shape)
         # reshape(-1) of a non-contiguous array is a copy, so an update to it would be lost
-        if not p.flags.c_contiguous or (isinstance(g, np.ndarray) and not g.flags.c_contiguous):
-            raise ShapeMismatchError("parameter or gradient is not C-contiguous",
-                                     left=p.strides, right=getattr(g, "strides", None))
+        if not p.flags.c_contiguous:
+            raise ShapeMismatchError(f"parameter of shape {p.shape} is not C-contiguous (strides {p.strides})")
     if state._m is None:
         state._m = [np.zeros_like(p) for p in params]
         state._v = [np.zeros_like(p) for p in params]
@@ -367,12 +356,9 @@ def adam_step(state: AdamState, params, grads):
 
 
 def _gradient_blocks(state: AdamState, g):
-    """``(offset, flat block)`` pairs that cover the gradient ``g``: an
-    array is one block; a writer's row blocks are written in turn into the
-    state's gradient block, each valid until the next is written."""
-    if isinstance(g, np.ndarray):
-        yield 0, g.reshape(-1)
-        return
+    """``(offset, flat block)`` pairs that cover the gradient of the writer
+    ``g``: its row blocks, written in turn into the state's gradient block,
+    each valid until the next is written."""
     width = math.prod(g.shape[1:])
     for lo, hi in g.blocks():
         size = (hi - lo) * width

@@ -62,9 +62,8 @@ def test_criterion_1_gradient_check():
                                    RngState(100 + combo_id).spawn("model-init"))
             combo_id += 1
             model.zero_grad()
-            total_loss(model, a, w, lc, unseen_descriptors=unseen,
-                       accumulate_grads=True)
-            analytic = [g.copy() for g in model.gradients()]
+            total_loss(model, a, w, lc, unseen_descriptors=unseen)
+            analytic = [g.array() for g in model.gradient_writers()]
 
             params = model.parameters()
             for p, g in zip(params, analytic):
@@ -113,9 +112,10 @@ def test_criterion_2_cosine_scale_invariance():
     def run(weights):
         model = IcisModel.init(d_a, d_w, hidden, RngState(5).spawn("model-init"))
         model.zero_grad()
-        vals = total_loss(model, a, weights, lc, accumulate_grads=True)
-        weight_grads = [layer.grad_weight.copy() for layer in model.layers()]
-        return vals, weight_grads, model.desc_encoder.grad_bias.copy()
+        vals = total_loss(model, a, weights, lc)
+        # weight, bias per layer; the desc_encoder's bias comes second
+        grads = [g.array() for g in model.gradient_writers()]
+        return vals, grads[0::2], grads[1]
 
     vals1, wg1, bg1 = run(w)
     vals2, wg2, bg2 = run(7.3 * w)

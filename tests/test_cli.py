@@ -135,6 +135,14 @@ def test_train_unknown_term_is_a_data_error(tmp_path):
     assert code == 3
 
 
+def test_train_without_the_regression_term_is_a_data_error(tmp_path, capsys):
+    task = _synth(tmp_path)
+    out = tmp_path / "x"
+    assert main(["train", *_task_args(task), "--out", str(out), "--terms", "a2a,w2w"]) == 3
+    assert "the descriptor-to-weight regression term cannot be disabled" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inject_zsl_only_emits_just_unseen_rows(tmp_path):
     task = _synth(tmp_path)
     run = tmp_path / "run"

@@ -110,6 +110,19 @@ def test_matrix_nonfinite_payload_is_an_error(tmp_path):
         load_matrix(p)
 
 
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_matrix_nonfinite_value_reports_its_byte(tmp_path, monkeypatch, chunk):
+    # a 2 x 3 payload whose 5th value is NaN: bytes 16 + 4 * 4 = 32; with
+    # two-value chunks it is found in the third chunk
+    if chunk is not None:
+        monkeypatch.setattr("icis.data.READ_CHUNK", chunk)
+    p = tmp_path / "nan.wsmat"
+    p.write_bytes(MATRIX_MAGIC + struct.pack("<II", 2, 3) + struct.pack("<6f", 1, 2, 3, 4, float("nan"), 6))
+    with pytest.raises(DataFormatError, match=r"byte 32\).*non-finite") as err:
+        load_matrix(p)
+    assert err.value.offset == 32
+
+
 def test_matrix_save_rejects_nonfinite(tmp_path):
     with pytest.raises(IcisError):
         save_matrix(tmp_path / "x.wsmat", [[np.inf]])
@@ -158,6 +171,14 @@ def test_csv_ragged_row_is_an_error(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_matrix(p)
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["nan", "1e400", "-inf"])
+def test_csv_non_finite_value_names_its_line(tmp_path, bad):
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"a,b\n1,2\n3,{bad}\n5,6\n")
+    with pytest.raises(DataFormatError, match="line 3: non-finite"):
+        load_matrix(p)
 
 
 def test_csv_non_numeric_is_an_error(tmp_path):

@@ -167,6 +167,11 @@ def test_batch_loss_dispatch():
 # layers
 
 
+def gradient_arrays(module):
+    """Every gradient of ``module`` whole, written by the writers Adam consumes."""
+    return [g.array() for g in module.gradient_writers()]
+
+
 def test_linear_layer_forward_is_affine():
     layer = LinearLayer([[1.0, 2.0], [3.0, 4.0]], [10.0, 20.0])
     out = layer.forward(np.array([[1.0, 1.0]]))
@@ -228,7 +233,7 @@ def test_mlp_backward_matches_finite_differences():
 
     h = 1e-4
     for layer in (l1, l2):
-        for param, grad in zip(layer.parameters(), layer.gradients()):
+        for param, grad in zip(layer.parameters(), gradient_arrays(layer)):
             flat = param.reshape(-1)
             gflat = grad.reshape(-1)
             for k in range(flat.size):
@@ -249,7 +254,7 @@ def test_mlp_backward_layer2_bias_is_upstream_column_sum():
     net.forward(RngState(31).normal(5, 3))
     upstream = RngState(32).normal(5, 2)
     net.backward(upstream)
-    assert np.allclose(l2.grad_bias, upstream.sum(axis=0), atol=1e-12)
+    assert np.allclose(gradient_arrays(l2)[1], upstream.sum(axis=0), atol=1e-12)
 
 
 def test_mlp_backward_accumulates_across_calls():
@@ -262,11 +267,11 @@ def test_mlp_backward_accumulates_across_calls():
 
     net.forward(x)
     net.backward(up)
-    once = [g.copy() for g in l1.gradients() + l2.gradients()]
+    once = gradient_arrays(net)
 
     net.forward(x)
     net.backward(up)
-    for g, g1 in zip(l1.gradients() + l2.gradients(), once):
+    for g, g1 in zip(gradient_arrays(net), once):
         assert np.allclose(g, 2.0 * g1, atol=1e-12)
 
 
@@ -334,10 +339,10 @@ def test_zero_grad_drops_the_factors_and_the_gradient_reads_zeros():
                       LinearLayer.init(4, 2, rng, pre_rectifier=False))
     net.forward(RngState(51).normal(5, 3))
     net.backward(RngState(52).normal(5, 2))
-    assert any(g.any() for g in net.gradients())
+    assert any(g.any() for g in gradient_arrays(net))
     net.zero_grad()
     assert net.layer1.factors == [] and net.layer2.factors == []
-    for g, p in zip(net.gradients(), net.parameters()):
+    for g, p in zip(gradient_arrays(net), net.parameters()):
         assert g.shape == p.shape and np.array_equal(g, np.zeros_like(p))
 
 
@@ -366,10 +371,27 @@ def test_mlp_rejects_non_composing_layers():
 # optimiser
 
 
+class ArrayGradient:
+    """A gradient given whole, behind the writer interface ``adam_step`` takes."""
+
+    def __init__(self, g):
+        self.g, self.shape = g, g.shape
+
+    def blocks(self):
+        return [(0, self.shape[0])]
+
+    def write(self, out, lo, hi):
+        out[...] = self.g[lo:hi]
+
+
+def as_writers(*grads):
+    return [ArrayGradient(g) for g in grads]
+
+
 def test_adam_zero_gradient_is_a_no_op():
     p = np.array([[1.0, 2.0]])
     state = AdamState(lr=0.1)
-    adam_step(state, [p], [np.zeros_like(p)])
+    adam_step(state, [p], as_writers(np.zeros_like(p)))
     assert np.array_equal(p, [[1.0, 2.0]])
 
 
@@ -379,7 +401,7 @@ def test_adam_first_step_has_unit_direction():
     p = np.array([0.0])
     g = np.array([123.456])
     state = AdamState(lr=0.01)
-    adam_step(state, [p], [g])
+    adam_step(state, [p], as_writers(g))
     assert p[0] == pytest.approx(-0.01 * 123.456 / (123.456 + 1e-8), abs=1e-15)
 
 
@@ -390,8 +412,8 @@ def test_adam_two_steps_match_hand_unrolled_update():
     g2 = np.array([-0.1, 0.4])
 
     state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
-    adam_step(state, [p], [g1])
-    adam_step(state, [p], [g2])
+    adam_step(state, [p], as_writers(g1))
+    adam_step(state, [p], as_writers(g2))
 
     q = np.array([1.0, -2.0])
     m = np.zeros(2)
@@ -407,38 +429,36 @@ def test_adam_zero_lr_leaves_parameters_bit_identical():
     p = np.array([[1.5, -2.5], [0.0, 3.0]])
     before = p.copy()
     state = AdamState(lr=0.0)
-    adam_step(state, [p], [np.ones_like(p)])
-    adam_step(state, [p], [np.full_like(p, -2.0)])
+    adam_step(state, [p], as_writers(np.ones_like(p)))
+    adam_step(state, [p], as_writers(np.full_like(p, -2.0)))
     assert np.array_equal(p, before)
 
 
 def test_adam_rejects_mismatched_shapes():
     state = AdamState()
     with pytest.raises(ShapeMismatchError):
-        adam_step(state, [np.zeros(3)], [np.zeros(4)])
+        adam_step(state, [np.zeros(3)], as_writers(np.zeros(4)))
     with pytest.raises(ShapeMismatchError):
         adam_step(state, [np.zeros(3)], [])
 
 
 def test_adam_rejects_parameters_the_moments_were_not_built_for():
     state = AdamState()
-    adam_step(state, [np.zeros((2, 3)), np.zeros(3)], [np.ones((2, 3)), np.ones(3)])
+    adam_step(state, [np.zeros((2, 3)), np.zeros(3)], as_writers(np.ones((2, 3)), np.ones(3)))
     # another count
     with pytest.raises(ShapeMismatchError, match="moments were built for"):
-        adam_step(state, [np.zeros((2, 3))], [np.ones((2, 3))])
+        adam_step(state, [np.zeros((2, 3))], as_writers(np.ones((2, 3))))
     # same sizes, other shapes: the moments would be applied to the wrong entries
     with pytest.raises(ShapeMismatchError, match="moments were built for"):
-        adam_step(state, [np.zeros((3, 2)), np.zeros(3)], [np.ones((3, 2)), np.ones(3)])
+        adam_step(state, [np.zeros((3, 2)), np.zeros(3)], as_writers(np.ones((3, 2)), np.ones(3)))
     assert state.step_count == 1
 
 
-def test_adam_rejects_non_contiguous_parameters_and_gradients():
+def test_adam_rejects_non_contiguous_parameters():
     state = AdamState(lr=0.1)
     base = np.zeros((4, 6))
     with pytest.raises(ShapeMismatchError, match="not C-contiguous"):
-        adam_step(state, [base[:, ::2]], [np.ones((4, 3))])
-    with pytest.raises(ShapeMismatchError, match="not C-contiguous"):
-        adam_step(state, [np.zeros((3, 4))], [np.ones((4, 3)).T])
+        adam_step(state, [base[:, ::2]], as_writers(np.ones((4, 3))))
     assert not base.any() and state.step_count == 0
 
 
@@ -457,27 +477,22 @@ def test_adam_rejects_writers_of_another_shape():
 def test_adam_over_writers_is_bit_identical_to_adam_over_their_arrays():
     # weights of several gradient blocks and Adam chunks, two terms per step;
     # layer 2's 375 rows end in 187 + 1, a block larger than GRAD_BLOCK
-    def net():
-        rng = RngState(70)
-        return MlpTwoLayer(LinearLayer.init(300, 700, rng, pre_rectifier=True),
-                           LinearLayer.init(700, 375, rng, pre_rectifier=False))
-
-    by_writer, by_array = net(), net()
-    state_w, state_a = AdamState(lr=1e-2), AdamState(lr=1e-2)
+    rng = RngState(70)
+    net = MlpTwoLayer(LinearLayer.init(300, 700, rng, pre_rectifier=True),
+                      LinearLayer.init(700, 375, rng, pre_rectifier=False))
+    expected = [p.copy() for p in net.parameters()]
+    state, oracle = AdamState(lr=1e-2), dict(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     data = RngState(71)
     for _ in range(2):
-        batches = [(data.normal(6, 300), data.normal(6, 375)) for _ in range(2)]
-        for model in (by_writer, by_array):
-            model.zero_grad()
-            for x, upstream in batches:
-                model.forward(x)
-                model.backward(upstream)
-        adam_step(state_w, by_writer.parameters(), by_writer.gradient_writers())
-        adam_step(state_a, by_array.parameters(), by_array.gradients())
-    for got, want in zip(by_writer.parameters() + state_w._m + state_w._v,
-                         by_array.parameters() + state_a._m + state_a._v):
+        net.zero_grad()
+        for _ in range(2):
+            net.forward(data.normal(6, 300))
+            net.backward(data.normal(6, 375))
+        adam_step_oracle(oracle, expected, gradient_arrays(net))
+        adam_step(state, net.parameters(), net.gradient_writers())
+    for got, want in zip(net.parameters() + state._m + state._v, expected + oracle["m"] + oracle["v"]):
         assert np.array_equal(got, want)
-    assert state_w._grad_block.size == 188 * 700 > GRAD_BLOCK
+    assert state._grad_block.size == 188 * 700 > GRAD_BLOCK
 
 
 def adam_step_oracle(state: dict, params, grads):
@@ -511,7 +526,7 @@ def test_adam_step_is_bit_identical_to_the_whole_array_update():
     oracle = dict(hyper)
     for _ in range(5):
         grads = [rng.standard_normal(s) * rng.uniform(1e-4, 1e2) for s in shapes]
-        adam_step(state, params, grads)
+        adam_step(state, params, as_writers(*grads))
         adam_step_oracle(oracle, expected, [g.copy() for g in grads])
     assert state.step_count == oracle["t"] == 5
     for got, want, m, want_m, v, want_v in zip(params, expected, state._m, oracle["m"], state._v, oracle["v"]):

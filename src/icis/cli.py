@@ -142,6 +142,15 @@ def _load_task(args):
     return manifest, descriptors, head, features
 
 
+def _load_split_task(args):
+    """:func:`_load_task` for a command that evaluates: the features come
+    back split once into their unseen and seen parts, in the GZSL protocol's
+    fixed split, and the whole set is not kept."""
+    manifest, descriptors, head, features = _load_task(args)
+    split = (features.restrict_to(manifest.unseen), features.restrict_to(manifest.seen))
+    return manifest, descriptors, head, split
+
+
 def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run_dir: Path):
     """One training run in its own directory: config, trace, checkpoint.
     ``unseen_rows`` join the descriptor autoencoder only if the loss uses them."""
@@ -169,9 +178,9 @@ def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run
     return model, trace
 
 
-def _evaluate_task(head_with_new, features, manifest) -> EvalReport:
-    unseen_feats = features.restrict_to(manifest.unseen)
-    seen_feats = features.restrict_to(manifest.seen)
+def _evaluate_task(head_with_new, split, manifest) -> EvalReport:
+    """``evaluate`` on the ``(unseen, seen)`` features of :func:`_load_split_task`."""
+    unseen_feats, seen_feats = split
     return evaluate(
         head_with_new,
         unseen_feats,
@@ -247,21 +256,21 @@ def cmd_inject(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest, _, head, features = _load_task(args)
+    manifest, _, head, split = _load_split_task(args)
     if args.zsl_only:
         known = set(head.class_ids)
         present = [c for c in manifest.unseen if c in known]
         head = head.subset(present)
-        report = evaluate(head, features.restrict_to(present), None, unseen_ids=present)
+        report = evaluate(head, split[0].restrict_to(present), None, unseen_ids=present)
     else:
-        report = _evaluate_task(head, features, manifest)
+        report = _evaluate_task(head, split, manifest)
     sys.stdout.write(report.to_text())
     if args.report_dir:
         _write_report(Path(args.report_dir), report)
     return EXIT_OK
 
 
-def _run_variant(name, loss_config, pairs, unseen, head, manifest, features,
+def _run_variant(name, loss_config, pairs, unseen, head, manifest, split,
                  train_config, include_bias, run_dir):
     """Train on one (possibly subsampled) pair set, inject the ``unseen``
     descriptors' rows into the full head, evaluate, and persist the run
@@ -269,7 +278,7 @@ def _run_variant(name, loss_config, pairs, unseen, head, manifest, features,
     model, trace = _train_once(pairs, unseen.matrix, loss_config, train_config, include_bias, run_dir)
     new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
                                 include_bias=include_bias)
-    report = _evaluate_task(new_head, features, manifest)
+    report = _evaluate_task(new_head, split, manifest)
     _write_report(run_dir, report)
     print(f"{name}: zsl={report.zsl_accuracy:.2f} unseen={report.gzsl_unseen:.2f} "
           f"seen={_fmt(report.gzsl_seen)} H={_fmt(report.harmonic)} "
@@ -278,14 +287,14 @@ def _run_variant(name, loss_config, pairs, unseen, head, manifest, features,
 
 
 def cmd_ablate(args) -> int:
-    manifest, descriptors, head, features = _load_task(args)
+    manifest, descriptors, head, split = _load_split_task(args)
     out = Path(args.out)
     train_config = _train_config_from_args(args)
     pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
     unseen = descriptors.subset(manifest.unseen)
     lines = ["variant,zsl,gzsl_unseen,gzsl_seen,harmonic,entropy_unseen,epochs"]
     for name, loss_config in ablation_variants().items():
-        report, trace = _run_variant(name, loss_config, pairs, unseen, head, manifest, features,
+        report, trace = _run_variant(name, loss_config, pairs, unseen, head, manifest, split,
                                      train_config, args.include_bias, out / name)
         lines.append(
             f"{name},{report.zsl_accuracy:.4f},{report.gzsl_unseen:.4f},"
@@ -297,7 +306,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest, descriptors, head, features = _load_task(args)
+    manifest, descriptors, head, split = _load_split_task(args)
     out = Path(args.out)
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
@@ -315,7 +324,7 @@ def cmd_sweep(args) -> int:
             sub = subsample_pairs(all_seen, fraction, args.seed)
             run_dir = out / name / f"fraction_{fraction:g}"
             report, _trace = _run_variant(f"{name} @ {fraction:g}", loss_config, sub, unseen, head,
-                                          manifest, features, train_config, args.include_bias, run_dir)
+                                          manifest, split, train_config, args.include_bias, run_dir)
             lines.append(
                 f"{name},{fraction:g},{len(sub)},{report.zsl_accuracy:.4f},"
                 f"{report.gzsl_unseen:.4f},{_fmt(report.gzsl_seen, '%.4f')},"
@@ -334,8 +343,8 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc, features, top_t) -> EvalReport:
-    unseen_feats = features.restrict_to(manifest.unseen)
+def _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc, split, top_t) -> EvalReport:
+    unseen_feats, seen_feats = split
     report = EvalReport(n_unseen_samples=unseen_feats.n_samples)
     zsl_pred = bl.conse_classify(seen_head, seen_desc, unseen_desc, unseen_feats.features, top_t)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(unseen_feats.labels, zsl_pred, manifest.unseen)
@@ -343,7 +352,6 @@ def _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc, feat
     report.per_class["zsl"] = per_class
     all_pred = bl.conse_classify(seen_head, seen_desc, descriptors, unseen_feats.features, top_t)
     report.gzsl_unseen, _ = per_class_mean_accuracy(unseen_feats.labels, all_pred, manifest.unseen)
-    seen_feats = features.restrict_to(manifest.seen)
     if seen_feats.n_samples:
         seen_pred = bl.conse_classify(seen_head, seen_desc, descriptors, seen_feats.features, top_t)
         report.gzsl_seen, _ = per_class_mean_accuracy(seen_feats.labels, seen_pred, manifest.seen)
@@ -353,7 +361,7 @@ def _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc, feat
 
 
 def cmd_baseline(args) -> int:
-    manifest, descriptors, head, features = _load_task(args)
+    manifest, descriptors, head, split = _load_split_task(args)
     seen_head = head.subset(manifest.seen)
     seen_desc = descriptors.subset(manifest.seen)
     unseen_desc = descriptors.subset(manifest.unseen)
@@ -367,7 +375,7 @@ def cmd_baseline(args) -> int:
 
     if method == "conse":
         report = _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc,
-                               features, args.top_t)
+                               split, args.top_t)
     else:
         if method in row_builders:
             rows = row_builders[method]()
@@ -388,7 +396,7 @@ def cmd_baseline(args) -> int:
         else:
             raise IcisError(f"unknown baseline method {method!r}")
         new_head = inject(head, manifest.unseen, rows)
-        report = _evaluate_task(new_head, features, manifest)
+        report = _evaluate_task(new_head, split, manifest)
 
     sys.stdout.write(report.to_text())
     if args.out:

@@ -39,16 +39,17 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     """Predicted class id per feature row, among the classes of ``among``
     (default: every head class); an exact tie goes to the lowest class id.
 
-    The classes are gathered in blocks of about ``EVAL_BLOCK`` weights, each
-    scored over feature-row blocks of about ``EVAL_BLOCK`` logits, so neither
-    the head nor samples x classes is held at once. A row that meets a NaN
-    gets the first id of ``among``.
+    The classes are gathered in blocks of about ``EVAL_BLOCK`` weights, from
+    head rows found once per call, each scored over feature-row blocks of
+    about ``EVAL_BLOCK`` logits, so neither the head nor samples x classes is
+    held at once. A row that meets a NaN gets the first id of ``among``.
     """
     if among is None:
         ids = head.class_ids
+        rows = range(len(ids))
     else:
         ids = [str(c) for c in among]
-        rows_of(head.class_ids, ids)  # unknown ids, then duplicates, as head.subset(ids) reports them
+        rows = rows_of(head.class_ids, ids)  # unknown ids, then duplicates, as head.subset(ids) reports them
         _check_unique(ids, "classifier")
     if not ids:
         raise IcisError("no classes to classify among")
@@ -59,7 +60,9 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     top = np.empty_like(best)
     column = np.empty_like(winner)
     for clo, chi in row_blocks(len(ids), head.weight_dim, EVAL_BLOCK):
-        block = head.subset(ids[clo:chi])
+        sel = rows[clo:chi]
+        block = ClassifierHead(ids[clo:chi], head.weights[sel],
+                               None if head.biases is None else head.biases[sel], head.seen[sel])
         for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
             scores = block.logits(features[lo:hi])
             top[lo:hi] = scores.max(axis=1)

@@ -11,7 +11,8 @@ The regression path descriptor -> latent -> weight is the product being
 trained; the two autoencoding paths and the weight-to-descriptor alignment
 path regularise the shared latent space. Each enabled path's backward
 records its gradient factors on the layers it uses; the optimiser step then
-writes each layer's gradient, the sum over the paths, one block at a time.
+writes each layer's gradient, the sum over the paths, one block at a time,
+over the layers that some enabled path reaches.
 """
 
 import math
@@ -190,6 +191,16 @@ class IcisModel:
     def layers(self) -> tuple:
         return (self.desc_encoder, self.desc_decoder, self.weight_encoder, self.weight_decoder)
 
+    def compositions(self) -> dict:
+        """The composition each loss term trains, by term name."""
+        return {"reg": self.a_to_w, "a_to_a": self.a_to_a, "w_to_w": self.w_to_w, "w_to_a": self.w_to_a}
+
+    def reached_layers(self, terms) -> tuple:
+        """The layers that the gradients of ``terms`` reach, in :meth:`layers`
+        order; every other layer's gradient is zero."""
+        nets = [self.compositions()[name] for name in terms]
+        return tuple(layer for layer in self.layers() if any(layer in (n.layer1, n.layer2) for n in nets))
+
     def parameters(self) -> list:
         return [p for layer in self.layers() for p in layer.parameters()]
 
@@ -225,16 +236,12 @@ def total_loss(model: IcisModel, descriptors, weights, loss_config: LossConfig,
         extra = as_matrix(unseen_descriptors)
         if extra.shape[0]:
             a_in = np.vstack([a, extra])
-    paths = {
-        "reg": (model.a_to_w, a, w),
-        "a_to_a": (model.a_to_a, a_in, a_in),
-        "w_to_w": (model.w_to_w, w, w),
-        "w_to_a": (model.w_to_a, w, a),
-    }
+    pairs = {"reg": (a, w), "a_to_a": (a_in, a_in), "w_to_w": (w, w), "w_to_a": (w, a)}
+    nets = model.compositions()
     loss_fn = batch_loss(loss_config.distance)
     values = {}
     for name in loss_config.enabled_terms():
-        net, x, target = paths[name]
+        net, (x, target) = nets[name], pairs[name]
         values[name], grad = loss_fn(net.forward(x), target)
         net.backward(grad)
     values["total"] = sum(values.values())
@@ -255,7 +262,7 @@ def _proportional_slice(start: int, end: int, n_src: int, n_dst: int) -> slice:
 
 
 def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
-        n_extra: int = 0, callback=None) -> LossTrace:
+        n_extra: int = 0, callback=None, trained=None) -> LossTrace:
     """The training loop shared by every trainer in the package.
 
     Each epoch shuffles the ``n`` training rows and, when ``n_extra``,
@@ -264,13 +271,20 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
     once per epoch. ``step(rows, extra_rows)`` computes the batch losses,
     whose backward passes record their gradient factors on ``module``
     (cleared with ``zero_grad`` just before), and returns ``{term: (mean,
-    row count)}``. One Adam step follows: the module's gradient writers
-    write each gradient block by block from those factors, and Adam
-    consumes each block there. Epoch term means are row-weighted, their sum
+    row count)}``. One Adam step follows over the parts in ``trained``
+    (default: the whole module), each with ``parameters`` and
+    ``gradient_writers``: their writers write each gradient block by block
+    from those factors, and Adam consumes each block there. A part left out
+    is never updated, so it must be one that no loss term reaches: Adam over
+    its zero gradient and zero moments would leave it unchanged, bit for
+    bit. Epoch term means are row-weighted, their sum
     is the epoch loss. Raises DivergenceError when the epoch loss
     stops being finite or exceeds ``DIVERGENCE_LIMIT``, with the partial
     trace on the exception; stops early by :func:`should_stop`.
     """
+    trained = trained if trained is not None else (module,)
+    params = [p for part in trained for p in part.parameters()]
+    writers = [g for part in trained for g in part.gradient_writers()]
     opt = AdamState(lr=cfg.lr)
     trace = LossTrace(threshold=threshold)
     for epoch in range(cfg.max_epochs):
@@ -283,7 +297,7 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
             extra_rows = extra_order[_proportional_slice(start, end, n, n_extra)]
             module.zero_grad()
             terms = step(order[start:end], extra_rows)
-            adam_step(opt, module.parameters(), module.gradient_writers())
+            adam_step(opt, params, writers)
             for name, (mean, count) in terms.items():
                 sums[name] = sums.get(name, 0.0) + mean * count
                 counts[name] = counts.get(name, 0) + count
@@ -346,8 +360,10 @@ def train(
             counts["a_to_a"] += extra_rows.size
         return {name: (values[name], count) for name, count in counts.items()}
 
+    # Adam builds moments for, and sweeps, only the layers the enabled terms reach
     return fit(model, a_seen.shape[0], step, cfg, RngState(cfg.seed).spawn("train-shuffle"),
-               stopping_threshold(loss_config, cfg), n_extra=a_extra.shape[0], callback=callback)
+               stopping_threshold(loss_config, cfg), n_extra=a_extra.shape[0], callback=callback,
+               trained=model.reached_layers(loss_config.enabled_terms()))
 
 
 # ---------------------------------------------------------------------------

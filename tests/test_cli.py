@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from icis.cli import main
 from icis.data import (
     ClassifierHead,
+    FeatureSet,
     load_classifier_head,
     load_descriptor_set,
     load_ids,
@@ -438,6 +440,104 @@ def test_sweep_at_full_fraction_reproduces_ablate(tmp_path, capsys, bias):
     assert by_key[("full", "0.5")][2] == "4"
     assert by_key[("full", "1")][2] == "8"
     assert hashlib.sha256((swp / "summary.csv").read_bytes()).hexdigest() == SWEEP_DIGESTS[bias]
+
+
+# sha256 of each baseline's report.structured on the test task, recorded at 5243e1c
+BASELINE_DIGESTS = {
+    "conse": "d054441e8918ce410a579969b244c0ad3b6bc2c6417b7fd936a2984bd937f8c0",
+    "costa": "e79cb9578e6c82fb5876dc1ac2ff35857a857b4e5282e59a32cebba1b0b7e188",
+    "dae": "69143d6542c8e67dcad022e6ebdaa5e066fe609f9939551c3e02323b36074218",
+    "smo": "f08d77c4f3a7df97d0084bbe95f17a073e430a428f8b9647f7fb26a41ea5ab1c",
+    "subreg": "1850d5332f4470b3f23a9cb42e8957e9c97984341d84aefbafc1993b738978c6",
+    "wavg": "28512cd4f62e848de50f85609cccf2dfadacf7b52757770b9a05dad2b5105a1b",
+}
+
+
+@pytest.mark.parametrize("method", sorted(BASELINE_DIGESTS))
+def test_baseline_reports_are_bit_identical_to_the_recorded_ones(tmp_path, capsys, method):
+    task = _synth(tmp_path)
+    out = tmp_path / method
+    assert main([
+        "baseline", "--method", method, *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(out), *FAST,
+    ]) == 0
+    assert hashlib.sha256((out / "report.structured").read_bytes()).hexdigest() == BASELINE_DIGESTS[method]
+
+
+def _count_restrictions(monkeypatch):
+    """Count ``FeatureSet.restrict_to`` calls from here on."""
+    calls = []
+    real = FeatureSet.restrict_to
+
+    def counted(self, class_ids):
+        calls.append(len(self.labels))
+        return real(self, class_ids)
+
+    monkeypatch.setattr(FeatureSet, "restrict_to", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("ablate", []),
+    ("sweep", ["--fractions", "0.5,1.0"]),
+    ("baseline", ["--method", "conse"]),
+    ("baseline", ["--method", "costa"]),
+])
+def test_evaluating_commands_split_the_features_once(tmp_path, capsys, monkeypatch, command, flags):
+    task = _synth(tmp_path)
+    calls = _count_restrictions(monkeypatch)
+    assert main([
+        command, *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(tmp_path / "out"), *FAST, "--max-epochs", "1", *flags,
+    ]) == 0
+    # once into the unseen part and once into the seen part, both from the whole set
+    assert calls == [33, 33]
+
+
+@pytest.mark.parametrize("zsl_only, restrictions", [(False, [33, 33]), (True, [33, 33, 9])])
+def test_eval_splits_the_features_once(tmp_path, capsys, monkeypatch, zsl_only, restrictions):
+    task = _synth(tmp_path)
+    run, full = tmp_path / "run", tmp_path / "full.wsmat"
+    assert main(["train", *_task_args(task), "--out", str(run), *FAST]) == 0
+    assert main(["inject", "--checkpoint", str(run / "model.ckpt"), *_task_args(task), "--out", str(full)]) == 0
+    calls = _count_restrictions(monkeypatch)
+    assert main([
+        "eval", "--head", str(full), "--manifest", str(task / "manifest.txt"),
+        "--features", str(task / "features.wsmat"), *(["--zsl-only"] if zsl_only else []),
+    ]) == 0
+    # --zsl-only narrows the unseen part (9 rows) to the injected classes
+    assert calls == restrictions
+
+
+def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsys, monkeypatch):
+    import icis.cli as cli
+
+    task = tmp_path / "task"
+    assert main([
+        "synth", "--out", str(task), "--seed", "3", "--seen", "4", "--unseen", "3", "--desc-dim", "5",
+        "--weight-dim", "256", "--samples-per-class", "40", "--feature-noise", "0.05",
+    ]) == 0
+    real = cli._evaluate_task
+    peaks, rows = [], []
+
+    def traced(head, split, manifest):
+        rows.append(min(part.features.nbytes for part in split))
+        tracemalloc.start()
+        try:
+            return real(head, split, manifest)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_evaluate_task", traced)
+    assert main([
+        "ablate", *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(tmp_path / "abl"), "--hidden-dim", "16", "--lr", "1e-3", "--max-epochs", "1",
+    ]) == 0
+    assert len(peaks) == 5
+    # the smaller part holds 120 rows (240 KiB); one evaluation's allocations stay far below it
+    assert rows == [120 * 256 * 8] * 5
+    assert max(peaks) < rows[0] / 4
 
 
 def test_analyze_reports_ranked_predictions(tmp_path, capsys):

@@ -386,6 +386,74 @@ def test_train_callback_sees_every_epoch():
     assert [e for e, _ in seen] == list(range(6))
 
 
+@pytest.mark.parametrize("terms, reached", [
+    (("reg",), ("desc_encoder", "weight_decoder")),
+    (("a_to_a",), ("desc_encoder", "desc_decoder")),
+    (("w_to_w",), ("weight_encoder", "weight_decoder")),
+    (("w_to_a",), ("desc_decoder", "weight_encoder")),
+    (("reg", "w_to_w"), ("desc_encoder", "weight_encoder", "weight_decoder")),
+    (("reg", "a_to_a", "w_to_w", "w_to_a"), ("desc_encoder", "desc_decoder", "weight_encoder", "weight_decoder")),
+])
+def test_reached_layers_follow_the_terms_in_layer_order(terms, reached):
+    m = IcisModel.init(4, 6, 8, RngState(0))
+    assert m.reached_layers(terms) == tuple(getattr(m, name) for name in reached)
+
+
+# the ladder, plus the loss of ``--terms a2w,w2w``
+REACHED_CONFIGS = {**ablation_variants(), "a2w_w2w": LossConfig(use_a_to_a=False, use_w_to_a=False)}
+
+
+def _train_recording_adam(monkeypatch, loss_config, over_all_layers):
+    """Train a tiny model; returns it, its initial parameters, the trace and
+    the Adam states seen. With ``over_all_layers`` the oracle runs: ``fit``
+    steps Adam over the whole model, as if every layer were reached."""
+    import icis.model as model_module
+
+    states = []
+    real_adam, real_fit = model_module.adam_step, model_module.fit
+
+    def recording_adam(state, params, grads):
+        states.append(state)
+        return real_adam(state, params, grads)
+
+    monkeypatch.setattr(model_module, "adam_step", recording_adam)
+    if over_all_layers:
+        monkeypatch.setattr(model_module, "fit", lambda *a, trained=None, **k: real_fit(*a, **k))
+    pairs = _toy_pairs(n=10, d_a=4, d_w=5, seed=7)
+    unseen = RngState(8).normal(3, 4)
+    m = IcisModel.init(4, 5, 16, RngState(9))
+    initial = [p.copy() for p in m.parameters()]
+    trace = train(m, pairs, unseen, loss_config,
+                  TrainConfig(lr=1e-3, batch_size=4, max_epochs=3, hidden_dim=16, seed=1))
+    monkeypatch.undo()
+    return m, initial, trace, states
+
+
+@pytest.mark.parametrize("name", sorted(REACHED_CONFIGS))
+def test_adam_over_the_reached_layers_is_bit_identical_to_adam_over_all_four(monkeypatch, name):
+    loss_config = REACHED_CONFIGS[name]
+    m, initial, trace, states = _train_recording_adam(monkeypatch, loss_config, over_all_layers=False)
+    oracle, _, oracle_trace, oracle_states = _train_recording_adam(monkeypatch, loss_config, over_all_layers=True)
+    assert trace.total == oracle_trace.total and trace.terms == oracle_trace.terms
+    for p, q in zip(m.parameters(), oracle.parameters()):
+        assert np.array_equal(p, q)
+    reached = m.reached_layers(loss_config.enabled_terms())
+    assert len(states[-1]._m) == 2 * len(reached) and len(oracle_states[-1]._m) == 8
+    for layer, start in zip(m.layers(), zip(initial[::2], initial[1::2])):
+        moved = not all(np.array_equal(p, q) for p, q in zip(layer.parameters(), start))
+        assert moved == (layer in reached)
+
+
+def test_base_l2_steps_adam_over_the_regression_path_alone(monkeypatch):
+    m, initial, _trace, states = _train_recording_adam(monkeypatch, ablation_variants()["base_l2"],
+                                                       over_all_layers=False)
+    assert len({id(s) for s in states}) == 1  # one Adam state for the whole run
+    assert len(states[0]._m) == len(states[0]._v) == 4
+    assert [m_.shape for m_ in states[0]._m] == [p.shape for p in m.a_to_w.parameters()]
+    for p, q in zip(m.desc_decoder.parameters() + m.weight_encoder.parameters(), initial[2:6]):
+        assert np.array_equal(p, q)
+
+
 # ---------------------------------------------------------------------------
 # injection
 

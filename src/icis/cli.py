@@ -59,6 +59,7 @@ EXIT_DIVERGED = 4
 # a2w, the regression term, is always on; each other term maps to its LossConfig switch
 TERM_FLAGS = {"a2a": "use_a_to_a", "w2w": "use_w_to_w", "w2a": "use_w_to_a"}
 TERMS = ("a2w", *TERM_FLAGS)
+NO_UNSEEN = "manifest lists no unseen classes to inject"
 
 
 def _write_config(path: Path, settings: dict) -> None:
@@ -145,8 +146,11 @@ def _load_task(args):
 def _load_split_task(args):
     """:func:`_load_task` for a command that evaluates: the features come
     back split once into their unseen and seen parts, in the GZSL protocol's
-    fixed split, and the whole set is not kept."""
+    fixed split, and the whole set is not kept. A manifest without unseen
+    classes is refused here, before anything trains."""
     manifest, descriptors, head, features = _load_task(args)
+    if not manifest.unseen:
+        raise IcisError(NO_UNSEEN)
     split = (features.restrict_to(manifest.unseen), features.restrict_to(manifest.seen))
     return manifest, descriptors, head, split
 
@@ -243,7 +247,7 @@ def cmd_inject(args) -> int:
     model, _loss_config, meta = load_checkpoint(args.checkpoint)
     include_bias = bool(int(meta.get("include_bias", "0")))
     if not manifest.unseen:
-        raise IcisError("manifest lists no unseen classes to inject")
+        raise IcisError(NO_UNSEEN)
     unseen = descriptors.subset(manifest.unseen)
     new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
                                 include_bias=include_bias, zsl_only=args.zsl_only)
@@ -317,16 +321,22 @@ def cmd_sweep(args) -> int:
     train_config = _train_config_from_args(args)
     all_seen = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
     unseen = descriptors.subset(manifest.unseen)
+    # each fraction's pairs and run directory name, checked before anything trains
+    subsets = {}
+    for fraction in fractions:
+        label = f"{fraction:g}"
+        if label in subsets:
+            raise IcisError(f"--fractions names the run directory fraction_{label} twice")
+        subsets[label] = subsample_pairs(all_seen, fraction, args.seed)
     lines = ["variant,fraction,n_seen_pairs,zsl,gzsl_unseen,gzsl_seen,harmonic"]
     for name, loss_config in ablation_variants().items():
-        for fraction in fractions:
+        for label, sub in subsets.items():
             # train on the subsampled pairs; injection still extends the full head
-            sub = subsample_pairs(all_seen, fraction, args.seed)
-            run_dir = out / name / f"fraction_{fraction:g}"
-            report, _trace = _run_variant(f"{name} @ {fraction:g}", loss_config, sub, unseen, head,
-                                          manifest, split, train_config, args.include_bias, run_dir)
+            report, _trace = _run_variant(f"{name} @ {label}", loss_config, sub, unseen, head,
+                                          manifest, split, train_config, args.include_bias,
+                                          out / name / f"fraction_{label}")
             lines.append(
-                f"{name},{fraction:g},{len(sub)},{report.zsl_accuracy:.4f},"
+                f"{name},{label},{len(sub)},{report.zsl_accuracy:.4f},"
                 f"{report.gzsl_unseen:.4f},{_fmt(report.gzsl_seen, '%.4f')},"
                 f"{_fmt(report.harmonic, '%.4f')}"
             )

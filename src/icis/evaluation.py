@@ -16,33 +16,16 @@ from .nn import EVAL_BLOCK, row_blocks
 from .tensor import as_matrix
 
 
-def _id_ranks(class_ids) -> np.ndarray:
-    """Rank of each class id (by column) under ascending id sort."""
-    return np.argsort(np.argsort(class_ids, kind="stable"), kind="stable")
-
-
-def _lowest_rank_argmax(scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Column of each row's top score; ties go to the column of lowest rank.
-    A row with no maximum (it holds a NaN) gets column 0.
-
-    The only block-sized temporary is the boolean mask of top scores: a row
-    with one hit takes it, and ranks are looked at only on tied rows."""
-    hits = scores == scores.max(axis=1, keepdims=True)
-    columns = hits.argmax(axis=1)
-    tied = np.flatnonzero(np.count_nonzero(hits, axis=1) > 1)
-    if tied.size:
-        columns[tied] = np.where(hits[tied], ranks, np.iinfo(np.int64).max).argmin(axis=1)
-    return columns
-
-
 def classify(head: ClassifierHead, features, among=None) -> list:
     """Predicted class id per feature row, among the classes of ``among``
     (default: every head class); an exact tie goes to the lowest class id.
 
-    The classes are gathered in blocks of about ``EVAL_BLOCK`` weights, from
-    head rows found once per call, each scored over feature-row blocks of
-    about ``EVAL_BLOCK`` logits, so neither the head nor samples x classes is
-    held at once. A row that meets a NaN gets the first id of ``among``.
+    The classes are walked in ascending id order, in blocks of about
+    ``EVAL_BLOCK`` weights gathered from head rows found once per call, each
+    scored over feature-row blocks of about ``EVAL_BLOCK`` logits, so neither
+    the head nor samples x classes is held at once. The first top score met
+    is then the lowest id's, within a block and across blocks. A row that
+    meets a NaN gets the first id of ``among``.
     """
     if among is None:
         ids = head.class_ids
@@ -54,24 +37,25 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     if not ids:
         raise IcisError("no classes to classify among")
     features = as_matrix(features)
-    ranks = _id_ranks(ids)
+    order = np.argsort(ids, kind="stable")  # positions in ids, by code point
+    rows = np.asarray(rows)[order]
     best = np.full(features.shape[0], -np.inf)
-    winner = np.zeros(features.shape[0], dtype=np.intp)
+    winner = np.full(features.shape[0], order[0])  # the lowest id, where every score is -inf
     top = np.empty_like(best)
     column = np.empty_like(winner)
     for clo, chi in row_blocks(len(ids), head.weight_dim, EVAL_BLOCK):
         sel = rows[clo:chi]
-        block = ClassifierHead(ids[clo:chi], head.weights[sel],
+        block = ClassifierHead([ids[j] for j in order[clo:chi]], head.weights[sel],
                                None if head.biases is None else head.biases[sel], head.seen[sel])
         for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
             scores = block.logits(features[lo:hi])
             top[lo:hi] = scores.max(axis=1)
-            column[lo:hi] = clo + _lowest_rank_argmax(scores, ranks[clo:chi])
+            column[lo:hi] = order[clo + scores.argmax(axis=1)]
             del scores  # one logits block is live at a time
         del block  # freed before the next class block is gathered
         lost = np.isnan(top)
         column[lost] = 0
-        take = lost | (top > best) | ((top == best) & (ranks[column] < ranks[winner]))
+        take = lost | (top > best)
         np.copyto(winner, column, where=take)
         np.copyto(best, top, where=take)
     return [ids[j] for j in winner]

@@ -30,9 +30,9 @@ def batch_cosine_loss(pred: np.ndarray, target: np.ndarray):
     """Mean cosine distance over paired rows, plus d(loss)/d(pred).
 
     Returns ``(loss, grad)`` where ``grad`` has the shape of ``pred``.
-    A zero-norm row on either side aborts with :class:`ZeroNormError`; a
-    zero predicted row in particular signals divergence and must surface
-    instead of being silently patched.
+    A zero-norm row on either side aborts with :class:`ZeroNormError`, since
+    the cosine distance to it is undefined; it surfaces instead of being
+    silently patched.
     """
     pred = as_matrix(pred)
     target = as_matrix(target)
@@ -42,7 +42,7 @@ def batch_cosine_loss(pred: np.ndarray, target: np.ndarray):
     pn = np.linalg.norm(pred, axis=1)
     tn = np.linalg.norm(target, axis=1)
     if np.any(pn == 0.0):
-        raise ZeroNormError("zero-norm predicted row(s); training has collapsed")
+        raise ZeroNormError("zero-norm predicted row(s); the cosine distance is undefined for them")
     if np.any(tn == 0.0):
         raise ZeroNormError("zero-norm target row(s)")
     dots = np.einsum("ij,ij->i", pred, target)

@@ -18,6 +18,8 @@ from icis.data import (
     load_matrix,
     save_matrix,
 )
+from icis.model import IcisModel
+from icis.tensor import RngState
 
 SYNTH = [
     "synth",
@@ -267,16 +269,29 @@ def test_negative_seeds_and_sample_counts_are_data_errors(tmp_path, capsys, comm
     assert err.startswith("error: ") and "must be >= 0" in err, err
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("ablate", ["--seed", "-1"]),
-    ("sweep", ["--fractions", "x"]),
-])
-def test_refused_ladder_runs_leave_no_out_directory(tmp_path, capsys, command, flags):
+@pytest.mark.parametrize("command, flags, message", [
+    ("ablate", ["--seed", "-1"], "must be >= 0"),
+    ("sweep", ["--fractions", "x"], "bad --fractions value"),
+    ("sweep", ["--fractions", "0.5,1.5"], "fraction must be in (0, 1], got 1.5"),
+    ("sweep", ["--fractions", "0.5,0.1"], "fraction 0.1 leaves 1 pairs"),
+    ("sweep", ["--fractions", "0.5,0.50"], "run directory fraction_0.5 twice"),
+    # a manifest whose [unseen] section is empty
+    ("ablate", ["no-unseen"], "manifest lists no unseen classes to inject"),
+    ("sweep", ["no-unseen"], "manifest lists no unseen classes to inject"),
+    ("baseline", ["--method", "subreg", "no-unseen"], "manifest lists no unseen classes to inject"),
+], ids=["ablate-flags0", "sweep-flags1", "sweep-fraction-above-one", "sweep-one-pair",
+        "sweep-one-directory-twice", "ablate-no-unseen", "sweep-no-unseen", "baseline-subreg-no-unseen"])
+def test_refused_ladder_runs_leave_no_out_directory(tmp_path, capsys, command, flags, message):
     task = _synth(tmp_path)
     out = tmp_path / "out"
+    if "no-unseen" in flags:
+        manifest = tmp_path / "seen_only.txt"
+        manifest.write_text("[seen]\n" + "".join(f"{c}\n" for c in load_manifest(task / "manifest.txt").seen))
+        flags = [f for f in flags if f != "no-unseen"] + ["--manifest", str(manifest)]
     args = [command, *_task_args(task), "--features", str(task / "features.wsmat"), "--out", str(out), *FAST]
     assert main(args + flags) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
     assert not out.exists()
 
 
@@ -329,6 +344,20 @@ def test_train_reads_unseen_descriptors_only_when_it_uses_them(tmp_path, capsys)
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "on")]) == 3
     assert "unknown class id 'c010'" in capsys.readouterr().err
+
+
+def test_a_narrow_latent_dead_at_init_is_reported_as_a_zero_norm_prediction(tmp_path, capsys):
+    # at width 2 some seen descriptors leave every latent unit inactive at
+    # initialisation, so the decoder, whose bias starts at zero, predicts 0
+    task = _synth(tmp_path)
+    manifest = load_manifest(task / "manifest.txt")
+    seen = load_descriptor_set(task / "descriptors.wsmat").subset(manifest.seen).matrix
+    model = IcisModel.init(5, 6, 2, RngState(0).spawn("model-init"))
+    assert np.any(np.linalg.norm(model.a_to_w.predict(seen), axis=1) == 0.0)
+    args = ["train", *_task_args(task), "--out", str(tmp_path / "run"), *FAST, "--hidden-dim", "2"]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err == "error: zero-norm predicted row(s); the cosine distance is undefined for them\n"
 
 
 def test_eval_biases_must_be_one_row(tmp_path, capsys):

@@ -489,24 +489,31 @@ def _entropy_oracle(logits):
     return p, -terms.sum(axis=1)
 
 
-def test_lowest_rank_argmax_matches_the_whole_array_oracle():
-    inf, nan = np.inf, np.nan
+def test_classify_breaks_ties_by_id_whatever_the_row_order(monkeypatch):
+    nan = np.nan
     scores = np.array([
         [0.0, 3.0, 1.0, 2.0, -1.0],  # one top score
         [2.0, 1.0, 2.0, 0.0, 2.0],  # a three-way tie
         [1.0, 1.0, 1.0, 1.0, 1.0],  # every column ties
-        [inf, 0.0, inf, -inf, 1.0],  # +inf twice
-        [-inf, -inf, -inf, -inf, -inf],  # no finite score: all tie at -inf
-        [-inf, -inf, 4.0, -inf, -inf],
-        [0.0, nan, 5.0, 5.0, 1.0],  # no maximum: column 0
-        [nan, inf, -inf, 0.0, inf],
+        [0.0, nan, 5.0, 5.0, 1.0],  # no maximum: the first id
+        [nan, 2.0, -1.0, 0.0, 2.0],
     ])
-    rng = np.random.default_rng(8)
-    ties = rng.integers(0, 3, (60, 5)).astype(float)
-    for ranks in (np.arange(5), np.array([4, 0, 3, 1, 2]), np.array([2, 4, 1, 0, 3])):
-        for s in (scores, ties):
-            got = evaluation._lowest_rank_argmax(s, ranks)
-            assert np.array_equal(got, _lowest_rank_argmax_oracle(s, ranks))
+    ties = np.random.default_rng(8).integers(0, 3, (60, 5)).astype(float)
+    # an identity head scores each feature row as itself; a budget of 10 at
+    # d_w 5 walks the five classes in blocks of 2 and 3
+    for budget in (1 << 20, 10):
+        monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
+        for ranks in (np.arange(5), np.array([4, 0, 3, 1, 2]), np.array([2, 4, 1, 0, 3])):
+            ids = [f"r{k}" for k in ranks]  # head row j has the id of rank ranks[j]
+            head = ClassifierHead(ids, np.eye(5))
+            among = ids[::-1]
+            for s in (scores, ties):
+                assert classify(head, s) == [ids[j] for j in _lowest_rank_argmax_oracle(s, ranks)]
+                assert classify(head, s, among=among) == [
+                    among[j] for j in _lowest_rank_argmax_oracle(s[:, ::-1], ranks[::-1])
+                ]
+            # every score -inf: all tie, so the lowest id
+            assert classify(ClassifierHead(ids, np.ones((5, 2))), [[-np.inf, 0.0]]) == ["r0"]
 
 
 def test_class_blocks_give_the_predictions_of_the_whole_restricted_head(monkeypatch):

@@ -157,7 +157,8 @@ def _load_split_task(args):
 
 def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run_dir: Path):
     """One training run in its own directory: config, trace, checkpoint.
-    ``unseen_rows`` join the descriptor autoencoder only if the loss uses them."""
+    ``unseen_rows`` join the descriptor autoencoder only if the loss uses them.
+    A run that fails in training keeps its partial trace."""
     model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
                            train_config.hidden_dim,
                            RngState(train_config.seed).spawn("model-init"))
@@ -170,7 +171,7 @@ def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run
     started = time.monotonic()
     try:
         trace = train(model, pairs, unseen_rows, loss_config, train_config)
-    except DivergenceError as exc:
+    except (DivergenceError, ZeroNormError) as exc:
         if exc.trace is not None:
             exc.trace.to_csv(run_dir / "trace.csv")
         raise

@@ -322,6 +322,17 @@ class ClassifierHead:
             scores += self.biases
         return scores
 
+    def _block(self, rows) -> "ClassifierHead":
+        """Head rows ``rows`` for scoring: a slice gives views, an index
+        array a gathered copy. ``__post_init__`` does not run again, since
+        every row passed its checks when this head was built."""
+        block = object.__new__(ClassifierHead)
+        block.class_ids = self.class_ids[rows] if isinstance(rows, slice) else [self.class_ids[r] for r in rows]
+        block.weights = self.weights[rows]
+        block.biases = None if self.biases is None else self.biases[rows]
+        block.seen = self.seen[rows]
+        return block
+
     def subset(self, ids) -> "ClassifierHead":
         rows = rows_of(self.class_ids, ids)
         return ClassifierHead(

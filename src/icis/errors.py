@@ -21,7 +21,12 @@ class ShapeMismatchError(IcisError):
 
 
 class ZeroNormError(IcisError):
-    """A vector that must have positive norm is exactly zero."""
+    """A vector that must have positive norm is exactly zero. Raised from
+    training, it carries the trace of the epochs finished before it."""
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class ClassIdError(IcisError):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, FeatureSet, _check_unique, rows_of
 from .errors import ClassIdError, IcisError
-from .nn import EVAL_BLOCK, row_blocks
+from .nn import ENTROPY_STRIP, EVAL_BLOCK, row_blocks
 from .tensor import as_matrix
 
 
@@ -21,11 +21,14 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     (default: every head class); an exact tie goes to the lowest class id.
 
     The classes are walked in ascending id order, in blocks of about
-    ``EVAL_BLOCK`` weights gathered from head rows found once per call, each
-    scored over feature-row blocks of about ``EVAL_BLOCK`` logits, so neither
-    the head nor samples x classes is held at once. The first top score met
-    is then the lowest id's, within a block and across blocks. A row that
-    meets a NaN gets the first id of ``among``.
+    ``EVAL_BLOCK`` weights, each scored over feature-row blocks of about
+    ``EVAL_BLOCK`` logits, so neither the head nor samples x classes is held
+    at once. The first top score met is then the lowest id's, within a block
+    and across blocks. A row that meets a NaN gets the first id of
+    ``among``. When the id-sorted head rows form one ascending run (the full
+    head of a head in id order), each class block is a view of the head;
+    otherwise it is gathered from head rows found once per call. Neither
+    checks the head's rows again.
     """
     if among is None:
         ids = head.class_ids
@@ -39,20 +42,20 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     features = as_matrix(features)
     order = np.argsort(ids, kind="stable")  # positions in ids, by code point
     rows = np.asarray(rows)[order]
+    first = int(rows[0])
+    ranged = bool(np.all(np.diff(rows) == 1))
     best = np.full(features.shape[0], -np.inf)
     winner = np.full(features.shape[0], order[0])  # the lowest id, where every score is -inf
     top = np.empty_like(best)
     column = np.empty_like(winner)
     for clo, chi in row_blocks(len(ids), head.weight_dim, EVAL_BLOCK):
-        sel = rows[clo:chi]
-        block = ClassifierHead([ids[j] for j in order[clo:chi]], head.weights[sel],
-                               None if head.biases is None else head.biases[sel], head.seen[sel])
+        block = head._block(slice(first + clo, first + chi) if ranged else rows[clo:chi])
         for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
             scores = block.logits(features[lo:hi])
             top[lo:hi] = scores.max(axis=1)
             column[lo:hi] = order[clo + scores.argmax(axis=1)]
             del scores  # one logits block is live at a time
-        del block  # freed before the next class block is gathered
+        del block  # a gathered block is freed before the next is gathered
         lost = np.isnan(top)
         column[lost] = 0
         take = lost | (top > best)
@@ -142,13 +145,25 @@ def _entropies_in_place(s: np.ndarray) -> np.ndarray:
     overwriting ``s``, which the caller owns.
 
     The float operations are those of ``softmax_rows`` and of
-    ``where(p > 0, p * log(p), 0)``, so the result is bit-identical; the
-    only block-sized temporaries are the terms and the ``p > 0`` mask."""
+    ``where(p > 0, p * log(p), 0)``, so the result is bit-identical. The
+    terms are taken in row strips of about ``ENTROPY_STRIP`` elements (one
+    row where a row is wider), so the only temporaries are one strip of
+    terms and its ``p > 0`` mask."""
     p = _softmax_in_place(s)
-    terms = np.zeros_like(p)
-    np.log(p, out=terms, where=p > 0.0)
-    terms *= p
-    return -terms.sum(axis=1)
+    rows, width = p.shape
+    step = max(1, ENTROPY_STRIP // max(width, 1))
+    strip = np.empty((min(step, rows), width))
+    positive = np.empty(strip.shape, dtype=bool)
+    entropies = np.empty(rows)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        terms, mask, q = strip[:hi - lo], positive[:hi - lo], p[lo:hi]
+        terms.fill(0.0)
+        np.greater(q, 0.0, out=mask)
+        np.log(q, out=terms, where=mask)
+        np.multiply(terms, q, out=terms, where=mask)  # a NaN p (a row with no finite maximum) adds 0
+        np.negative(terms.sum(axis=1), out=entropies[lo:hi])
+    return entropies
 
 
 def _head_entropy(head: ClassifierHead, features) -> float:

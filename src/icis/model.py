@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import (ClassifierHead, PairSet, check_float32_range, open_binary, read_matrix_block,
                    write_matrix_block)
-from .errors import ClassIdError, DataFormatError, DivergenceError, IcisError
+from .errors import ClassIdError, DataFormatError, DivergenceError, IcisError, ZeroNormError
 from .nn import AdamState, LinearLayer, MlpTwoLayer, adam_step, batch_loss
 from .tensor import RngState, as_matrix
 
@@ -279,8 +279,9 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
     its zero gradient and zero moments would leave it unchanged, bit for
     bit. Epoch term means are row-weighted, their sum
     is the epoch loss. Raises DivergenceError when the epoch loss
-    stops being finite or exceeds ``DIVERGENCE_LIMIT``, with the partial
-    trace on the exception; stops early by :func:`should_stop`.
+    stops being finite or exceeds ``DIVERGENCE_LIMIT``, and passes on a
+    ZeroNormError from ``step``, each with the partial trace on the
+    exception; stops early by :func:`should_stop`.
     """
     trained = trained if trained is not None else (module,)
     params = [p for part in trained for p in part.parameters()]
@@ -296,7 +297,11 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
             end = min(start + cfg.batch_size, n)
             extra_rows = extra_order[_proportional_slice(start, end, n, n_extra)]
             module.zero_grad()
-            terms = step(order[start:end], extra_rows)
+            try:
+                terms = step(order[start:end], extra_rows)
+            except ZeroNormError as exc:
+                exc.trace = trace
+                raise
             adam_step(opt, params, writers)
             for name, (mean, count) in terms.items():
                 sums[name] = sums.get(name, 0.0) + mean * count
@@ -331,7 +336,8 @@ def train(
     autoencoding term when ``loss_config.uses_unseen_descriptors``; the
     regression and weight-side terms only ever touch seen pairs. Raises
     DivergenceError when the epoch loss stops being finite or exceeds
-    ``DIVERGENCE_LIMIT``; the partial trace rides along on the exception.
+    ``DIVERGENCE_LIMIT``, and ZeroNormError on a zero-norm prediction; the
+    partial trace rides along on either exception.
     """
     loss_config = loss_config if loss_config is not None else LossConfig()
     cfg = train_config if train_config is not None else TrainConfig()

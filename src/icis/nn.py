@@ -276,6 +276,11 @@ GRAD_BLOCK = 131072
 # cost time on wide heads: 1 << 20 took about 20% longer on 20k classes.
 EVAL_BLOCK = 1 << 22
 
+# The entropy of a logits block takes its p * log(p) terms in row strips of
+# about this many elements (256 KiB of float64, plus a 32 KiB mask), so no
+# temporary is the size of the block.
+ENTROPY_STRIP = 1 << 15
+
 
 class AdamState:
     """Adam optimiser state over an ordered list of parameter arrays.

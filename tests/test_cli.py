@@ -360,6 +360,16 @@ def test_a_narrow_latent_dead_at_init_is_reported_as_a_zero_norm_prediction(tmp_
     assert err == "error: zero-norm predicted row(s); the cosine distance is undefined for them\n"
 
 
+def test_a_run_stopped_by_a_zero_norm_prediction_keeps_its_partial_trace(tmp_path, capsys):
+    task = _synth(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", *_task_args(task), "--out", str(run), *FAST, "--hidden-dim", "2"]) == 4
+    assert "zero-norm predicted row(s)" in capsys.readouterr().err
+    # it stops on the first batch, so the trace has its header and no epoch
+    assert (run / "trace.csv").read_text() == "epoch,total,reg,a_to_a,w_to_w,w_to_a\n"
+    assert not (run / "model.ckpt").exists()
+
+
 def test_eval_biases_must_be_one_row(tmp_path, capsys):
     task = _synth(tmp_path)
     manifest = load_manifest(task / "manifest.txt")

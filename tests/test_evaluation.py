@@ -647,3 +647,104 @@ def test_entropy_in_place_is_bit_identical_and_the_public_ones_copy():
     assert np.array_equal(softmax_rows(logits), p_oracle)
     assert mean_prediction_entropy(logits) == entropies.mean()
     assert np.array_equal(logits, before)
+
+
+# ---------------------------------------------------------------------------
+# class blocks as views, entropy in strips
+
+
+def _spy_blocks(monkeypatch):
+    """Record whether each class block ``classify`` takes is a view (a
+    slice) or gathered (an index array)."""
+    kinds = []
+    take = ClassifierHead._block
+
+    def spied(self, rows):
+        kinds.append("view" if isinstance(rows, slice) else "gathered")
+        return take(self, rows)
+
+    monkeypatch.setattr(ClassifierHead, "_block", spied)
+    return kinds
+
+
+def test_full_head_classify_of_an_id_ordered_head_holds_no_class_block(monkeypatch):
+    budget = 1 << 16
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
+    rng = np.random.default_rng(14)
+    n_classes, dim, rows = 4000, 256, 20
+    head = ClassifierHead([f"c{i:04d}" for i in range(n_classes)], rng.standard_normal((n_classes, dim)))
+    features = rng.standard_normal((rows, dim))
+    blocks = list(row_blocks(n_classes, dim, budget))
+    block_bytes = (blocks[0][1] - blocks[0][0]) * dim * 8
+    kinds = _spy_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        classify(head, features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kinds == ["view"] * len(blocks)
+    # a logits block of 20 rows and the id bookkeeping; a gathered class block alone is 512 KiB
+    assert peak < block_bytes
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_blocks):
+    rng = np.random.default_rng(15)
+    n_classes, dim, rows = 30, 8, 60
+    ids = [f"p{i:02d}" for i in range(n_classes)]
+    weights = rng.standard_normal((n_classes, dim))
+    # exact ties: classes 3 and 25 (in different blocks at 2 and 3 blocks), and 11 and 12
+    weights[25], weights[12] = weights[3], weights[11]
+    biases = 0.1 * rng.standard_normal(n_classes)
+    biases[25], biases[12] = biases[3], biases[11]
+    seen = np.arange(n_classes) % 3 != 0
+    ordered = ClassifierHead(ids, weights, biases, seen)
+    perm = rng.permutation(n_classes)
+    permuted = ClassifierHead([ids[r] for r in perm], weights[perm], biases[perm], seen[perm])
+    features = rng.standard_normal((rows, dim))
+    features[:4] = weights[[3, 11, 3, 11]]
+    unseen_ids = [c for c, s in zip(ids, seen) if not s]
+    seen_ids = [c for c, s in zip(ids, seen) if s]
+    unseen = FeatureSet(features[:30], [unseen_ids[i % 7] for i in range(30)])
+    seen_set = FeatureSet(features[30:], [seen_ids[i % 15] for i in range(30)])
+
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == n_blocks
+    kinds = _spy_blocks(monkeypatch)
+    assert classify(ordered, features) == classify(permuted, features)
+    assert kinds == ["view"] * n_blocks + ["gathered"] * n_blocks
+    # scattered head rows are gathered; one ascending run of them, from row 10, is viewed
+    for among, kind in ((unseen_ids[::-1], "gathered"), (ids[26:9:-1], "view")):
+        kinds.clear()
+        assert classify(ordered, features, among=among) == classify(permuted, features, among=among)
+        assert kinds[0] == kind  # the ordered head's first block
+    predictions = classify(ordered, features)
+    assert predictions[0] == predictions[2] == "p03" and predictions[1] == predictions[3] == "p11"
+
+    with pytest.warns(UserWarning, match="without samples"):
+        reports = [evaluate(h, unseen, seen_set, unseen_ids=unseen_ids) for h in (ordered, permuted)]
+    # the entropy sums in head row order, so only the argmax-derived fields are compared
+    for name in ("zsl_accuracy", "zsl_micro", "gzsl_unseen", "gzsl_seen", "harmonic", "per_class"):
+        assert getattr(reports[0], name) == getattr(reports[1], name), name
+
+
+def _strip_logits(rows, width, seed):
+    return np.random.default_rng(seed).standard_normal((rows, width)) * 30.0
+
+
+@pytest.mark.parametrize("logits", [
+    # 70 rows of 1000: strips of 32 rows, the last one 6 rows
+    _strip_logits(70, 1000, 16),
+    # rows wider than the strip: a strip of one row
+    _strip_logits(3, evaluation.ENTROPY_STRIP + 7, 17),
+], ids=["rows-not-a-multiple-of-the-strip", "rows-wider-than-the-strip"])
+def test_strip_entropy_is_bit_identical_to_the_whole_array(logits):
+    logits = logits.copy()
+    logits[1, ::3] = -2000.0  # underflows to p = 0
+    logits[-1] = -np.inf  # no finite maximum: every p is NaN, and the row adds no term
+    with np.errstate(invalid="ignore"):
+        p_oracle, entropies = _entropy_oracle(logits)
+        got = evaluation._entropies_in_place(logits.copy())
+    assert np.count_nonzero(p_oracle[1] == 0.0) > 0 and np.isnan(p_oracle[-1]).all()
+    assert np.array_equal(got, entropies, equal_nan=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from icis.data import ClassifierHead, PairSet, make_pairs, synth_generate
-from icis.errors import ClassIdError, DataFormatError, DivergenceError, IcisError
+from icis.errors import ClassIdError, DataFormatError, DivergenceError, IcisError, ZeroNormError
 from icis.model import (
     IcisModel,
     LossConfig,
@@ -341,6 +341,26 @@ def test_train_divergence_carries_partial_trace():
         train(m, pairs, loss_config=LossConfig(distance="l2"), train_config=cfg)
     assert err.value.trace is not None
     assert err.value.trace.epochs_run >= 1
+
+
+def test_a_zero_norm_error_in_a_step_carries_the_finished_epochs():
+    rng = RngState(93)
+    net = MlpTwoLayer(LinearLayer.init(3, 4, rng, pre_rectifier=True),
+                      LinearLayer.init(4, 3, rng, pre_rectifier=False))
+    x = RngState(94).normal(4, 3)
+    calls = []
+
+    def step(rows, _extra_rows):
+        calls.append(rows.size)
+        if len(calls) == 3:  # the first batch of the second epoch
+            raise ZeroNormError("zero-norm predicted row(s)")
+        loss, grad = batch_l2_loss(net.forward(x[rows]), x[rows])
+        net.backward(grad)
+        return {"reg": (loss, rows.size)}
+
+    with pytest.raises(ZeroNormError, match="zero-norm predicted") as err:
+        fit(net, 4, step, TrainConfig(lr=1e-3, batch_size=2, max_epochs=5, stop_window=5), RngState(95), 1.0)
+    assert err.value.trace.epochs_run == 1 and len(err.value.trace.terms["reg"]) == 1
 
 
 def test_fit_holds_no_gradient_buffer_and_steps_without_weight_sized_temporaries():

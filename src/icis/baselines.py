@@ -95,8 +95,8 @@ def vgse_wavg_weights(
 ) -> np.ndarray:
     """Softmax-weighted average of seen rows; lower temperature sharpens
     the weighting toward the most similar seen classes."""
-    if temperature <= 0.0:
-        raise IcisError("temperature must be > 0")
+    if not (np.isfinite(temperature) and temperature > 0.0):
+        raise IcisError(f"temperature must be finite and > 0, got {temperature!r}")
     sims = _cosine_sim_matrix(unseen_descriptors.matrix, seen_descriptors.subset(head.class_ids).matrix)
     alpha = softmax_rows(sims / temperature)
     return alpha @ head.weights
@@ -113,8 +113,8 @@ def smo_coefficients(anchors: np.ndarray, seen_matrix: np.ndarray, gamma: float 
     ``lam = (1^T G^-1 c - 1) / (1^T G^-1 1)`` and ``beta = G^-1 (c - lam 1)``.
     ``G`` is the same for every anchor, so one solve serves them all.
     """
-    if gamma < 0.0:
-        raise IcisError("gamma must be >= 0")
+    if not (np.isfinite(gamma) and gamma >= 0.0):
+        raise IcisError(f"gamma must be finite and >= 0, got {gamma!r}")
     a = as_matrix(seen_matrix)
     anchors = as_matrix(anchors)
     if anchors.shape[1] != a.shape[1]:
@@ -182,6 +182,8 @@ def train_subreg(
     Per batch: regression loss on seen pairs plus ``lam`` times the squared
     residual of predicted unseen rows to the span of the seen weight rows.
     """
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise IcisError(f"lam must be finite and >= 0, got {lam!r}")
     cfg = train_config if train_config is not None else TrainConfig()
     loss_fn = batch_loss(distance)
     a_seen = as_matrix(pairs.descriptors)

@@ -275,73 +275,70 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _run_variant(name, loss_config, pairs, unseen, head, manifest, split,
-                 train_config, include_bias, run_dir):
-    """Train on one (possibly subsampled) pair set, inject the ``unseen``
-    descriptors' rows into the full head, evaluate, and persist the run
-    artifacts."""
-    model, trace = _train_once(pairs, unseen.matrix, loss_config, train_config, include_bias, run_dir)
-    new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
-                                include_bias=include_bias)
-    report = _evaluate_task(new_head, split, manifest)
-    _write_report(run_dir, report)
-    print(f"{name}: zsl={report.zsl_accuracy:.2f} unseen={report.gzsl_unseen:.2f} "
-          f"seen={_fmt(report.gzsl_seen)} H={_fmt(report.harmonic)} "
-          f"entropy={report.entropy_unseen:.3f} epochs={trace.epochs_run}")
-    return report, trace
+def _run_ladder(args, fractions=None):
+    """Train every ablation variant on the seen pairs, or on each fraction's
+    subsample of them (all checked before anything trains), inject, evaluate
+    and write the run to ``out/<variant>[/fraction_<f>]``. Returns one
+    ``(variant, label, pairs, report, trace)`` record per run."""
+    manifest, descriptors, head, split = _load_split_task(args)
+    train_config = _train_config_from_args(args)
+    seen_pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
+    unseen = descriptors.subset(manifest.unseen)
+    pair_sets = {None: seen_pairs} if fractions is None else {}
+    for fraction in fractions or ():
+        label = f"{fraction:g}"
+        if label in pair_sets:
+            raise IcisError(f"--fractions names the run directory fraction_{label} twice")
+        pair_sets[label] = subsample_pairs(seen_pairs, fraction, args.seed)
+    records = []
+    for name, loss_config in ablation_variants().items():
+        for label, pairs in pair_sets.items():
+            run_dir, tag = Path(args.out) / name, name
+            if label is not None:
+                run_dir, tag = run_dir / f"fraction_{label}", f"{name} @ {label}"
+            model, trace = _train_once(pairs, unseen.matrix, loss_config, train_config, args.include_bias, run_dir)
+            # a subsample narrows only training; injection still extends the full head
+            new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
+                                        include_bias=args.include_bias)
+            report = _evaluate_task(new_head, split, manifest)
+            # free this rung's model and head before the next one trains
+            del model, new_head
+            _write_report(run_dir, report)
+            print(f"{tag}: zsl={report.zsl_accuracy:.2f} unseen={report.gzsl_unseen:.2f} "
+                  f"seen={_fmt(report.gzsl_seen)} H={_fmt(report.harmonic)} "
+                  f"entropy={report.entropy_unseen:.3f} epochs={trace.epochs_run}")
+            records.append((name, label, pairs, report, trace))
+    return records
 
 
 def cmd_ablate(args) -> int:
-    manifest, descriptors, head, split = _load_split_task(args)
-    out = Path(args.out)
-    train_config = _train_config_from_args(args)
-    pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
-    unseen = descriptors.subset(manifest.unseen)
     lines = ["variant,zsl,gzsl_unseen,gzsl_seen,harmonic,entropy_unseen,epochs"]
-    for name, loss_config in ablation_variants().items():
-        report, trace = _run_variant(name, loss_config, pairs, unseen, head, manifest, split,
-                                     train_config, args.include_bias, out / name)
+    for name, _, _, report, trace in _run_ladder(args):
         lines.append(
             f"{name},{report.zsl_accuracy:.4f},{report.gzsl_unseen:.4f},"
             f"{_fmt(report.gzsl_seen, '%.4f')},{_fmt(report.harmonic, '%.4f')},"
             f"{report.entropy_unseen:.6f},{trace.epochs_run}"
         )
-    (out / "summary.csv").write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
+    (Path(args.out) / "summary.csv").write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    manifest, descriptors, head, split = _load_split_task(args)
-    out = Path(args.out)
+    # a malformed list is refused before any task file is read
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     except ValueError as exc:
         raise IcisError(f"bad --fractions value: {exc}") from None
     if not fractions:
         raise IcisError("no fractions given")
-    train_config = _train_config_from_args(args)
-    all_seen = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
-    unseen = descriptors.subset(manifest.unseen)
-    # each fraction's pairs and run directory name, checked before anything trains
-    subsets = {}
-    for fraction in fractions:
-        label = f"{fraction:g}"
-        if label in subsets:
-            raise IcisError(f"--fractions names the run directory fraction_{label} twice")
-        subsets[label] = subsample_pairs(all_seen, fraction, args.seed)
     lines = ["variant,fraction,n_seen_pairs,zsl,gzsl_unseen,gzsl_seen,harmonic"]
-    for name, loss_config in ablation_variants().items():
-        for label, sub in subsets.items():
-            # train on the subsampled pairs; injection still extends the full head
-            report, _trace = _run_variant(f"{name} @ {label}", loss_config, sub, unseen, head,
-                                          manifest, split, train_config, args.include_bias,
-                                          out / name / f"fraction_{label}")
-            lines.append(
-                f"{name},{label},{len(sub)},{report.zsl_accuracy:.4f},"
-                f"{report.gzsl_unseen:.4f},{_fmt(report.gzsl_seen, '%.4f')},"
-                f"{_fmt(report.harmonic, '%.4f')}"
-            )
-    (out / "summary.csv").write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
+    for name, label, pairs, report, _ in _run_ladder(args, fractions):
+        lines.append(
+            f"{name},{label},{len(pairs)},{report.zsl_accuracy:.4f},"
+            f"{report.gzsl_unseen:.4f},{_fmt(report.gzsl_seen, '%.4f')},"
+            f"{_fmt(report.harmonic, '%.4f')}"
+        )
+    (Path(args.out) / "summary.csv").write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
     return EXIT_OK
 
 

@@ -184,8 +184,9 @@ def test_wavg_matches_softmax_oracle_and_sharpens_with_temperature():
     nearest = head.weights[np.argmax(sims[0])]
     assert np.allclose(sharp[0], nearest, atol=1e-9)
 
-    with pytest.raises(IcisError):
-        vgse_wavg_weights(unseen, seen, head, temperature=0.0)
+    for temperature in (0.0, float("nan"), float("inf")):
+        with pytest.raises(IcisError, match="temperature must be finite and > 0"):
+            vgse_wavg_weights(unseen, seen, head, temperature=temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +255,9 @@ def test_smo_singular_system_suggests_regularisation():
     with pytest.raises(IcisError) as err:
         smo_coefficients(np.array([0.5, 0.5])[None], a, gamma=0.0)
     assert "gamma" in str(err.value)
-    with pytest.raises(IcisError):
-        smo_coefficients(np.array([0.5, 0.5])[None], a, gamma=-1.0)
+    for gamma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(IcisError, match="gamma must be finite and >= 0"):
+            smo_coefficients(np.array([0.5, 0.5])[None], a, gamma=gamma)
 
 
 def test_row_average_baselines_stay_in_the_seen_span():
@@ -344,6 +346,17 @@ def test_train_subreg_reduces_loss_and_respects_span():
     pred = model.a_to_w.predict(unseen_desc)
     residual_frac = np.linalg.norm(pred - pred @ projector) / np.linalg.norm(pred)
     assert residual_frac < 0.5
+
+
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_train_subreg_refuses_a_bad_penalty_weight_before_training(lam):
+    task = synth_generate(seed=11, n_seen=12, n_unseen=4, d_a=5, d_w=8, samples_per_class=1)
+    pairs = make_pairs(task.descriptors.subset(task.manifest.seen), task.head)
+    model = IcisModel.init(5, 8, 4, RngState(12))
+    before = [p.copy() for p in model.a_to_w.parameters()]
+    with pytest.raises(IcisError, match="lam must be finite and >= 0"):
+        train_subreg(model, pairs, task.descriptors.subset(task.manifest.unseen).matrix, lam=lam)
+    assert all(np.array_equal(a, b) for a, b in zip(before, model.a_to_w.parameters()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +296,44 @@ def test_refused_ladder_runs_leave_no_out_directory(tmp_path, capsys, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fractions, message", [
+    ("x", "bad --fractions value"),
+    ("", "no fractions given"),
+    (" , ", "no fractions given"),
+])
+def test_sweep_refuses_a_malformed_fraction_list_before_reading_a_file(tmp_path, capsys, fractions, message):
+    task = _synth(tmp_path)
+    out = tmp_path / "out"
+    args = ["sweep", *_task_args(task), "--features", str(task / "features.wsmat"), "--out", str(out), *FAST]
+    # the head is missing, so reading it first would report that instead
+    args[args.index("--head") + 1] = str(tmp_path / "missing.wsmat")
+    assert main(args + ["--fractions", fractions]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "missing.wsmat" not in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, flag, value, message", [
+    ("wavg", "--temperature", "nan", "temperature must be finite and > 0, got nan"),
+    ("wavg", "--temperature", "inf", "temperature must be finite and > 0, got inf"),
+    ("smo", "--gamma", "nan", "gamma must be finite and >= 0, got nan"),
+    ("smo", "--gamma", "inf", "gamma must be finite and >= 0, got inf"),
+    ("subreg", "--lam", "-1", "lam must be finite and >= 0, got -1.0"),
+    ("subreg", "--lam", "nan", "lam must be finite and >= 0, got nan"),
+    ("subreg", "--lam", "inf", "lam must be finite and >= 0, got inf"),
+])
+def test_baseline_hyperparameters_are_refused_by_name(tmp_path, capsys, recwarn, method, flag, value, message):
+    task = _synth(tmp_path)
+    out = tmp_path / "out"
+    assert main([
+        "baseline", "--method", method, *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(out), *FAST, flag, value,
+    ]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert not recwarn.list
+
+
 # per subcommand: the files it reads, in reading order, and the other flags it needs
 READ_ORDER = {
     "train": (["manifest", "descriptors", "head", "biases"], ["--out", "run"]),
@@ -472,9 +511,9 @@ def test_sweep_at_full_fraction_reproduces_ablate(tmp_path, capsys, bias):
         # zsl / gzsl_unseen / gzsl_seen / harmonic agree exactly at fraction 1
         sweep_row = by_key[(r[0], "1")]
         assert sweep_row[3:7] == r[1:5]
-        # and so does the whole report
-        report = "report.structured"
-        assert (swp / r[0] / "fraction_1" / report).read_bytes() == (abl / r[0] / report).read_bytes()
+        # and so do the whole report, the checkpoint and the loss trace
+        for name in ("report.structured", "model.ckpt", "trace.csv"):
+            assert (swp / r[0] / "fraction_1" / name).read_bytes() == (abl / r[0] / name).read_bytes(), name
     # half fraction trains on fewer pairs
     assert by_key[("full", "0.5")][2] == "4"
     assert by_key[("full", "1")][2] == "8"
@@ -577,6 +616,27 @@ def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsy
     # the smaller part holds 120 rows (240 KiB); one evaluation's allocations stay far below it
     assert rows == [120 * 256 * 8] * 5
     assert max(peaks) < rows[0] / 4
+
+
+@pytest.mark.parametrize("command, flags, runs", [("ablate", [], 5), ("sweep", ["--fractions", "0.5,1.0"], 10)])
+def test_ladder_runs_hold_no_earlier_model_while_one_trains(tmp_path, capsys, monkeypatch, command, flags, runs):
+    import icis.cli as cli
+
+    task = _synth(tmp_path)
+    real, models = cli.train, []
+
+    def tracked(model, *args):
+        # every earlier run's model is already freed, without a garbage collection
+        assert [ref() for ref in models] == [None] * len(models)
+        models.append(weakref.ref(model))
+        return real(model, *args)
+
+    monkeypatch.setattr(cli, "train", tracked)
+    assert main([
+        command, *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(tmp_path / "out"), *FAST, "--max-epochs", "1", *flags,
+    ]) == 0
+    assert len(models) == runs
 
 
 def test_analyze_reports_ranked_predictions(tmp_path, capsys):

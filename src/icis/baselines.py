@@ -145,25 +145,28 @@ def vgse_smo_weights(
 # ---------------------------------------------------------------------------
 # subspace-regularised regression
 
-def span_projector(seen_weights: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the row span of the seen weight matrix."""
+def span_basis(seen_weights: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the row span of the seen weight matrix, one
+    basis vector per row."""
     w = as_matrix(seen_weights)
-    # orthonormal basis of the row space via SVD; rank cut at numpy's default tolerance
+    # right singular vectors; rank cut at numpy's default tolerance
     _, s, vt = np.linalg.svd(w, full_matrices=False)
     tol = max(w.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
     basis = vt[s > tol]
     if basis.shape[0] == 0:
         raise IcisError("seen weight matrix has rank 0; span projection undefined")
-    return basis.T @ basis
+    return basis
 
 
-def subspace_reg_loss(pred: np.ndarray, projector: np.ndarray):
-    """Mean over rows of the squared distance to the span, with its
-    gradient; rows already in the span contribute zero."""
+def subspace_reg_loss(pred: np.ndarray, basis: np.ndarray):
+    """Mean over rows of the squared distance to the span of the rows of
+    ``basis`` (orthonormal, see :func:`span_basis`), with its gradient; rows
+    already in the span contribute zero. The residual is ``x - (x B^T) B``,
+    so no ``d_w`` x ``d_w`` projector is built."""
     pred = as_matrix(pred)
-    if projector.shape != (pred.shape[1], pred.shape[1]):
-        raise IcisError("projector shape does not match prediction dim")
-    residual = pred - pred @ projector
+    if basis.shape[1] != pred.shape[1]:
+        raise IcisError("basis dim does not match prediction dim")
+    residual = pred - (pred @ basis.T) @ basis
     n = pred.shape[0]
     loss = float(np.sum(residual * residual) / n)
     return loss, 2.0 * residual / n
@@ -191,13 +194,13 @@ def train_subreg(
     a_unseen = as_matrix(unseen_descriptors)
     if a_seen.shape[1] != model.d_a or w_seen.shape[1] != model.d_w or a_unseen.shape[1] != model.d_a:
         raise IcisError("pair or descriptor dims do not match model")
-    projector = span_projector(w_seen)
+    basis = span_basis(w_seen)
 
     def step(rows, extra_rows):
         loss, grad = loss_fn(model.a_to_w.forward(a_seen[rows]), w_seen[rows])
         model.a_to_w.backward(grad)
         if extra_rows.size:
-            pen, pen_grad = subspace_reg_loss(model.a_to_w.forward(a_unseen[extra_rows]), projector)
+            pen, pen_grad = subspace_reg_loss(model.a_to_w.forward(a_unseen[extra_rows]), basis)
             model.a_to_w.backward(lam * pen_grad)
             loss += lam * pen
         return {"reg": (loss, rows.size)}
@@ -211,25 +214,25 @@ def train_subreg(
 # denoising refinement of predicted rows
 
 DAE_NOISE_SCALE = 0.1
+DAE_LR = 1e-3
+DAE_BATCH_SIZE = 16
 
 
 def dae_refine(
     seen_weights: np.ndarray,
     predicted_weights: np.ndarray,
     seed: int = 0,
-    hidden: int | None = None,
     epochs: int = 200,
-    lr: float = 1e-3,
-    batch_size: int = 16,
 ) -> np.ndarray:
     """Pass predicted rows through a denoising autoencoder fit to seen rows.
 
-    The autoencoder is a rectified two-layer net, seeded from the
-    ``"dae-init"`` stream of ``seed`` and trained with squared error to
+    The autoencoder is a rectified two-layer net as wide as the rows,
+    seeded from the ``"dae-init"`` stream of ``seed`` and trained with
+    squared error, at ``DAE_LR`` in batches of ``DAE_BATCH_SIZE``, to
     reproduce seen weight rows from inputs corrupted by Gaussian noise
     scaled per dimension (``DAE_NOISE_SCALE`` times each coordinate's
-    standard deviation across seen rows); ``lr = 0`` leaves the initial net
-    untouched.
+    standard deviation across seen rows); ``DAE_LR = 0`` leaves the initial
+    net untouched.
     """
     w = as_matrix(seen_weights)
     pred = as_matrix(predicted_weights)
@@ -237,17 +240,16 @@ def dae_refine(
         raise IcisError("denoising refinement needs at least 2 seen weight rows")
     if pred.shape[1] != w.shape[1]:
         raise IcisError("predicted rows and seen rows must share one dim")
-    if epochs < 1 or batch_size < 1:
-        raise IcisError("epochs and batch_size must be >= 1")
+    if epochs < 1:
+        raise IcisError("epochs must be >= 1")
     d = w.shape[1]
-    hidden = hidden if hidden is not None else d
     root = RngState(seed)
     init_rng = root.spawn("dae-init")
     noise_rng = root.spawn("dae-noise")
     shuffle_rng = root.spawn("dae-shuffle")
     net = MlpTwoLayer(
-        LinearLayer.init(d, hidden, init_rng, pre_rectifier=True),
-        LinearLayer.init(hidden, d, init_rng, pre_rectifier=False),
+        LinearLayer.init(d, d, init_rng, pre_rectifier=True),
+        LinearLayer.init(d, d, init_rng, pre_rectifier=False),
     )
     loss_fn = batch_loss("l2")
     per_dim_std = w.std(axis=0)
@@ -260,6 +262,6 @@ def dae_refine(
         return {"reg": (loss, rows.size)}
 
     # stop_window = epochs: the stop rule needs two windows, so every epoch runs
-    cfg = TrainConfig(lr=lr, batch_size=batch_size, max_epochs=epochs, stop_window=epochs)
+    cfg = TrainConfig(lr=DAE_LR, batch_size=DAE_BATCH_SIZE, max_epochs=epochs, stop_window=epochs)
     fit(net, w.shape[0], step, cfg, shuffle_rng, cfg.stop_threshold)
     return net.predict(pred)

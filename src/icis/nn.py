@@ -81,9 +81,11 @@ def batch_loss(distance: str):
 class LinearLayer:
     """Affine map ``y = x @ W.T + b`` with the gradient factors recorded on it.
 
-    ``factors`` holds one ``(upstream, x)`` pair per backward term since the
-    last ``zero_grad``: d(loss)/d(W) is the sum of ``upstream.T @ x`` over the
-    pairs and d(loss)/d(b) the sum of ``upstream.sum(axis=0)``.
+    ``factors`` holds the ``(upstream, x)`` pairs that backward recorded
+    since the last ``zero_grad``. With ``U`` and ``X`` their rows stacked in
+    record order, d(loss)/d(W) is ``U.T @ X`` and d(loss)/d(b) is
+    ``U.sum(axis=0)``: one product over every term, not a sum of per-term
+    products.
     """
 
     def __init__(self, weight, bias):
@@ -116,6 +118,18 @@ class LinearLayer:
     def zero_grad(self):
         self.factors.clear()
 
+    def stacked_factors(self):
+        """The recorded pairs as one ``(U, X)`` pair, or None if none is
+        recorded. Several pairs are stacked once and replace the list, so
+        later writes reuse the stack. Each per-term array is dropped as soon
+        as it is copied, so the stack and the terms are never all held at
+        once."""
+        if len(self.factors) > 1:
+            upstreams, inputs = (list(side) for side in zip(*self.factors))
+            self.factors.clear()
+            self.factors.append((_stack_rows(upstreams), _stack_rows(inputs)))
+        return self.factors[0] if self.factors else None
+
     def parameters(self):
         return [self.weight, self.bias]
 
@@ -127,10 +141,11 @@ class GradientWriter:
     """The gradient of one layer's weight or bias, written on demand from
     the layer's recorded factors, rows ``lo:hi`` at a time.
 
-    The first pair is written straight into the output and each later
-    pair's product is added in record order: the float operations of
-    accumulating every pair into a zero-filled buffer, so the values are the
-    same bit for bit. With no pair recorded the gradient is exact zeros.
+    Each block is one product of the layer's stacked factors (see
+    :meth:`LinearLayer.stacked_factors`): ``U[:, lo:hi].T @ X`` for a weight,
+    ``U[:, lo:hi].sum(axis=0)`` for a bias. Each output element takes the
+    same float operations as in the whole ``U.T @ X``, so the blocks equal it
+    bit for bit. With no pair recorded the gradient is exact zeros.
     """
 
     def __init__(self, layer: LinearLayer, bias: bool):
@@ -148,19 +163,13 @@ class GradientWriter:
     def write(self, out: np.ndarray, lo: int, hi: int) -> None:
         """Write gradient rows ``lo:hi`` into ``out``, a C-contiguous array
         of shape ``(hi - lo,) + shape[1:]``."""
-        if not self.layer.factors:
+        pair = self.layer.stacked_factors()
+        if pair is None:
             out[...] = 0.0
-        for k, (upstream, x) in enumerate(self.layer.factors):
-            u = upstream[:, lo:hi]
-            if self.bias:
-                if k:
-                    out += u.sum(axis=0)
-                else:
-                    out[...] = u.sum(axis=0)
-            elif k:
-                out += u.T @ x
-            else:
-                np.matmul(u.T, x, out=out)
+        elif self.bias:
+            np.sum(pair[0][:, lo:hi], axis=0, out=out)
+        else:
+            np.matmul(pair[0][:, lo:hi].T, pair[1], out=out)
 
     def array(self) -> np.ndarray:
         """The whole gradient as a fresh array, written block by block as
@@ -243,6 +252,18 @@ class MlpTwoLayer:
         self._cache = None
 
 
+def _stack_rows(arrays: list) -> np.ndarray:
+    """The rows of the 2-D ``arrays`` in order, as one new array. The list is
+    emptied as its arrays are copied, so each can be freed at once."""
+    out = np.empty((sum(a.shape[0] for a in arrays), arrays[0].shape[1]))
+    lo = 0
+    while arrays:
+        a = arrays.pop(0)
+        out[lo : lo + a.shape[0]] = a
+        lo += a.shape[0]
+    return out
+
+
 def row_blocks(rows: int, width: int, budget: int):
     """``(lo, hi)`` bounds that cover ``range(rows)`` (zero rows: one empty
     block) in blocks of about ``budget`` elements of a ``width``-column array.
@@ -312,9 +333,12 @@ def adam_step(state: AdamState, params, grads):
     block at a time into the state's gradient block and consumed there, so
     it never exists whole. Each block
     is swept in chunks of ``ADAM_CHUNK`` elements through the state's
-    scratch buffers. Every operation is elementwise and keeps the order
-    ``p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)``, so the result is
-    bit-identical to a whole-array update, whatever the block and chunk sizes.
+    scratch buffers. The bias corrections ``bc1`` and ``bc2`` are folded
+    into two scalars computed once per step, so the update is
+    ``p -= (m * (lr / bc1)) / (sqrt(v * (1 / bc2)) + eps)``, with ``eps``
+    outside the square root. Every operation is elementwise in that order, so
+    the result is bit-identical to a whole-array update, whatever the block
+    and chunk sizes.
     """
     if len(params) != len(grads):
         raise ShapeMismatchError("params/grads count mismatch", left=len(params), right=len(grads))
@@ -332,9 +356,9 @@ def adam_step(state: AdamState, params, grads):
                                  left=[p.shape for p in params], right=[m.shape for m in state._m])
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    step = state.lr / (1.0 - b1**t)
+    inv_bc2 = 1.0 / (1.0 - b2**t)
     scratch_a, scratch_b = state._scratch
     for p, g, m, v in zip(params, grads, state._m, state._v):
         p, m, v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
@@ -351,11 +375,10 @@ def adam_step(state: AdamState, params, grads):
                 np.multiply(1.0 - b2, gc, out=a)
                 a *= gc
                 vc += a
-                np.divide(vc, bc2, out=a)
+                np.multiply(vc, inv_bc2, out=a)
                 np.sqrt(a, out=a)
                 a += eps
-                np.divide(mc, bc1, out=b)
-                np.multiply(lr, b, out=b)
+                np.multiply(mc, step, out=b)
                 b /= a
                 pc -= b
 

@@ -11,7 +11,7 @@ from icis.baselines import (
     costa_weights,
     dae_refine,
     smo_coefficients,
-    span_projector,
+    span_basis,
     subspace_reg_loss,
     train_subreg,
     vgse_smo_weights,
@@ -266,13 +266,13 @@ def test_row_average_baselines_stay_in_the_seen_span():
     head = ClassifierHead(seen_ids, rng.normal(4, 9))
     seen = DescriptorSet(seen_ids, rng.normal(4, 3))
     unseen = DescriptorSet(["u0", "u1"], rng.normal(2, 3))
-    projector = span_projector(head.weights)
+    basis = span_basis(head.weights)
     for rows in (
         costa_weights(unseen, seen, head),
         vgse_wavg_weights(unseen, seen, head),
         vgse_smo_weights(unseen, seen, head),
     ):
-        residual = rows - rows @ projector
+        residual = rows - (rows @ basis.T) @ basis
         assert np.linalg.norm(residual) < 1e-8
 
 
@@ -280,45 +280,50 @@ def test_row_average_baselines_stay_in_the_seen_span():
 # span penalty
 
 
-def test_span_projector_on_axis_aligned_rows():
-    p = span_projector(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+def test_span_basis_on_axis_aligned_rows():
+    b = span_basis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert b.shape == (2, 3)
+    assert np.allclose(b.T @ b, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
-def test_span_projector_is_idempotent_and_symmetric():
+def test_span_basis_is_orthonormal_and_leaves_residuals_orthogonal():
     w = RngState(7).normal(3, 6)
-    p = span_projector(w)
-    assert np.allclose(p @ p, p, atol=1e-10)
-    assert np.allclose(p, p.T, atol=1e-12)
+    b = span_basis(w)
+    assert b.shape == (3, 6)
+    assert np.allclose(b @ b.T, np.eye(3), atol=1e-12)
+    x = RngState(11).normal(4, 6)
+    residual = x - (x @ b.T) @ b
+    assert np.abs(residual).max() > 0.1
+    assert np.allclose(residual @ w.T, 0.0, atol=1e-12)
 
 
-def test_span_projector_rank_zero_is_an_error():
+def test_span_basis_rank_zero_is_an_error():
     with pytest.raises(IcisError):
-        span_projector(np.zeros((2, 3)))
+        span_basis(np.zeros((2, 3)))
 
 
 def test_subspace_loss_axis_example():
     # span {e1, e2} in R^3; predicting e3 leaves the whole unit residual
-    p = span_projector(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    loss, grad = subspace_reg_loss(np.array([[0.0, 0.0, 1.0]]), p)
+    b = span_basis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    loss, grad = subspace_reg_loss(np.array([[0.0, 0.0, 1.0]]), b)
     assert loss == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(grad, [[0.0, 0.0, 2.0]], atol=1e-12)
 
 
 def test_subspace_loss_zero_inside_the_span():
     w = RngState(8).normal(2, 5)
-    p = span_projector(w)
+    b = span_basis(w)
     inside = np.array([0.3 * w[0] + 1.7 * w[1], -w[0]])
-    loss, grad = subspace_reg_loss(inside, p)
+    loss, grad = subspace_reg_loss(inside, b)
     assert loss == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(grad, 0.0, atol=1e-10)
 
 
 def test_subspace_loss_gradient_matches_finite_differences():
     w = RngState(9).normal(2, 4)
-    p = span_projector(w)
+    b = span_basis(w)
     pred = RngState(10).normal(3, 4)
-    loss, grad = subspace_reg_loss(pred, p)
+    loss, grad = subspace_reg_loss(pred, b)
     assert loss > 0.0
     h = 1e-6
     for i in range(3):
@@ -327,7 +332,7 @@ def test_subspace_loss_gradient_matches_finite_differences():
             bump[i, j] += h
             dent = pred.copy()
             dent[i, j] -= h
-            numeric = (subspace_reg_loss(bump, p)[0] - subspace_reg_loss(dent, p)[0]) / (2 * h)
+            numeric = (subspace_reg_loss(bump, b)[0] - subspace_reg_loss(dent, b)[0]) / (2 * h)
             assert grad[i, j] == pytest.approx(numeric, abs=1e-5)
 
 
@@ -342,9 +347,9 @@ def test_train_subreg_reduces_loss_and_respects_span():
     assert trace.total[-1] < trace.total[0]
 
     # strong penalty keeps unseen predictions close to the seen span
-    projector = span_projector(task.head.weights)
+    basis = span_basis(task.head.weights)
     pred = model.a_to_w.predict(unseen_desc)
-    residual_frac = np.linalg.norm(pred - pred @ projector) / np.linalg.norm(pred)
+    residual_frac = np.linalg.norm(pred - (pred @ basis.T) @ basis) / np.linalg.norm(pred)
     assert residual_frac < 0.5
 
 
@@ -363,16 +368,17 @@ def test_train_subreg_refuses_a_bad_penalty_weight_before_training(lam):
 # denoising refinement
 
 
-def test_dae_with_zero_lr_returns_the_seeded_initial_net():
+def test_dae_with_zero_lr_returns_the_seeded_initial_net(monkeypatch):
     rng = RngState(13)
     seen = rng.normal(5, 4)
     pred = rng.normal(3, 4)
     init_rng = RngState(9).spawn("dae-init")
     net = MlpTwoLayer(
-        LinearLayer.init(4, 6, init_rng, pre_rectifier=True),
-        LinearLayer.init(6, 4, init_rng, pre_rectifier=False),
+        LinearLayer.init(4, 4, init_rng, pre_rectifier=True),
+        LinearLayer.init(4, 4, init_rng, pre_rectifier=False),
     )
-    out = dae_refine(seen, pred, seed=9, hidden=6, lr=0.0, epochs=3)
+    monkeypatch.setattr("icis.baselines.DAE_LR", 0.0)
+    out = dae_refine(seen, pred, seed=9, epochs=3)
     assert np.array_equal(out, net.predict(pred))
 
 
@@ -401,7 +407,7 @@ def test_dae_refinement_changes_the_rows():
     assert not np.allclose(out, pred, atol=1e-6)
 
 
-def test_dae_argument_errors():
+def test_dae_argument_errors(monkeypatch):
     rng = RngState(17)
     with pytest.raises(IcisError):
         dae_refine(rng.normal(1, 4), rng.normal(2, 4))
@@ -409,12 +415,14 @@ def test_dae_argument_errors():
         dae_refine(rng.normal(4, 4), rng.normal(2, 3))
     with pytest.raises(IcisError):
         dae_refine(rng.normal(4, 4), rng.normal(2, 4), epochs=0)
+    monkeypatch.setattr("icis.baselines.DAE_LR", -1.0)
     with pytest.raises(IcisError):
-        dae_refine(rng.normal(4, 4), rng.normal(2, 4), lr=-1.0)
+        dae_refine(rng.normal(4, 4), rng.normal(2, 4))
 
 
-def test_dae_divergence_is_reported():
+def test_dae_divergence_is_reported(monkeypatch):
     rng = RngState(0)
+    monkeypatch.setattr("icis.baselines.DAE_LR", 1e12)
     with pytest.raises(DivergenceError) as exc:
-        dae_refine(rng.normal(6, 5), rng.normal(4, 5), epochs=50, lr=1e12)
+        dae_refine(rng.normal(6, 5), rng.normal(4, 5), epochs=50)
     assert 1 <= exc.value.trace.epochs_run < 50

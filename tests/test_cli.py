@@ -453,7 +453,9 @@ def test_ablate_runs_the_full_ladder(tmp_path, capsys):
 
 BIAS = {"no-bias": [], "bias": ["--include-bias"]}
 
-# sha256 of the ladder's outputs on the test task at 5 epochs, recorded at fec60a2
+# sha256 of the ladder's outputs on the test task at 5 epochs, recorded at fec60a2; the
+# "bias" base_l2 and full reports re-recorded when each layer's gradient became one product
+# of its stacked factors (their entropies moved in the 16th digit)
 ABLATE_DIGESTS = {
     "no-bias": {
         "summary.csv": "073268d526f2abffd2f311b132db22d2a43f9506003fa0edbb82310505059739",
@@ -465,11 +467,11 @@ ABLATE_DIGESTS = {
     },
     "bias": {
         "summary.csv": "4dfce515eb9f676b96b7610a0fbb5ab3625f0c5f7f8062079ae796470c5d63ef",
-        "base_l2/report.structured": "b704de3ef6395b2a1c6094d9f0c543f5ddc9386483fc58b1f1743b09b86516e7",
+        "base_l2/report.structured": "3b1c2379b5d35022e71248b76be6caa5742f05d43fcbe9777ce4ae3b638443a2",
         "cosine/report.structured": "f42e5467da6b2aae18d50ea3801ca4a2aaf7aa32d172ac1094653935b2aaedbe",
         "within_spaces/report.structured": "d6d552760f6195bfe4b9f03c85bb4197d8be60cf59257e0bace37a4db4732416",
         "across_spaces/report.structured": "2b0e561cb3eff559acb99963ad13a0cc71e28dba041c1fd57e092d32dc11cd31",
-        "full/report.structured": "a511f87577b87e2e37c78905d8877424be5f61651666d5b916897faef7a28bff",
+        "full/report.structured": "ba06b9d55fc5448ff92fe90bd16f632223a4bbc6c9f95d098f031ec95f5f0ebb",
     },
 }
 

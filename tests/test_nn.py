@@ -1,6 +1,7 @@
 """Tests for the distances, the two-layer perceptron backward pass, and Adam."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -283,29 +284,34 @@ def test_mlp_backward_without_forward_is_an_error():
         net.backward(np.zeros((1, 2)))
 
 
-def accumulate_outer_oracle(grad, upstream, x):
-    """The whole-array weight-gradient accumulation that the block writer
-    replaced."""
-    grad += upstream.T @ x
+def stacked_oracle(pairs):
+    """The whole-array gradients of the stacked factors: ``U.T @ X`` and
+    ``U.sum(axis=0)``, with ``U`` and ``X`` the pairs' rows in record order."""
+    u = np.vstack([u for u, _ in pairs])
+    x = np.vstack([x for _, x in pairs])
+    return u.T @ x, u.sum(axis=0)
 
 
 def written_gradients(rows, cols, pairs, zero_grad_first):
     """The weight and bias gradients a layer writes from ``pairs``, recorded
-    on a fresh layer or after a stale pair and a ``zero_grad``."""
+    on a fresh layer or after a stale pair and a ``zero_grad``, written
+    twice; the second write reads the pair the first one stacked."""
     layer = LinearLayer(np.zeros((rows, cols)), np.zeros(rows))
     if zero_grad_first:
         layer.factors.append((np.ones((2, rows)), np.ones((2, cols))))
         layer.zero_grad()
     layer.factors.extend(pairs)
-    return GradientWriter(layer, bias=False).array(), GradientWriter(layer, bias=True).array()
+    writers = GradientWriter(layer, bias=False), GradientWriter(layer, bias=True)
+    first = [g.array() for g in writers]
+    assert len(layer.factors) == 1
+    second = [g.array() for g in writers]
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    return first
 
 
-def assert_writes_the_accumulated_gradient(rows, cols, pairs, zero_grad_first):
+def assert_writes_the_stacked_gradient(rows, cols, pairs, zero_grad_first):
     got, got_bias = written_gradients(rows, cols, pairs, zero_grad_first)
-    want, want_bias = np.zeros((rows, cols)), np.zeros(rows)
-    for upstream, x in pairs:
-        accumulate_outer_oracle(want, upstream, x)
-        want_bias += upstream.sum(axis=0)
+    want, want_bias = stacked_oracle(pairs)
     assert np.array_equal(got, want)
     assert np.array_equal(got_bias, want_bias)
 
@@ -317,7 +323,7 @@ def test_blocked_accumulation_is_bit_identical_at_the_cub_shapes(rows, cols, bat
     for n_pairs in (1, 2, 3):
         pairs = [(rng.standard_normal((batch, rows)), rng.standard_normal((batch, cols))) for _ in range(n_pairs)]
         for zero_grad_first in (False, True):
-            assert_writes_the_accumulated_gradient(rows, cols, pairs, zero_grad_first)
+            assert_writes_the_stacked_gradient(rows, cols, pairs, zero_grad_first)
 
 
 def test_blocked_accumulation_with_a_short_last_block_and_two_calls():
@@ -330,7 +336,59 @@ def test_blocked_accumulation_with_a_short_last_block_and_two_calls():
     for rows in (3 * step + 5, 2 * step + 1):
         pairs = [(rng.standard_normal((16, rows)), rng.standard_normal((16, cols))) for _ in range(2)]
         for zero_grad_first in (False, True):
-            assert_writes_the_accumulated_gradient(rows, cols, pairs, zero_grad_first)
+            assert_writes_the_stacked_gradient(rows, cols, pairs, zero_grad_first)
+
+
+@pytest.mark.parametrize("rows, cols", [(2048, 2048), (2048, 312), (312, 2048)])
+def test_stacked_gradient_equals_the_per_term_sum_to_rounding(rows, cols):
+    # one product over K stacked rows against a sum of per-term products:
+    # each entry is a K-term sum taken in another order, so the two differ by
+    # at most K ulps of the largest entry (measured: 3)
+    rng = np.random.default_rng(2 * rows + cols)
+    eps = np.finfo(np.float64).eps
+    for batches in ((16, 21), (16, 16), (6, 21, 16)):
+        pairs = [(rng.standard_normal((b, rows)), rng.standard_normal((b, cols))) for b in batches]
+        got, got_bias = written_gradients(rows, cols, pairs, zero_grad_first=False)
+        for g, want in ((got, sum(u.T @ x for u, x in pairs)), (got_bias, sum(u.sum(axis=0) for u, _ in pairs))):
+            assert np.abs(g - want).max() <= sum(batches) * eps * np.abs(want).max()
+
+
+def test_first_write_leaves_one_factor_pair_per_layer_and_frees_the_terms():
+    rng = RngState(55)
+    net = MlpTwoLayer(LinearLayer.init(3, 4, rng, pre_rectifier=True),
+                      LinearLayer.init(4, 2, rng, pre_rectifier=False))
+    data = RngState(56)
+    for _ in range(3):
+        net.forward(data.normal(5, 3))
+        net.backward(data.normal(5, 2))
+    terms = [weakref.ref(a) for layer in (net.layer1, net.layer2) for pair in layer.factors for a in pair]
+    assert len(net.layer1.factors) == len(net.layer2.factors) == 3
+    gradient_arrays(net)
+    for layer in (net.layer1, net.layer2):
+        assert len(layer.factors) == 1
+        u, x = layer.factors[0]
+        assert u.shape == (15, layer.out_dim) and x.shape == (15, layer.in_dim)
+    assert all(ref() is None for ref in terms)
+
+
+def test_stacking_drops_each_term_once_it_is_copied():
+    # two terms of 16 rows on a 1024 x 1024 layer: the terms hold T = 512 KiB,
+    # the stack as much again. Stacking with every term alive would peak at
+    # 2T; dropping each upstream once copied peaks at 1.5T.
+    layer = LinearLayer(np.zeros((1024, 1024)), np.zeros(1024))
+    rng = np.random.default_rng(8)
+    out = np.empty((2, 1024))
+    tracemalloc.start()
+    try:
+        layer.factors.extend((rng.standard_normal((16, 1024)), rng.standard_normal((16, 1024))) for _ in range(2))
+        terms, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        GradientWriter(layer, bias=False).write(out, 0, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert terms >= 4 * 16 * 1024 * 8
+    assert peak < 1.75 * terms
 
 
 def test_zero_grad_drops_the_factors_and_the_gradient_reads_zeros():
@@ -496,8 +554,9 @@ def test_adam_over_writers_is_bit_identical_to_adam_over_their_arrays():
 
 
 def adam_step_oracle(state: dict, params, grads):
-    """The whole-array Adam update that ``adam_step`` replaced; moments live
-    in ``state["m"]``/``state["v"]``, the step count in ``state["t"]``."""
+    """The whole-array Adam update, with the bias corrections folded into
+    ``lr / bc1`` and ``1 / bc2`` as ``adam_step`` folds them; moments live in
+    ``state["m"]``/``state["v"]``, the step count in ``state["t"]``."""
     if "m" not in state:
         state["m"] = [np.zeros_like(p) for p in params]
         state["v"] = [np.zeros_like(p) for p in params]
@@ -505,14 +564,14 @@ def adam_step_oracle(state: dict, params, grads):
     state["t"] += 1
     t = state["t"]
     lr, b1, b2, eps = state["lr"], state["beta1"], state["beta2"], state["eps"]
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    step = lr / (1.0 - b1**t)
+    inv_bc2 = 1.0 / (1.0 - b2**t)
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p -= (m * step) / (np.sqrt(v * inv_bc2) + eps)
 
 
 def test_adam_step_is_bit_identical_to_the_whole_array_update():

@@ -177,7 +177,22 @@ def ids_path_for(matrix_path) -> Path:
     return Path(matrix_path).with_suffix(".ids")
 
 
+def _check_writable_ids(ids, manifest: bool = False) -> None:
+    """Refuse, as a :class:`ClassIdError`, an id that would not read back
+    as itself: one that is empty, has leading or trailing whitespace or
+    holds a line break (the readers strip lines, skip blank ones and split
+    at every line break ``str.splitlines`` knows). A manifest also refuses
+    an id that would read as a comment (``#...``) or a section header
+    (``[...]``)."""
+    for i in map(str, ids):
+        if i.strip() != i or i.splitlines() != [i]:
+            raise ClassIdError(f"id {i!r} would not read back: empty, padded with whitespace or holding a line break")
+        if manifest and (i.startswith("#") or (i.startswith("[") and i.endswith("]"))):
+            raise ClassIdError(f"manifest id {i!r} would read back as a comment or a section header")
+
+
 def save_ids(path, ids) -> None:
+    _check_writable_ids(ids)
     Path(path).write_text("".join(f"{i}\n" for i in ids), encoding="utf-8")
 
 
@@ -233,6 +248,7 @@ def _load_with_ids(matrix_path, kind: str = "id", unit: str = "classes"):
 
 
 def _save_with_ids(matrix_path, matrix, ids) -> None:
+    _check_writable_ids(ids)
     save_matrix(matrix_path, matrix)
     save_ids(ids_path_for(matrix_path), ids)
 
@@ -432,6 +448,7 @@ class SplitManifest:
 
 
 def save_manifest(path, manifest: SplitManifest) -> None:
+    _check_writable_ids(manifest.seen + manifest.unseen + manifest.val_seen, manifest=True)
     lines = ["[seen]"] + manifest.seen + ["[unseen]"] + manifest.unseen
     if manifest.val_seen:
         lines += ["[val_seen]"] + manifest.val_seen

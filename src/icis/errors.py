@@ -30,7 +30,7 @@ class ZeroNormError(IcisError):
 
 
 class ClassIdError(IcisError):
-    """Unknown, duplicate, or colliding class identifiers."""
+    """Unknown, duplicate, colliding, or unwritable class identifiers."""
 
 
 class DataFormatError(IcisError):

@@ -83,9 +83,9 @@ class LinearLayer:
 
     ``factors`` holds the ``(upstream, x)`` pairs that backward recorded
     since the last ``zero_grad``. With ``U`` and ``X`` their rows stacked in
-    record order, d(loss)/d(W) is ``U.T @ X`` and d(loss)/d(b) is
-    ``U.sum(axis=0)``: one product over every term, not a sum of per-term
-    products.
+    record order (terms that record one input array summed onto its rows),
+    d(loss)/d(W) is ``U.T @ X`` and d(loss)/d(b) is ``U.sum(axis=0)``: one
+    product over every term, not a sum of per-term products.
     """
 
     def __init__(self, weight, bias):
@@ -120,14 +120,19 @@ class LinearLayer:
 
     def stacked_factors(self):
         """The recorded pairs as one ``(U, X)`` pair, or None if none is
-        recorded. Several pairs are stacked once and replace the list, so
-        later writes reuse the stack. Each per-term array is dropped as soon
-        as it is copied, so the stack and the terms are never all held at
+        recorded. Pairs whose inputs are the same array (``is``, never a
+        content comparison) merge first into one ``(U1 + U2, X)``, which
+        keeps that array and halves its rows in the product. Several pairs
+        left are then stacked once; the result replaces the list, so later
+        writes reuse it. Each per-term array is dropped as soon as it is
+        merged or copied, so the stack and the terms are never all held at
         once."""
         if len(self.factors) > 1:
-            upstreams, inputs = (list(side) for side in zip(*self.factors))
-            self.factors.clear()
-            self.factors.append((_stack_rows(upstreams), _stack_rows(inputs)))
+            upstreams, inputs = _merge_by_input(self.factors)
+            if len(inputs) == 1:
+                self.factors.append((upstreams[0], inputs[0]))
+            else:
+                self.factors.append((_stack_rows(upstreams), _stack_rows(inputs)))
         return self.factors[0] if self.factors else None
 
     def parameters(self):
@@ -252,6 +257,23 @@ class MlpTwoLayer:
         self._cache = None
 
 
+def _merge_by_input(pairs: list):
+    """The ``(upstream, input)`` pairs as one upstream per distinct input
+    array, in order of first record: the upstreams of pairs that share an
+    input (by identity) are summed in record order. ``pairs`` is emptied as
+    it is read, so a merged upstream can be freed at once."""
+    upstreams, inputs = [], []
+    while pairs:
+        u, x = pairs.pop(0)
+        k = next((k for k, seen in enumerate(inputs) if seen is x), None)
+        if k is None:
+            upstreams.append(u)
+            inputs.append(x)
+        else:
+            upstreams[k] = upstreams[k] + u
+    return upstreams, inputs
+
+
 def _stack_rows(arrays: list) -> np.ndarray:
     """The rows of the 2-D ``arrays`` in order, as one new array. The list is
     emptied as its arrays are copied, so each can be freed at once."""
@@ -284,7 +306,7 @@ def row_blocks(rows: int, width: int, budget: int):
 
 
 # Adam walks every parameter in chunks of this many elements: the chunks of
-# p, g, m, v and the two scratch buffers (6 x 256 KiB) fit in a 2 MiB L2.
+# p, g, m, v and the scratch buffer (5 x 256 KiB) fit in a 2 MiB L2.
 ADAM_CHUNK = 32768
 
 # Adam writes each weight gradient in row blocks of about this many elements
@@ -306,14 +328,24 @@ ENTROPY_STRIP = 1 << 15
 class AdamState:
     """Adam optimiser state over an ordered list of parameter arrays.
 
-    The first and second moments are built on the first step, one array per
+    The moments are kept scaled, as ``m / (1 - beta1)`` and ``v / (1 -
+    beta2)``, so each update is a multiply and an add (see
+    :func:`adam_step`). They are built on the first step, one array per
     parameter; later steps must pass parameters of the same count and shapes.
-    The scratch is two ``ADAM_CHUNK`` buffers and one gradient block of
+    The scratch is one ``ADAM_CHUNK`` buffer and one gradient block of
     ``GRAD_BLOCK`` elements, which grows for a block that needs more (a
     one-row remainder joins the block before it, see :func:`row_blocks`).
+    ``beta1`` and ``beta2`` must lie in [0, 1), and ``lr`` and ``eps`` must be
+    finite and non-negative; anything else is an :class:`IcisError`.
     """
 
     def __init__(self, lr: float = 1e-5, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise IcisError(f"{name} must lie in [0, 1), got {beta!r}")
+        for name, value in (("lr", lr), ("eps", eps)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise IcisError(f"{name} must be finite and >= 0, got {value!r}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -321,7 +353,7 @@ class AdamState:
         self.step_count = 0
         self._m = None
         self._v = None
-        self._scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        self._scratch = np.empty(ADAM_CHUNK)
         self._grad_block = np.empty(GRAD_BLOCK)
 
 
@@ -331,14 +363,19 @@ def adam_step(state: AdamState, params, grads):
     Each entry of ``grads`` is a :class:`GradientWriter` (or any object with
     its ``shape``, ``blocks`` and ``write``). Its gradient is written one row
     block at a time into the state's gradient block and consumed there, so
-    it never exists whole. Each block
-    is swept in chunks of ``ADAM_CHUNK`` elements through the state's
-    scratch buffers. The bias corrections ``bc1`` and ``bc2`` are folded
-    into two scalars computed once per step, so the update is
-    ``p -= (m * (lr / bc1)) / (sqrt(v * (1 / bc2)) + eps)``, with ``eps``
-    outside the square root. Every operation is elementwise in that order, so
-    the result is bit-identical to a whole-array update, whatever the block
-    and chunk sizes.
+    it never exists whole. Each block is swept in chunks of ``ADAM_CHUNK``
+    elements through the state's scratch buffer, in ten ufunc passes. With
+    the moments scaled as ``m' = m / (1 - beta1)`` and ``v' = v / (1 -
+    beta2)``, the updates are ``m' = beta1 m' + g`` and ``v' = beta2 v' +
+    g^2``, with ``g`` squared in place in the gradient block, which then
+    holds the denominator. Both bias corrections and the moment scales fold
+    into two scalars per step, ``c = sqrt((1 - beta2) / (1 - beta2^t))`` and
+    ``s = lr (1 - beta1) / (1 - beta1^t) / c``, so the update is
+    ``p -= (m' s) / (sqrt(v') + eps / c)``: the textbook
+    ``lr m_hat / (sqrt(v_hat) + eps)`` with ``eps`` outside the square root,
+    and one divide. Every operation is elementwise in that order, so the
+    result is bit-identical to a whole-array update, whatever the block and
+    chunk sizes.
     """
     if len(params) != len(grads):
         raise ShapeMismatchError("params/grads count mismatch", left=len(params), right=len(grads))
@@ -356,10 +393,10 @@ def adam_step(state: AdamState, params, grads):
                                  left=[p.shape for p in params], right=[m.shape for m in state._m])
     state.step_count += 1
     t = state.step_count
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    step = state.lr / (1.0 - b1**t)
-    inv_bc2 = 1.0 / (1.0 - b2**t)
-    scratch_a, scratch_b = state._scratch
+    b1, b2 = state.beta1, state.beta2
+    c = math.sqrt((1.0 - b2) / (1.0 - b2**t))
+    step = state.lr * (1.0 - b1) / (1.0 - b1**t) / c
+    eps_c = state.eps / c
     for p, g, m, v in zip(params, grads, state._m, state._v):
         p, m, v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
         for base, gb in _gradient_blocks(state, g):
@@ -367,20 +404,17 @@ def adam_step(state: AdamState, params, grads):
             for lo in range(0, gb.size, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, gb.size)
                 pc, gc, mc, vc = pb[lo:hi], gb[lo:hi], mb[lo:hi], vb[lo:hi]
-                a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+                update = state._scratch[: hi - lo]
                 mc *= b1
-                np.multiply(1.0 - b1, gc, out=a)
-                mc += a
+                mc += gc
+                gc *= gc
                 vc *= b2
-                np.multiply(1.0 - b2, gc, out=a)
-                a *= gc
-                vc += a
-                np.multiply(vc, inv_bc2, out=a)
-                np.sqrt(a, out=a)
-                a += eps
-                np.multiply(mc, step, out=b)
-                b /= a
-                pc -= b
+                vc += gc
+                np.sqrt(vc, out=gc)
+                gc += eps_c
+                np.multiply(mc, step, out=update)
+                update /= gc
+                pc -= update
 
 
 def _gradient_blocks(state: AdamState, g):

@@ -1,6 +1,8 @@
 """Tests for file formats, data containers, splits, and the synthetic task."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +201,52 @@ def test_ids_round_trip(tmp_path):
     p = tmp_path / "m.ids"
     save_ids(p, ["c001", "c002", "zebra"])
     assert load_ids(p) == ["c001", "c002", "zebra"]
+
+
+@pytest.mark.parametrize("bad", ["", " b", "b ", "\tb", "c\nd", "c\rd", "c\x0bd", "c\u2028d"])
+def test_ids_that_would_not_read_back_are_refused_before_any_file_is_written(tmp_path, bad):
+    with pytest.raises(ClassIdError, match="would not read back"):
+        save_ids(tmp_path / "m.ids", ["a", bad, "c"])
+    with pytest.raises(ClassIdError, match="would not read back"):
+        DescriptorSet(["a", bad], np.eye(2)).save(tmp_path / "d.wsmat")
+    with pytest.raises(ClassIdError, match="would not read back"):
+        save_manifest(tmp_path / "split.txt", SplitManifest(["a"], [bad]))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", ["#a", "[x]", "[seen]"])
+def test_manifest_ids_that_would_read_as_comments_or_headers_are_refused(tmp_path, bad):
+    with pytest.raises(ClassIdError, match="comment or a section header"):
+        save_manifest(tmp_path / "split.txt", SplitManifest(["b", bad], ["y"]))
+    assert not (tmp_path / "split.txt").exists()
+    # an ids sidecar has neither comments nor sections
+    save_ids(tmp_path / "m.ids", [bad])
+    assert load_ids(tmp_path / "m.ids") == [bad]
+
+
+# printable ids without spaces, and ids built from the characters that readers strip, skip or split at
+_IDS = st.one_of(st.text(st.characters(blacklist_categories=("Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=4),
+                 st.text(alphabet="ab #[]\t\n\r\x0b\x1c\x85\u2028 ", max_size=4))
+
+
+@given(ids=st.lists(_IDS, max_size=6, unique=True), n_seen=st.integers(0, 6))
+def test_every_accepted_id_reads_back_as_itself(ids, n_seen):
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar, manifest = Path(tmp) / "m.ids", Path(tmp) / "split.txt"
+        try:
+            save_ids(sidecar, ids)
+        except ClassIdError:
+            assert not sidecar.exists()
+        else:
+            assert load_ids(sidecar) == ids
+        split = SplitManifest(ids[:n_seen], ids[n_seen:])
+        try:
+            save_manifest(manifest, split)
+        except ClassIdError:
+            assert not manifest.exists()
+        else:
+            back = load_manifest(manifest)
+            assert (back.seen, back.unseen) == (split.seen, split.unseen)
 
 
 def test_ids_and_manifest_that_are_not_utf8_are_format_errors(tmp_path):

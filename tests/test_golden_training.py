@@ -1,12 +1,13 @@
 """Golden outputs of the trainers, compared exactly.
 
 Every value below was recorded from the trainers with each layer's
-gradient written as one product of its stacked factors, Adam's bias
-corrections folded into two scalars per step, the span penalty taken from
-the seen rows' basis and ``dae_refine`` at its module constants. Each case
-trains at a tiny shape and compares
-per-epoch losses as ``float.hex`` strings and final parameters, refined rows
-and checkpoint files as sha256 digests of their bytes. There is no
+gradient written as one product of its stacked factors (the upstreams of
+terms that share an input array summed first), Adam on scaled moments
+with its bias corrections folded into two scalars per step, the span
+penalty taken from the seen rows' basis and ``dae_refine`` at its module
+constants. Each case trains at a tiny shape and compares per-epoch losses
+as ``float.hex`` strings and final parameters, refined rows and checkpoint
+files as sha256 digests of their bytes. There is no
 tolerance: any change in arithmetic order, RNG draws or batching shows up.
 
 To re-record after an intended numeric change, print ``_outputs()`` for each
@@ -18,24 +19,26 @@ import hashlib
 import numpy as np
 import pytest
 
-from icis.baselines import dae_refine, train_subreg
+from icis.baselines import dae_refine, span_basis, subspace_reg_loss, train_subreg
 from icis.data import make_pairs, synth_generate
 from icis.model import IcisModel, LossConfig, TrainConfig, save_checkpoint, train
 from icis.tensor import RngState
 
 N_SEEN, N_UNSEEN, D_A, D_W, HIDDEN = 21, 7, 6, 5, 8
+# the subspace case: its 5 seen weight rows span a proper subspace of R^9
+SUB_SEEN, SUB_D_W = 5, 9
 
 
-def _task():
-    task = synth_generate(seed=3, n_seen=N_SEEN, n_unseen=N_UNSEEN, d_a=D_A, d_w=D_W,
+def _task(n_seen=N_SEEN, d_w=D_W):
+    task = synth_generate(seed=3, n_seen=n_seen, n_unseen=N_UNSEEN, d_a=D_A, d_w=d_w,
                           samples_per_class=1)
     pairs = make_pairs(task.descriptors, task.head)
     unseen = task.descriptors.subset(task.manifest.unseen).matrix
     return pairs, unseen
 
 
-def _model():
-    return IcisModel.init(D_A, D_W, HIDDEN, RngState(4).spawn("model-init"))
+def _model(d_w=D_W):
+    return IcisModel.init(D_A, d_w, HIDDEN, RngState(4).spawn("model-init"))
 
 
 def _config(**overrides):
@@ -79,6 +82,11 @@ def _outputs(case, tmp_path=None):
         model = _model()
         trace = train_subreg(model, pairs, unseen, lam=0.5, train_config=_config(max_epochs=4))
         return _trace_outputs(trace, model)
+    if case == "subreg_subspace":
+        pairs, unseen = _task(SUB_SEEN, SUB_D_W)
+        model = _model(SUB_D_W)
+        trace = train_subreg(model, pairs, unseen, lam=0.5, train_config=_config(max_epochs=4))
+        return _trace_outputs(trace, model)
     if case == "dae":
         pairs, unseen = _task()
         rows = dae_refine(pairs.weights, pairs.weights[:3] * 0.9, seed=5, epochs=3)
@@ -93,7 +101,7 @@ def _outputs(case, tmp_path=None):
 
 GOLDEN = {'checkpoint': {'bytes': 'ee4a575ca9e3f5f8a7c04e75a217cbbef2524164e2e968c605e58fb65473b4f2'},
  'dae': {'rows': 'b2aeaa029891fc7ad9574995e4f0e3163ca0c9d88d6a83c6c652f1078285cbfd'},
- 'subreg': {'params': '7c3e8726633233340937334cb8f94d6862d1fedf3b455f80de39ce7f1feb851b',
+ 'subreg': {'params': '22f98c0ce8100872f56dacb9c972413fa5fc55dc81be43d304282901e2b4daa8',
             'stopped_early': False,
             'terms': {'a_to_a': ['0x0.0p+0',
                                  '0x0.0p+0',
@@ -101,7 +109,7 @@ GOLDEN = {'checkpoint': {'bytes': 'ee4a575ca9e3f5f8a7c04e75a217cbbef2524164e2e96
                                  '0x0.0p+0'],
                       'reg': ['0x1.1da5bf06c2fe9p+0',
                               '0x1.84d4b33e6d720p-1',
-                              '0x1.13cac44f00720p-1',
+                              '0x1.13cac44f0071fp-1',
                               '0x1.a44ed2bb02458p-2'],
                       'w_to_a': ['0x0.0p+0',
                                  '0x0.0p+0',
@@ -113,20 +121,42 @@ GOLDEN = {'checkpoint': {'bytes': 'ee4a575ca9e3f5f8a7c04e75a217cbbef2524164e2e96
                                  '0x0.0p+0']},
             'total': ['0x1.1da5bf06c2fe9p+0',
                       '0x1.84d4b33e6d720p-1',
-                      '0x1.13cac44f00720p-1',
+                      '0x1.13cac44f0071fp-1',
                       '0x1.a44ed2bb02458p-2']},
- 'train_cosine': {'params': '2f6684dd4d2b54b089d6a55cc0ce5a9e4dfe641c0dade08ceb0f0b95fe68af58',
+ 'subreg_subspace': {'params': '1b78c5fd26d59305b148ea00aa24de9d296917bafe4a944b2004a4f26e81a99e',
+                     'stopped_early': False,
+                     'terms': {'a_to_a': ['0x0.0p+0',
+                                          '0x0.0p+0',
+                                          '0x0.0p+0',
+                                          '0x0.0p+0'],
+                               'reg': ['0x1.7bf606b460538p+2',
+                                       '0x1.05d9b76c63fb0p+2',
+                                       '0x1.a71e5c256885bp+1',
+                                       '0x1.4ee9360ecbf18p+1'],
+                               'w_to_a': ['0x0.0p+0',
+                                          '0x0.0p+0',
+                                          '0x0.0p+0',
+                                          '0x0.0p+0'],
+                               'w_to_w': ['0x0.0p+0',
+                                          '0x0.0p+0',
+                                          '0x0.0p+0',
+                                          '0x0.0p+0']},
+                     'total': ['0x1.7bf606b460538p+2',
+                               '0x1.05d9b76c63fb0p+2',
+                               '0x1.a71e5c256885bp+1',
+                               '0x1.4ee9360ecbf18p+1']},
+ 'train_cosine': {'params': '578ce4efe9bc518833cdff6656353592367a384dd1750da6a32fc0951d2cc87e',
                   'stopped_early': False,
                   'terms': {'a_to_a': ['0x1.093419dad6911p+0',
-                                       '0x1.dcfd41638833bp-1',
+                                       '0x1.dcfd416388339p-1',
                                        '0x1.abc83125ea8f5p-1',
-                                       '0x1.8075513a2cae2p-1',
+                                       '0x1.8075513a2cae1p-1',
                                        '0x1.563e30e9c36e9p-1'],
                             'reg': ['0x1.03ef61bb3e6fap+0',
                                     '0x1.cca0be5d8ac20p-1',
                                     '0x1.9bd49c63f589bp-1',
-                                    '0x1.6ccc525e7a88ap-1',
-                                    '0x1.40cfb7bede58cp-1'],
+                                    '0x1.6ccc525e7a88bp-1',
+                                    '0x1.40cfb7bede58bp-1'],
                             'w_to_a': ['0x1.f2d10be66b700p-1',
                                        '0x1.ba436de3a5eddp-1',
                                        '0x1.9200676a6e694p-1',
@@ -134,42 +164,42 @@ GOLDEN = {'checkpoint': {'bytes': 'ee4a575ca9e3f5f8a7c04e75a217cbbef2524164e2e96
                                        '0x1.47f54701611a7p-1'],
                             'w_to_w': ['0x1.ea99d4f0fe10fp-1',
                                        '0x1.95a6d46043a09p-1',
-                                       '0x1.52a451480a9f8p-1',
+                                       '0x1.52a451480a9fap-1',
                                        '0x1.2381e948788e3p-1',
-                                       '0x1.fb072020259f8p-2']},
+                                       '0x1.fb072020259f7p-2']},
                   'total': ['0x1.fdec7600e4e0ap+1',
-                            '0x1.be6210813f210p+1',
+                            '0x1.be6210813f20fp+1',
                             '0x1.8b10618f16487p+1',
                             '0x1.5ff10751340e5p+1',
                             '0x1.3721afee856c6p+1']},
- 'train_early_stop': {'params': 'a9f0d448c7976614a73c5e365b74e7c42bfd906b7ebd10a8c75882cc786c3e57',
+ 'train_early_stop': {'params': '40157217f14437ae036938cd505089b64841202759e7a66fbb1b222985b78461',
                       'stopped_early': True,
                       'terms': {'a_to_a': ['0x1.093419dad6911p+0',
-                                           '0x1.dcfd41638833bp-1',
+                                           '0x1.dcfd416388339p-1',
                                            '0x1.abc83125ea8f5p-1',
-                                           '0x1.8075513a2cae2p-1'],
+                                           '0x1.8075513a2cae1p-1'],
                                 'reg': ['0x1.03ef61bb3e6fap+0',
                                         '0x1.cca0be5d8ac20p-1',
                                         '0x1.9bd49c63f589bp-1',
-                                        '0x1.6ccc525e7a88ap-1'],
+                                        '0x1.6ccc525e7a88bp-1'],
                                 'w_to_a': ['0x1.f2d10be66b700p-1',
                                            '0x1.ba436de3a5eddp-1',
                                            '0x1.9200676a6e694p-1',
                                            '0x1.6f009063b0745p-1'],
                                 'w_to_w': ['0x1.ea99d4f0fe10fp-1',
                                            '0x1.95a6d46043a09p-1',
-                                           '0x1.52a451480a9f8p-1',
+                                           '0x1.52a451480a9fap-1',
                                            '0x1.2381e948788e3p-1']},
                       'total': ['0x1.fdec7600e4e0ap+1',
-                                '0x1.be6210813f210p+1',
+                                '0x1.be6210813f20fp+1',
                                 '0x1.8b10618f16487p+1',
                                 '0x1.5ff10751340e5p+1']},
- 'train_l2': {'params': '7a575b7fe5fe3be1fada79ad717d983352c9c0d074e5fd968e60ff11282c6643',
+ 'train_l2': {'params': 'f6a324aea56bb71843555f76ebf5f52adfe16ab5eb26f4381a1b60052cf79a92',
               'stopped_early': False,
               'terms': {'a_to_a': ['0x1.03d8a8780c7eap+1',
                                    '0x1.8913256390362p+0',
                                    '0x1.37f66cb026a48p+0',
-                                   '0x1.035d32cd02147p+0',
+                                   '0x1.035d32cd02149p+0',
                                    '0x1.c67b500d7395dp-1'],
                         'reg': ['0x1.1e5017daf1287p+0',
                                 '0x1.80e0182cf751ep-1',
@@ -180,16 +210,16 @@ GOLDEN = {'checkpoint': {'bytes': 'ee4a575ca9e3f5f8a7c04e75a217cbbef2524164e2e96
                                    '0x1.205776d332fbep+0',
                                    '0x1.111eeb1d70c5bp+0',
                                    '0x1.05433f615119ap+0',
-                                   '0x1.f8a005069c755p-1'],
+                                   '0x1.f8a005069c757p-1'],
                         'w_to_w': ['0x1.0eb1dbab3ed38p-2',
                                    '0x1.c1fc3a02dd152p-3',
-                                   '0x1.94d428253c14ep-3',
+                                   '0x1.94d428253c14cp-3',
                                    '0x1.835e0ae689a02p-3',
                                    '0x1.722fabd8183bep-3']},
               'total': ['0x1.2b123ad400319p+2',
                         '0x1.d10d17c6cd3ecp+1',
                         '0x1.81b85785032c4p+1',
-                        '0x1.4f1d1cdf89da9p+1',
+                        '0x1.4f1d1cdf89daap+1',
                         '0x1.2fc24639a9241p+1']}}
 
 
@@ -201,3 +231,13 @@ def test_golden_outputs_are_bit_identical(case, tmp_path):
 def test_golden_early_stop_case_really_stops():
     assert GOLDEN["train_early_stop"]["stopped_early"]
     assert len(GOLDEN["train_early_stop"]["total"]) == 4
+
+
+def test_golden_subspace_case_trains_a_real_penalty():
+    # the 21 seen rows of the other cases span all of R^5, so their penalty is
+    # rounding noise; here the seen rows span a proper subspace
+    pairs, unseen = _task(SUB_SEEN, SUB_D_W)
+    basis = span_basis(pairs.weights)
+    assert basis.shape[0] == SUB_SEEN < SUB_D_W
+    penalty, _ = subspace_reg_loss(_model(SUB_D_W).a_to_w.predict(unseen), basis)
+    assert penalty > 1e-3

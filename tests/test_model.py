@@ -201,6 +201,18 @@ def test_total_loss_disabled_terms_are_absent():
     assert only_reg["total"] == pytest.approx(only_reg["reg"], abs=1e-15)
 
 
+def test_the_weight_encoder_writes_from_the_batch_weights_held_once():
+    # w_to_w and w_to_a both record the batch's w on the weight encoder: its
+    # gradient merges their upstreams and keeps w itself, not a copy
+    m = IcisModel.init(4, 6, 10, RngState(5))
+    a = RngState(6).normal(5, 4)
+    w = RngState(7).normal(5, 6)
+    total_loss(m, a, w, LossConfig(), unseen_descriptors=RngState(8).normal(2, 4))
+    assert len(m.weight_encoder.factors) == 2
+    u, x = m.weight_encoder.stacked_factors()
+    assert x is w and u.shape == (5, 10)
+
+
 def test_total_gradient_is_sum_of_term_gradients():
     m = IcisModel.init(4, 6, 10, RngState(8))
     a = RngState(9).normal(5, 4)
@@ -392,7 +404,7 @@ def test_fit_holds_no_gradient_buffer_and_steps_without_weight_sized_temporaries
     weight = net.layer1.weight.nbytes
     params = sum(p.nbytes for p in net.parameters())
     assert len(held) == 2
-    # p, m, v, Adam's scratch (1.5 MiB) and the data; a gradient buffer would add 2 weights
+    # p, m, v, Adam's scratch (1.25 MiB) and the data; a gradient buffer would add 2 weights
     assert held[1] < 3 * params + weight / 2
     assert peak - held[1] < weight / 4
 

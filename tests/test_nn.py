@@ -1,5 +1,6 @@
 """Tests for the distances, the two-layer perceptron backward pass, and Adam."""
 
+import math
 import tracemalloc
 import weakref
 
@@ -554,8 +555,9 @@ def test_adam_over_writers_is_bit_identical_to_adam_over_their_arrays():
 
 
 def adam_step_oracle(state: dict, params, grads):
-    """The whole-array Adam update, with the bias corrections folded into
-    ``lr / bc1`` and ``1 / bc2`` as ``adam_step`` folds them; moments live in
+    """The whole-array Adam update on the scaled moments ``m / (1 - beta1)``
+    and ``v / (1 - beta2)``, with the bias corrections folded into ``c`` and
+    ``s`` as ``adam_step`` folds them; moments live in
     ``state["m"]``/``state["v"]``, the step count in ``state["t"]``."""
     if "m" not in state:
         state["m"] = [np.zeros_like(p) for p in params]
@@ -564,14 +566,14 @@ def adam_step_oracle(state: dict, params, grads):
     state["t"] += 1
     t = state["t"]
     lr, b1, b2, eps = state["lr"], state["beta1"], state["beta2"], state["eps"]
-    step = lr / (1.0 - b1**t)
-    inv_bc2 = 1.0 / (1.0 - b2**t)
+    c = math.sqrt((1.0 - b2) / (1.0 - b2**t))
+    step = lr * (1.0 - b1) / (1.0 - b1**t) / c
     for p, g, m, v in zip(params, grads, state["m"], state["v"]):
         m *= b1
-        m += (1.0 - b1) * g
+        m += g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= (m * step) / (np.sqrt(v * inv_bc2) + eps)
+        v += g * g
+        p -= (m * step) / (np.sqrt(v) + eps / c)
 
 
 def test_adam_step_is_bit_identical_to_the_whole_array_update():
@@ -592,3 +594,82 @@ def test_adam_step_is_bit_identical_to_the_whole_array_update():
         assert np.array_equal(got, want)
         assert np.array_equal(m, want_m)
         assert np.array_equal(v, want_v)
+
+
+def test_adam_matches_the_textbook_recurrences():
+    # plain moments, no folding: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), at non-default betas and eps
+    rng = np.random.default_rng(12)
+    lr, b1, b2, eps = 2e-3, 0.7, 0.95, 1e-3
+    shapes = [(4, 9), (ADAM_CHUNK + 3,)]
+    params = [rng.standard_normal(s) for s in shapes]
+    expected = [p.copy() for p in params]
+    moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+    state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 26):
+        grads = [rng.standard_normal(s) * rng.uniform(1e-4, 1e1) for s in shapes]
+        adam_step(state, params, as_writers(*grads))
+        for q, g, (m, v) in zip(expected, grads, moments):
+            m[...] = b1 * m + (1 - b1) * g
+            v[...] = b2 * v + (1 - b2) * g * g
+            q -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+    for got, want, v_scaled, (_, v) in zip(params, expected, state._v, moments):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(v_scaled * (1 - b2), v, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("hyper", [dict(beta1=1.0), dict(beta1=-0.1), dict(beta1=float("nan")),
+                                   dict(beta2=1.0), dict(beta2=-1e-3), dict(beta2=float("inf")),
+                                   dict(eps=-1e-8), dict(eps=float("nan")), dict(eps=float("inf")),
+                                   dict(lr=-1e-3), dict(lr=float("nan")), dict(lr=float("inf"))])
+def test_adam_state_refuses_invalid_hyperparameters(hyper):
+    name = next(iter(hyper))
+    with pytest.raises(IcisError, match=name):
+        AdamState(**hyper)
+
+
+def test_adam_state_accepts_the_edges_of_its_ranges():
+    p = np.array([1.0, -1.0])
+    adam_step(AdamState(lr=0.0, beta1=0.0, beta2=0.0, eps=0.0), [p], as_writers(np.array([0.5, 2.0])))
+    assert p.tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("rows, cols", [(2048, 2048), (2048, 312)])
+def test_terms_that_share_an_input_array_write_the_stacked_gradient_to_rounding(rows, cols):
+    # the upstreams of terms that record one input array are summed, so each
+    # entry is a sum of K/2 products of two-term sums instead of K products:
+    # the two differ by at most K ulps of the largest entry (K the stacked rows;
+    # measured: 4)
+    rng = np.random.default_rng(rows + 3 * cols)
+    eps = np.finfo(np.float64).eps
+    x, y = rng.standard_normal((16, cols)), rng.standard_normal((16, cols))
+    for inputs in ((x, x), (x, y, x), (x, x, y, y, x)):
+        pairs = [(rng.standard_normal((16, rows)), inp) for inp in inputs]
+        got, got_bias = written_gradients(rows, cols, pairs, zero_grad_first=False)
+        want, want_bias = stacked_oracle(pairs)
+        for g, w in ((got, want), (got_bias, want_bias)):
+            assert np.abs(g - w).max() <= 16 * len(pairs) * eps * np.abs(w).max()
+
+
+def test_terms_that_share_an_input_array_hold_it_once():
+    # 16-row terms of 128 KiB each on a 1024 x 1024 layer. (x, x) leaves the
+    # merged upstream alone (one term); (x, y, x) leaves U and X stacks of 32
+    # rows each (four terms), where holding x twice would take 48 rows each
+    term = 16 * 1024 * 8
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((16, 1024)), rng.standard_normal((16, 1024))
+    for inputs, kept in (((x, x), 1), ((x, y, x), 4)):
+        layer = LinearLayer(np.zeros((1024, 1024)), np.zeros(1024))
+        layer.factors.extend((rng.standard_normal((16, 1024)), inp) for inp in inputs)
+        tracemalloc.start()
+        try:
+            GradientWriter(layer, bias=True).write(np.empty(1024), 0, 1024)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        u, stacked = layer.factors[0]
+        assert u.shape[0] == stacked.shape[0] == 16 * len(set(map(id, inputs)))
+        if kept == 1:
+            # the input is the recorded array, not a copy
+            assert stacked is x
+        assert kept * term <= held < (kept + 0.5) * term

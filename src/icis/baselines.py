@@ -11,7 +11,7 @@ import numpy as np
 from .data import ClassifierHead, DescriptorSet, PairSet
 from .errors import IcisError
 from .evaluation import classify, softmax_rows
-from .model import IcisModel, LossConfig, LossTrace, TrainConfig, fit, stopping_threshold
+from .model import IcisModel, LossConfig, LossTrace, TrainConfig, check_hidden_dim, fit, stopping_threshold
 from .nn import LinearLayer, MlpTwoLayer, batch_loss
 from .tensor import RngState, as_matrix, row_normalize
 
@@ -194,6 +194,7 @@ def train_subreg(
     a_unseen = as_matrix(unseen_descriptors)
     if a_seen.shape[1] != model.d_a or w_seen.shape[1] != model.d_w or a_unseen.shape[1] != model.d_a:
         raise IcisError("pair or descriptor dims do not match model")
+    check_hidden_dim(model, cfg)
     basis = span_basis(w_seen)
 
     def step(rows, extra_rows):
@@ -262,6 +263,6 @@ def dae_refine(
         return {"reg": (loss, rows.size)}
 
     # stop_window = epochs: the stop rule needs two windows, so every epoch runs
-    cfg = TrainConfig(lr=DAE_LR, batch_size=DAE_BATCH_SIZE, max_epochs=epochs, stop_window=epochs)
+    cfg = TrainConfig(lr=DAE_LR, batch_size=DAE_BATCH_SIZE, hidden_dim=d, max_epochs=epochs, stop_window=epochs)
     fit(net, w.shape[0], step, cfg, shuffle_rng, cfg.stop_threshold)
     return net.predict(pred)

@@ -37,7 +37,6 @@ from .evaluation import (
     per_class_mean_accuracy,
 )
 from .model import (
-    DEFAULT_HIDDEN,
     IcisModel,
     LossConfig,
     TrainConfig,
@@ -100,23 +99,27 @@ def _train_config_from_args(args) -> TrainConfig:
 
 
 def _add_run_options(p: argparse.ArgumentParser, include_bias: bool = True) -> None:
-    p.add_argument("--hidden-dim", type=int, default=DEFAULT_HIDDEN)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--stop-window", type=int, default=10)
-    p.add_argument("--stop-threshold", type=float, default=2e-4)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = TrainConfig()
+    p.add_argument("--hidden-dim", type=int, default=defaults.hidden_dim)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--max-epochs", type=int, default=defaults.max_epochs)
+    p.add_argument("--stop-window", type=int, default=defaults.stop_window)
+    p.add_argument("--stop-threshold", type=float, default=defaults.stop_threshold)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     if include_bias:
         p.add_argument("--include-bias", action="store_true",
                        help="regress head biases as a trailing weight coordinate")
 
 
 def _add_loss_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--distance", choices=["cosine", "l2"], default="cosine")
-    p.add_argument("--terms", default="a2w,a2a,w2w,w2a",
+    defaults = LossConfig()
+    terms = ["a2w"] + [key for key, flag in TERM_FLAGS.items() if getattr(defaults, flag)]
+    p.add_argument("--distance", choices=["cosine", "l2"], default=defaults.distance)
+    p.add_argument("--terms", default=",".join(terms),
                    help="comma list of loss terms; a2w is mandatory")
-    p.add_argument("--include-unseen-desc", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--include-unseen-desc", action=argparse.BooleanOptionalAction,
+                   default=defaults.include_unseen_descriptors,
                    help="mix unseen descriptors into the descriptor autoencoder")
 
 

@@ -99,6 +99,12 @@ class TrainConfig:
             raise IcisError("hidden_dim must be >= 1")
 
 
+def check_hidden_dim(model, cfg: TrainConfig) -> None:
+    """Refuse a config whose ``hidden_dim`` is not the model's latent width."""
+    if cfg.hidden_dim != model.hidden:
+        raise IcisError(f"hidden_dim={cfg.hidden_dim} does not match the model's latent width {model.hidden}")
+
+
 def stopping_threshold(loss_config: LossConfig, train_config: TrainConfig) -> float:
     """Effective flat-slope threshold; squared-error losses live on a much
     smaller scale than cosine losses, so the threshold shrinks with them."""
@@ -154,6 +160,9 @@ class IcisModel:
             raise IcisError("encoder output dims must match decoder input dims")
         if desc_encoder.out_dim != weight_encoder.out_dim:
             raise IcisError("both encoders must share one latent dim")
+        if desc_decoder.out_dim != desc_encoder.in_dim or weight_decoder.out_dim != weight_encoder.in_dim:
+            raise IcisError(f"decoder output dims ({desc_decoder.out_dim}, {weight_decoder.out_dim}) must match "
+                            f"encoder input dims ({desc_encoder.in_dim}, {weight_encoder.in_dim})")
         self.desc_encoder = desc_encoder
         self.desc_decoder = desc_decoder
         self.weight_encoder = weight_encoder
@@ -191,22 +200,6 @@ class IcisModel:
     def layers(self) -> tuple:
         return (self.desc_encoder, self.desc_decoder, self.weight_encoder, self.weight_decoder)
 
-    def compositions(self) -> dict:
-        """The composition each loss term trains, by term name."""
-        return {"reg": self.a_to_w, "a_to_a": self.a_to_a, "w_to_w": self.w_to_w, "w_to_a": self.w_to_a}
-
-    def reached_layers(self, terms) -> tuple:
-        """The layers that the gradients of ``terms`` reach, in :meth:`layers`
-        order; every other layer's gradient is zero."""
-        nets = [self.compositions()[name] for name in terms]
-        return tuple(layer for layer in self.layers() if any(layer in (n.layer1, n.layer2) for n in nets))
-
-    def parameters(self) -> list:
-        return [p for layer in self.layers() for p in layer.parameters()]
-
-    def gradient_writers(self) -> list:
-        return [g for layer in self.layers() for g in layer.gradient_writers()]
-
     def zero_grad(self) -> None:
         for layer in self.layers():
             layer.zero_grad()
@@ -236,12 +229,12 @@ def total_loss(model: IcisModel, descriptors, weights, loss_config: LossConfig,
         extra = as_matrix(unseen_descriptors)
         if extra.shape[0]:
             a_in = np.vstack([a, extra])
-    pairs = {"reg": (a, w), "a_to_a": (a_in, a_in), "w_to_w": (w, w), "w_to_a": (w, a)}
-    nets = model.compositions()
+    paths = {"reg": (model.a_to_w, a, w), "a_to_a": (model.a_to_a, a_in, a_in),
+             "w_to_w": (model.w_to_w, w, w), "w_to_a": (model.w_to_a, w, a)}
     loss_fn = batch_loss(loss_config.distance)
     values = {}
     for name in loss_config.enabled_terms():
-        net, (x, target) = nets[name], pairs[name]
+        net, x, target = paths[name]
         values[name], grad = loss_fn(net.forward(x), target)
         net.backward(grad)
     values["total"] = sum(values.values())
@@ -262,7 +255,7 @@ def _proportional_slice(start: int, end: int, n_src: int, n_dst: int) -> slice:
 
 
 def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
-        n_extra: int = 0, callback=None, trained=None) -> LossTrace:
+        n_extra: int = 0, callback=None) -> LossTrace:
     """The training loop shared by every trainer in the package.
 
     Each epoch shuffles the ``n`` training rows and, when ``n_extra``,
@@ -271,21 +264,19 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
     once per epoch. ``step(rows, extra_rows)`` computes the batch losses,
     whose backward passes record their gradient factors on ``module``
     (cleared with ``zero_grad`` just before), and returns ``{term: (mean,
-    row count)}``. One Adam step follows over the parts in ``trained``
-    (default: the whole module), each with ``parameters`` and
-    ``gradient_writers``: their writers write each gradient block by block
-    from those factors, and Adam consumes each block there. A part left out
-    is never updated, so it must be one that no loss term reaches: Adam over
-    its zero gradient and zero moments would leave it unchanged, bit for
-    bit. Epoch term means are row-weighted, their sum
-    is the epoch loss. Raises DivergenceError when the epoch loss
+    row count)}``. One Adam step follows over the layers of
+    ``module.layers()`` that recorded factors on the first step, taken once
+    in that order: their writers write each gradient block by block from
+    the factors, and Adam consumes each block there. Every step must reach
+    the same layers. A layer no loss term reaches is never updated: Adam
+    over its zero gradient and zero moments would leave it unchanged, bit
+    for bit. Epoch term means are row-weighted, their sum is the epoch
+    loss. Raises DivergenceError when the epoch loss
     stops being finite or exceeds ``DIVERGENCE_LIMIT``, and passes on a
     ZeroNormError from ``step``, each with the partial trace on the
     exception; stops early by :func:`should_stop`.
     """
-    trained = trained if trained is not None else (module,)
-    params = [p for part in trained for p in part.parameters()]
-    writers = [g for part in trained for g in part.gradient_writers()]
+    params = writers = None
     opt = AdamState(lr=cfg.lr)
     trace = LossTrace(threshold=threshold)
     for epoch in range(cfg.max_epochs):
@@ -302,6 +293,10 @@ def fit(module, n: int, step, cfg: TrainConfig, rng: RngState, threshold: float,
             except ZeroNormError as exc:
                 exc.trace = trace
                 raise
+            if params is None:
+                reached = [layer for layer in module.layers() if layer.factors]
+                params = [p for layer in reached for p in layer.parameters()]
+                writers = [g for layer in reached for g in layer.gradient_writers()]
             adam_step(opt, params, writers)
             for name, (mean, count) in terms.items():
                 sums[name] = sums.get(name, 0.0) + mean * count
@@ -351,6 +346,7 @@ def train(
             f"pair dims ({a_seen.shape[1]}, {w_seen.shape[1]}) do not match model "
             f"({model.d_a}, {model.d_w})"
         )
+    check_hidden_dim(model, cfg)
     a_extra = np.zeros((0, model.d_a))
     if unseen_descriptors is not None and loss_config.uses_unseen_descriptors:
         a_extra = as_matrix(unseen_descriptors)
@@ -366,10 +362,8 @@ def train(
             counts["a_to_a"] += extra_rows.size
         return {name: (values[name], count) for name, count in counts.items()}
 
-    # Adam builds moments for, and sweeps, only the layers the enabled terms reach
     return fit(model, a_seen.shape[0], step, cfg, RngState(cfg.seed).spawn("train-shuffle"),
-               stopping_threshold(loss_config, cfg), n_extra=a_extra.shape[0], callback=callback,
-               trained=model.reached_layers(loss_config.enabled_terms()))
+               stopping_threshold(loss_config, cfg), n_extra=a_extra.shape[0], callback=callback)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +501,10 @@ def load_checkpoint(path):
     if pos != size:
         raise DataFormatError(path, f"{size - pos} trailing bytes after last block", offset=pos)
 
-    model = IcisModel(*layers)
+    try:
+        model = IcisModel(*layers)
+    except IcisError as exc:
+        raise DataFormatError(path, str(exc)) from None
     for dim_key, value in (("d_a", model.d_a), ("d_w", model.d_w), ("hidden", model.hidden)):
         if dims[dim_key] is not None and dims[dim_key] != value:
             raise DataFormatError(path, f"header line {header_line[dim_key]}: {dim_key}={meta[dim_key]} "

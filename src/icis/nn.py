@@ -82,8 +82,8 @@ class LinearLayer:
     """Affine map ``y = x @ W.T + b`` with the gradient factors recorded on it.
 
     ``factors`` holds the ``(upstream, x)`` pairs that backward recorded
-    since the last ``zero_grad``. With ``U`` and ``X`` their rows stacked in
-    record order (terms that record one input array summed onto its rows),
+    (see :meth:`record`) since the last ``zero_grad``, one per distinct input
+    array. With ``U`` and ``X`` their rows stacked in record order,
     d(loss)/d(W) is ``U.T @ X`` and d(loss)/d(b) is ``U.sum(axis=0)``: one
     product over every term, not a sum of per-term products.
     """
@@ -118,21 +118,28 @@ class LinearLayer:
     def zero_grad(self):
         self.factors.clear()
 
+    def record(self, upstream: np.ndarray, x: np.ndarray) -> None:
+        """Record one term's ``(upstream, x)`` factors. A term whose input is
+        an array already recorded (``is``, never a content comparison) adds
+        its upstream onto that pair's, in record order, so the array is kept
+        once and its rows enter the product once."""
+        for k, (u, seen) in enumerate(self.factors):
+            if seen is x:
+                self.factors[k] = (u + upstream, x)
+                return
+        self.factors.append((upstream, x))
+
     def stacked_factors(self):
         """The recorded pairs as one ``(U, X)`` pair, or None if none is
-        recorded. Pairs whose inputs are the same array (``is``, never a
-        content comparison) merge first into one ``(U1 + U2, X)``, which
-        keeps that array and halves its rows in the product. Several pairs
-        left are then stacked once; the result replaces the list, so later
-        writes reuse it. Each per-term array is dropped as soon as it is
-        merged or copied, so the stack and the terms are never all held at
-        once."""
+        recorded. Several pairs are stacked once; the result replaces the
+        list, so later writes reuse it. Each per-term array is dropped as
+        soon as it is copied, so the stack and the terms are never all held
+        at once."""
         if len(self.factors) > 1:
-            upstreams, inputs = _merge_by_input(self.factors)
-            if len(inputs) == 1:
-                self.factors.append((upstreams[0], inputs[0]))
-            else:
-                self.factors.append((_stack_rows(upstreams), _stack_rows(inputs)))
+            upstreams = [u for u, _ in self.factors]
+            inputs = [x for _, x in self.factors]
+            self.factors.clear()
+            self.factors.append((_stack_rows(upstreams), _stack_rows(inputs)))
         return self.factors[0] if self.factors else None
 
     def parameters(self):
@@ -208,11 +215,8 @@ class MlpTwoLayer:
     def out_dim(self) -> int:
         return self.layer2.out_dim
 
-    def parameters(self) -> list:
-        return self.layer1.parameters() + self.layer2.parameters()
-
-    def gradient_writers(self) -> list:
-        return self.layer1.gradient_writers() + self.layer2.gradient_writers()
+    def layers(self) -> tuple:
+        return (self.layer1, self.layer2)
 
     def zero_grad(self) -> None:
         self.layer1.zero_grad()
@@ -251,27 +255,10 @@ class MlpTwoLayer:
         upstream = as_matrix(upstream)
         if upstream.shape != (x.shape[0], self.out_dim):
             raise ShapeMismatchError("upstream gradient shape mismatch", left=upstream.shape, right=(x.shape[0], self.out_dim))
-        self.layer2.factors.append((upstream, hidden))
+        self.layer2.record(upstream, hidden)
         dhidden = upstream @ self.layer2.weight
-        self.layer1.factors.append((dhidden * (pre > 0.0), x))
+        self.layer1.record(dhidden * (pre > 0.0), x)
         self._cache = None
-
-
-def _merge_by_input(pairs: list):
-    """The ``(upstream, input)`` pairs as one upstream per distinct input
-    array, in order of first record: the upstreams of pairs that share an
-    input (by identity) are summed in record order. ``pairs`` is emptied as
-    it is read, so a merged upstream can be freed at once."""
-    upstreams, inputs = [], []
-    while pairs:
-        u, x = pairs.pop(0)
-        k = next((k for k, seen in enumerate(inputs) if seen is x), None)
-        if k is None:
-            upstreams.append(u)
-            inputs.append(x)
-        else:
-            upstreams[k] = upstreams[k] + u
-    return upstreams, inputs
 
 
 def _stack_rows(arrays: list) -> np.ndarray:

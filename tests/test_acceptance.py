@@ -63,9 +63,9 @@ def test_criterion_1_gradient_check():
             combo_id += 1
             model.zero_grad()
             total_loss(model, a, w, lc, unseen_descriptors=unseen)
-            analytic = [g.array() for g in model.gradient_writers()]
+            analytic = [g.array() for layer in model.layers() for g in layer.gradient_writers()]
 
-            params = model.parameters()
+            params = [p for layer in model.layers() for p in layer.parameters()]
             for p, g in zip(params, analytic):
                 flat_p = p.reshape(-1)
                 flat_g = g.reshape(-1)
@@ -114,7 +114,7 @@ def test_criterion_2_cosine_scale_invariance():
         model.zero_grad()
         vals = total_loss(model, a, weights, lc)
         # weight, bias per layer; the desc_encoder's bias comes second
-        grads = [g.array() for g in model.gradient_writers()]
+        grads = [g.array() for layer in model.layers() for g in layer.gradient_writers()]
         return vals, grads[0::2], grads[1]
 
     vals1, wg1, bg1 = run(w)
@@ -138,8 +138,8 @@ def test_criterion_2_cosine_scale_invariance():
         return model
 
     first, second = fit(), fit()
-    for p1, p2 in zip(first.parameters(), second.parameters()):
-        assert np.array_equal(p1, p2)
+    for l1, l2 in zip(first.layers(), second.layers()):
+        assert np.array_equal(l1.weight, l2.weight) and np.array_equal(l1.bias, l2.bias)
 
     assert time.monotonic() - start < 30.0
 

@@ -358,10 +358,20 @@ def test_train_subreg_refuses_a_bad_penalty_weight_before_training(lam):
     task = synth_generate(seed=11, n_seen=12, n_unseen=4, d_a=5, d_w=8, samples_per_class=1)
     pairs = make_pairs(task.descriptors.subset(task.manifest.seen), task.head)
     model = IcisModel.init(5, 8, 4, RngState(12))
-    before = [p.copy() for p in model.a_to_w.parameters()]
+    params = [p for layer in model.a_to_w.layers() for p in layer.parameters()]
+    before = [p.copy() for p in params]
     with pytest.raises(IcisError, match="lam must be finite and >= 0"):
         train_subreg(model, pairs, task.descriptors.subset(task.manifest.unseen).matrix, lam=lam)
-    assert all(np.array_equal(a, b) for a, b in zip(before, model.a_to_w.parameters()))
+    assert all(np.array_equal(a, b) for a, b in zip(before, params))
+
+
+def test_train_subreg_refuses_a_hidden_dim_other_than_the_model_width():
+    task = synth_generate(seed=11, n_seen=12, n_unseen=4, d_a=5, d_w=8, samples_per_class=1)
+    pairs = make_pairs(task.descriptors.subset(task.manifest.seen), task.head)
+    model = IcisModel.init(5, 8, 4, RngState(12))
+    with pytest.raises(IcisError, match="hidden_dim=2048 does not match the model's latent width 4"):
+        train_subreg(model, pairs, task.descriptors.subset(task.manifest.unseen).matrix,
+                     train_config=TrainConfig(max_epochs=1))
 
 
 # ---------------------------------------------------------------------------

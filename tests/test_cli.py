@@ -4,6 +4,7 @@ import hashlib
 import json
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from icis.data import (
     load_matrix,
     save_matrix,
 )
-from icis.model import IcisModel
+from icis.model import IcisModel, save_checkpoint
+from icis.nn import LinearLayer
 from icis.tensor import RngState
 
 SYNTH = [
@@ -181,6 +183,23 @@ def test_inject_rejects_a_malformed_checkpoint_header(tmp_path, capsys, old, new
     assert code == 3
     err = capsys.readouterr().err
     assert str(ckpt) in err and where in err
+
+
+def test_inject_refuses_a_checkpoint_whose_decoder_does_not_invert_its_encoder(tmp_path, capsys):
+    # the header and every block are well formed, but the descriptor decoder
+    # maps the latent to 4 dims where its encoder reads 5: the model is refused
+    task = _synth(tmp_path)
+    rng = RngState(2)
+    layers = (LinearLayer.init(5, 8, rng, True), LinearLayer.init(8, 4, rng, False),
+              LinearLayer.init(6, 8, rng, True), LinearLayer.init(8, 6, rng, False))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, SimpleNamespace(d_a=5, d_w=6, hidden=8, layers=lambda: layers))
+    capsys.readouterr()
+    code = main(["inject", "--checkpoint", str(ckpt), *_task_args(task), "--out", str(tmp_path / "h.wsmat")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "decoder output dims (4, 6) must match encoder input dims (5, 6)" in err
+    assert not (tmp_path / "h.wsmat").exists()
 
 
 def test_inject_preserves_seen_rows_bit_for_bit(tmp_path):

@@ -9,7 +9,8 @@ import argparse
 
 import pytest
 
-from icis.cli import build_parser
+from icis.cli import _loss_config_from_args, _train_config_from_args, build_parser
+from icis.model import LossConfig, TrainConfig
 
 HELP = ("_HelpAction", ("-h", "--help"), False, argparse.SUPPRESS, None, None)
 
@@ -131,3 +132,9 @@ def test_parser_table_is_unchanged(command):
     parser = _subparsers()[command]
     assert len(parser._actions) == len(EXPECTED[command])  # no dest declared twice
     assert _table(parser) == EXPECTED[command]
+
+
+def test_a_bare_train_parse_builds_the_library_default_configs():
+    args = build_parser().parse_args(["train", "--descriptors", "d", "--head", "h", "--manifest", "m", "--out", "o"])
+    assert _loss_config_from_args(args) == LossConfig()
+    assert _train_config_from_args(args) == TrainConfig()

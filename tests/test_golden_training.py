@@ -59,7 +59,7 @@ def _trace_outputs(trace, model):
         "total": [float(x).hex() for x in trace.total],
         "terms": {name: [float(x).hex() for x in values] for name, values in trace.terms.items()},
         "stopped_early": trace.stopped_early,
-        "params": _digest(model.parameters()),
+        "params": _digest([p for layer in model.layers() for p in layer.parameters()]),
     }
 
 

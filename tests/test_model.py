@@ -29,6 +29,12 @@ from icis.model import (
 from icis.nn import LinearLayer, MlpTwoLayer, batch_cosine_loss, batch_l2_loss
 from icis.tensor import RngState
 
+
+def parameters(module) -> list:
+    """Every parameter of ``module``, layer by layer in ``layers()`` order."""
+    return [p for layer in module.layers() for p in layer.parameters()]
+
+
 # ---------------------------------------------------------------------------
 # configs
 
@@ -118,10 +124,10 @@ def test_model_init_shapes_and_determinism():
     assert m1.d_a == 5 and m1.d_w == 7 and m1.hidden == 16
     assert m1.a_to_w.in_dim == 5 and m1.a_to_w.out_dim == 7
     assert m1.w_to_a.in_dim == 7 and m1.w_to_a.out_dim == 5
-    for p, q in zip(m1.parameters(), m2.parameters()):
+    for p, q in zip(parameters(m1), parameters(m2)):
         assert np.array_equal(p, q)
     m3 = IcisModel.init(5, 7, 16, RngState(4))
-    assert not all(np.array_equal(p, q) for p, q in zip(m1.parameters(), m3.parameters()))
+    assert not all(np.array_equal(p, q) for p, q in zip(parameters(m1), parameters(m3)))
 
 
 def test_model_views_share_layers():
@@ -136,6 +142,21 @@ def test_model_rejects_mismatched_latents():
     ok = lambda i, o: LinearLayer(np.ones((o, i)), np.zeros(o))
     with pytest.raises(IcisError):
         IcisModel(ok(3, 8), ok(8, 3), ok(4, 9), ok(9, 4))
+
+
+@pytest.mark.parametrize("d_desc_out, d_weight_out", [(5, 6), (4, 7), (5, 7)])
+def test_model_rejects_decoders_that_do_not_invert_their_encoders(d_desc_out, d_weight_out):
+    layer = lambda i, o: LinearLayer(np.ones((o, i)), np.zeros(o))
+    with pytest.raises(IcisError, match="decoder output dims"):
+        IcisModel(layer(4, 8), layer(8, d_desc_out), layer(6, 8), layer(8, d_weight_out))
+
+
+def test_train_refuses_a_hidden_dim_other_than_the_model_width():
+    m = IcisModel.init(4, 6, 8, RngState(0))
+    before = [p.copy() for p in parameters(m)]
+    with pytest.raises(IcisError, match="hidden_dim=16 does not match the model's latent width 8"):
+        train(m, _toy_pairs(), train_config=TrainConfig(max_epochs=1, hidden_dim=16))
+    assert all(np.array_equal(p, q) for p, q in zip(parameters(m), before))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +223,18 @@ def test_total_loss_disabled_terms_are_absent():
 
 
 def test_the_weight_encoder_writes_from_the_batch_weights_held_once():
-    # w_to_w and w_to_a both record the batch's w on the weight encoder: its
-    # gradient merges their upstreams and keeps w itself, not a copy
+    # w_to_w and w_to_a both record the batch's w on the weight encoder: the
+    # second record sums its upstream onto the first pair's, which keeps w
+    # itself, not a copy
     m = IcisModel.init(4, 6, 10, RngState(5))
     a = RngState(6).normal(5, 4)
     w = RngState(7).normal(5, 6)
     total_loss(m, a, w, LossConfig(), unseen_descriptors=RngState(8).normal(2, 4))
-    assert len(m.weight_encoder.factors) == 2
+    assert len(m.weight_encoder.factors) == 1
     u, x = m.weight_encoder.stacked_factors()
     assert x is w and u.shape == (5, 10)
+    # the descriptor encoder's two inputs (a, and a with the unseen rows) differ
+    assert len(m.desc_encoder.factors) == 2
 
 
 def test_total_gradient_is_sum_of_term_gradients():
@@ -219,12 +243,12 @@ def test_total_gradient_is_sum_of_term_gradients():
     w = RngState(10).normal(5, 6)
     m.zero_grad()
     total_loss(m, a, w, LossConfig())
-    combined = [g.array() for g in m.gradient_writers()]
+    combined = [g.array() for layer in m.layers() for g in layer.gradient_writers()]
 
     m.zero_grad()
     for _name, net, x, y in _term_paths(m, a, w):
         net.backward(batch_cosine_loss(net.forward(x), y)[1])
-    for got, expected in zip(combined, [g.array() for g in m.gradient_writers()]):
+    for got, expected in zip(combined, [g.array() for layer in m.layers() for g in layer.gradient_writers()]):
         assert np.allclose(got, expected, atol=1e-10)
 
 
@@ -256,7 +280,7 @@ def test_unseen_descriptors_leave_a_loss_without_the_descriptor_autoencoder_alon
         assert not lc.uses_unseen_descriptors
         model = IcisModel.init(6, 5, 8, RngState(4).spawn("model-init"))
         trace = train(model, pairs, unseen, lc, cfg)
-        runs.append(([float(x).hex() for x in trace.total], model.parameters()))
+        runs.append(([float(x).hex() for x in trace.total], parameters(model)))
     # the unseen rows drew no shuffle of their own, so the traces and weights are equal
     assert runs[0][0] == runs[1][0]
     assert all(np.array_equal(a, b) for a, b in zip(runs[0][1], runs[1][1]))
@@ -285,10 +309,10 @@ def _toy_pairs(n=8, d_a=4, d_w=6, seed=0):
 def test_train_zero_epochs_returns_empty_trace_and_leaves_model_alone():
     pairs = _toy_pairs()
     m = IcisModel.init(4, 6, 8, RngState(0))
-    before = [p.copy() for p in m.parameters()]
+    before = [p.copy() for p in parameters(m)]
     trace = train(m, pairs, train_config=TrainConfig(max_epochs=0, hidden_dim=8))
     assert trace.total == [] and not trace.stopped_early
-    for p, q in zip(m.parameters(), before):
+    for p, q in zip(parameters(m), before):
         assert np.array_equal(p, q)
 
 
@@ -322,7 +346,7 @@ def test_train_equal_seeds_are_bit_identical():
     t1 = train(m1, pairs, train_config=cfg)
     t2 = train(m2, pairs, train_config=cfg)
     assert t1.total == t2.total
-    for p, q in zip(m1.parameters(), m2.parameters()):
+    for p, q in zip(parameters(m1), parameters(m2)):
         assert np.array_equal(p, q)
 
 
@@ -402,7 +426,7 @@ def test_fit_holds_no_gradient_buffer_and_steps_without_weight_sized_temporaries
     finally:
         tracemalloc.stop()
     weight = net.layer1.weight.nbytes
-    params = sum(p.nbytes for p in net.parameters())
+    params = sum(p.nbytes for p in parameters(net))
     assert len(held) == 2
     # p, m, v, Adam's scratch (1.25 MiB) and the data; a gradient buffer would add 2 weights
     assert held[1] < 3 * params + weight / 2
@@ -418,43 +442,32 @@ def test_train_callback_sees_every_epoch():
     assert [e for e, _ in seen] == list(range(6))
 
 
-@pytest.mark.parametrize("terms, reached", [
-    (("reg",), ("desc_encoder", "weight_decoder")),
-    (("a_to_a",), ("desc_encoder", "desc_decoder")),
-    (("w_to_w",), ("weight_encoder", "weight_decoder")),
-    (("w_to_a",), ("desc_decoder", "weight_encoder")),
-    (("reg", "w_to_w"), ("desc_encoder", "weight_encoder", "weight_decoder")),
-    (("reg", "a_to_a", "w_to_w", "w_to_a"), ("desc_encoder", "desc_decoder", "weight_encoder", "weight_decoder")),
-])
-def test_reached_layers_follow_the_terms_in_layer_order(terms, reached):
-    m = IcisModel.init(4, 6, 8, RngState(0))
-    assert m.reached_layers(terms) == tuple(getattr(m, name) for name in reached)
-
-
 # the ladder, plus the loss of ``--terms a2w,w2w``
 REACHED_CONFIGS = {**ablation_variants(), "a2w_w2w": LossConfig(use_a_to_a=False, use_w_to_a=False)}
 
 
 def _train_recording_adam(monkeypatch, loss_config, over_all_layers):
     """Train a tiny model; returns it, its initial parameters, the trace and
-    the Adam states seen. With ``over_all_layers`` the oracle runs: ``fit``
-    steps Adam over the whole model, as if every layer were reached."""
+    the Adam states seen. With ``over_all_layers`` the oracle runs: every
+    Adam step is given all four layers' parameters and writers, as if every
+    layer were reached."""
     import icis.model as model_module
 
     states = []
-    real_adam, real_fit = model_module.adam_step, model_module.fit
+    real_adam = model_module.adam_step
+    m = IcisModel.init(4, 5, 16, RngState(9))
+    every_writer = [g for layer in m.layers() for g in layer.gradient_writers()]
 
     def recording_adam(state, params, grads):
         states.append(state)
+        if over_all_layers:
+            params, grads = parameters(m), every_writer
         return real_adam(state, params, grads)
 
     monkeypatch.setattr(model_module, "adam_step", recording_adam)
-    if over_all_layers:
-        monkeypatch.setattr(model_module, "fit", lambda *a, trained=None, **k: real_fit(*a, **k))
     pairs = _toy_pairs(n=10, d_a=4, d_w=5, seed=7)
     unseen = RngState(8).normal(3, 4)
-    m = IcisModel.init(4, 5, 16, RngState(9))
-    initial = [p.copy() for p in m.parameters()]
+    initial = [p.copy() for p in parameters(m)]
     trace = train(m, pairs, unseen, loss_config,
                   TrainConfig(lr=1e-3, batch_size=4, max_epochs=3, hidden_dim=16, seed=1))
     monkeypatch.undo()
@@ -467,13 +480,12 @@ def test_adam_over_the_reached_layers_is_bit_identical_to_adam_over_all_four(mon
     m, initial, trace, states = _train_recording_adam(monkeypatch, loss_config, over_all_layers=False)
     oracle, _, oracle_trace, oracle_states = _train_recording_adam(monkeypatch, loss_config, over_all_layers=True)
     assert trace.total == oracle_trace.total and trace.terms == oracle_trace.terms
-    for p, q in zip(m.parameters(), oracle.parameters()):
+    for p, q in zip(parameters(m), parameters(oracle)):
         assert np.array_equal(p, q)
-    reached = m.reached_layers(loss_config.enabled_terms())
-    assert len(states[-1]._m) == 2 * len(reached) and len(oracle_states[-1]._m) == 8
-    for layer, start in zip(m.layers(), zip(initial[::2], initial[1::2])):
-        moved = not all(np.array_equal(p, q) for p, q in zip(layer.parameters(), start))
-        assert moved == (layer in reached)
+    assert len(oracle_states[-1]._m) == 8
+    trained = [layer for layer, start in zip(m.layers(), zip(initial[::2], initial[1::2]))
+               if not all(np.array_equal(p, q) for p, q in zip(layer.parameters(), start))]
+    assert [m_.shape for m_ in states[-1]._m] == [p.shape for layer in trained for p in layer.parameters()]
 
 
 def test_base_l2_steps_adam_over_the_regression_path_alone(monkeypatch):
@@ -481,9 +493,59 @@ def test_base_l2_steps_adam_over_the_regression_path_alone(monkeypatch):
                                                        over_all_layers=False)
     assert len({id(s) for s in states}) == 1  # one Adam state for the whole run
     assert len(states[0]._m) == len(states[0]._v) == 4
-    assert [m_.shape for m_ in states[0]._m] == [p.shape for p in m.a_to_w.parameters()]
+    assert [m_.shape for m_ in states[0]._m] == [p.shape for p in parameters(m.a_to_w)]
     for p, q in zip(m.desc_decoder.parameters() + m.weight_encoder.parameters(), initial[2:6]):
         assert np.array_equal(p, q)
+
+
+# the layers each trainer's loss reaches, in ``layers()`` order
+ALL_FOUR = ("desc_encoder", "desc_decoder", "weight_encoder", "weight_decoder")
+REACHED = {"base_l2": ("desc_encoder", "weight_decoder"), "cosine": ("desc_encoder", "weight_decoder"),
+           "within_spaces": ALL_FOUR, "across_spaces": ALL_FOUR, "full": ALL_FOUR,
+           "subreg": ("desc_encoder", "weight_decoder"), "dae": ("layer1", "layer2")}
+
+
+@pytest.mark.parametrize("name", sorted(REACHED))
+def test_adam_holds_moments_for_exactly_the_layers_that_recorded_factors(monkeypatch, name):
+    import icis.baselines as baselines_module
+    import icis.model as model_module
+
+    modules, steps = [], []
+    real_adam, real_fit = model_module.adam_step, model_module.fit
+
+    def recording_fit(module, *args, **kwargs):
+        modules.append(module)
+        return real_fit(module, *args, **kwargs)
+
+    def recording_adam(state, params, grads):
+        recorded = [layer for layer in modules[-1].layers() if layer.factors]
+        real_adam(state, params, grads)
+        steps.append((state, recorded, params, [g.layer for g in grads]))
+
+    monkeypatch.setattr(model_module, "adam_step", recording_adam)
+    monkeypatch.setattr(model_module, "fit", recording_fit)
+    monkeypatch.setattr(baselines_module, "fit", recording_fit)
+    pairs = _toy_pairs(n=10, d_a=4, d_w=5, seed=7)
+    unseen = RngState(8).normal(3, 4)
+    m = IcisModel.init(4, 5, 16, RngState(9))
+    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, hidden_dim=16, seed=1)
+    if name == "subreg":
+        baselines_module.train_subreg(m, pairs, unseen, train_config=cfg)
+    elif name == "dae":
+        baselines_module.dae_refine(pairs.weights, pairs.weights, seed=1, epochs=2)
+    else:
+        train(m, pairs, unseen, REACHED_CONFIGS[name], cfg)
+    monkeypatch.undo()
+    owner = m if name != "dae" else modules[0]
+    reached = [getattr(owner, attr) for attr in REACHED[name]]
+    # 2 epochs of 10 rows in batches of 4 (dae: DAE_BATCH_SIZE, one batch)
+    assert len(modules) == 1 and len(steps) == (2 if name == "dae" else 6)
+    for state, recorded, params, layers in steps:
+        assert state is steps[0][0]
+        assert recorded == reached
+        assert params == [p for layer in reached for p in layer.parameters()]
+        assert layers == [layer for layer in reached for _ in range(2)]
+        assert [m_.shape for m_ in state._m] == [p.shape for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +632,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert lc2.distance == "l2" and not lc2.use_w_to_a and not lc2.include_unseen_descriptors
     assert lc2.use_a_to_a
     assert meta["include_bias"] == "1" and meta["seed"] == "42"
-    for a, b in zip(m.parameters(), back.parameters()):
+    for a, b in zip(parameters(m), parameters(back)):
         assert np.allclose(a, b, atol=1e-6)  # 32-bit storage
 
 

@@ -169,9 +169,13 @@ def test_batch_loss_dispatch():
 # layers
 
 
-def gradient_arrays(module):
-    """Every gradient of ``module`` whole, written by the writers Adam consumes."""
-    return [g.array() for g in module.gradient_writers()]
+def gradient_arrays(*layers):
+    """Every gradient of ``layers`` whole, written by the writers Adam consumes."""
+    return [g.array() for layer in layers for g in layer.gradient_writers()]
+
+
+def parameters(net) -> list:
+    return [p for layer in net.layers() for p in layer.parameters()]
 
 
 def test_linear_layer_forward_is_affine():
@@ -269,11 +273,11 @@ def test_mlp_backward_accumulates_across_calls():
 
     net.forward(x)
     net.backward(up)
-    once = gradient_arrays(net)
+    once = gradient_arrays(*net.layers())
 
     net.forward(x)
     net.backward(up)
-    for g, g1 in zip(gradient_arrays(net), once):
+    for g, g1 in zip(gradient_arrays(*net.layers()), once):
         assert np.allclose(g, 2.0 * g1, atol=1e-12)
 
 
@@ -299,9 +303,10 @@ def written_gradients(rows, cols, pairs, zero_grad_first):
     twice; the second write reads the pair the first one stacked."""
     layer = LinearLayer(np.zeros((rows, cols)), np.zeros(rows))
     if zero_grad_first:
-        layer.factors.append((np.ones((2, rows)), np.ones((2, cols))))
+        layer.record(np.ones((2, rows)), np.ones((2, cols)))
         layer.zero_grad()
-    layer.factors.extend(pairs)
+    for u, x in pairs:
+        layer.record(u, x)
     writers = GradientWriter(layer, bias=False), GradientWriter(layer, bias=True)
     first = [g.array() for g in writers]
     assert len(layer.factors) == 1
@@ -364,7 +369,7 @@ def test_first_write_leaves_one_factor_pair_per_layer_and_frees_the_terms():
         net.backward(data.normal(5, 2))
     terms = [weakref.ref(a) for layer in (net.layer1, net.layer2) for pair in layer.factors for a in pair]
     assert len(net.layer1.factors) == len(net.layer2.factors) == 3
-    gradient_arrays(net)
+    gradient_arrays(*net.layers())
     for layer in (net.layer1, net.layer2):
         assert len(layer.factors) == 1
         u, x = layer.factors[0]
@@ -381,7 +386,8 @@ def test_stacking_drops_each_term_once_it_is_copied():
     out = np.empty((2, 1024))
     tracemalloc.start()
     try:
-        layer.factors.extend((rng.standard_normal((16, 1024)), rng.standard_normal((16, 1024))) for _ in range(2))
+        for _ in range(2):
+            layer.record(rng.standard_normal((16, 1024)), rng.standard_normal((16, 1024)))
         terms, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         GradientWriter(layer, bias=False).write(out, 0, 2)
@@ -398,10 +404,10 @@ def test_zero_grad_drops_the_factors_and_the_gradient_reads_zeros():
                       LinearLayer.init(4, 2, rng, pre_rectifier=False))
     net.forward(RngState(51).normal(5, 3))
     net.backward(RngState(52).normal(5, 2))
-    assert any(g.any() for g in gradient_arrays(net))
+    assert any(g.any() for g in gradient_arrays(*net.layers()))
     net.zero_grad()
     assert net.layer1.factors == [] and net.layer2.factors == []
-    for g, p in zip(gradient_arrays(net), net.parameters()):
+    for g, p in zip(gradient_arrays(*net.layers()), parameters(net)):
         assert g.shape == p.shape and np.array_equal(g, np.zeros_like(p))
 
 
@@ -539,7 +545,7 @@ def test_adam_over_writers_is_bit_identical_to_adam_over_their_arrays():
     rng = RngState(70)
     net = MlpTwoLayer(LinearLayer.init(300, 700, rng, pre_rectifier=True),
                       LinearLayer.init(700, 375, rng, pre_rectifier=False))
-    expected = [p.copy() for p in net.parameters()]
+    expected = [p.copy() for p in parameters(net)]
     state, oracle = AdamState(lr=1e-2), dict(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
     data = RngState(71)
     for _ in range(2):
@@ -547,9 +553,9 @@ def test_adam_over_writers_is_bit_identical_to_adam_over_their_arrays():
         for _ in range(2):
             net.forward(data.normal(6, 300))
             net.backward(data.normal(6, 375))
-        adam_step_oracle(oracle, expected, gradient_arrays(net))
-        adam_step(state, net.parameters(), net.gradient_writers())
-    for got, want in zip(net.parameters() + state._m + state._v, expected + oracle["m"] + oracle["v"]):
+        adam_step_oracle(oracle, expected, gradient_arrays(*net.layers()))
+        adam_step(state, parameters(net), [g for layer in net.layers() for g in layer.gradient_writers()])
+    for got, want in zip(parameters(net) + state._m + state._v, expected + oracle["m"] + oracle["v"]):
         assert np.array_equal(got, want)
     assert state._grad_block.size == 188 * 700 > GRAD_BLOCK
 
@@ -652,17 +658,19 @@ def test_terms_that_share_an_input_array_write_the_stacked_gradient_to_rounding(
 
 
 def test_terms_that_share_an_input_array_hold_it_once():
-    # 16-row terms of 128 KiB each on a 1024 x 1024 layer. (x, x) leaves the
-    # merged upstream alone (one term); (x, y, x) leaves U and X stacks of 32
-    # rows each (four terms), where holding x twice would take 48 rows each
+    # 16-row terms of 128 KiB each on a 1024 x 1024 layer, upstreams drawn
+    # while traced. (x, x) leaves the merged upstream alone (one term);
+    # (x, y, x) leaves U and X stacks of 32 rows each (four terms), where
+    # holding x twice would take 48 rows each
     term = 16 * 1024 * 8
     rng = np.random.default_rng(9)
     x, y = rng.standard_normal((16, 1024)), rng.standard_normal((16, 1024))
     for inputs, kept in (((x, x), 1), ((x, y, x), 4)):
         layer = LinearLayer(np.zeros((1024, 1024)), np.zeros(1024))
-        layer.factors.extend((rng.standard_normal((16, 1024)), inp) for inp in inputs)
         tracemalloc.start()
         try:
+            for inp in inputs:
+                layer.record(rng.standard_normal((16, 1024)), inp)
             GradientWriter(layer, bias=True).write(np.empty(1024), 0, 1024)
             held, _ = tracemalloc.get_traced_memory()
         finally:
@@ -673,3 +681,21 @@ def test_terms_that_share_an_input_array_hold_it_once():
             # the input is the recorded array, not a copy
             assert stacked is x
         assert kept * term <= held < (kept + 0.5) * term
+
+
+def test_record_sums_the_upstreams_of_one_input_array_in_record_order():
+    # (u1, x), (u2, y), (u3, x), (u4, copy of y): x's pair stays first and
+    # holds u1 + u3 in a new array; the copy equals y but is another array,
+    # so it gets a pair of its own
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    u1, u2, u3, u4 = (rng.standard_normal((3, 2)) for _ in range(4))
+    u1_before = u1.copy()
+    layer = LinearLayer(np.zeros((2, 4)), np.zeros(2))
+    for u, inp in ((u1, x), (u2, y), (u3, x), (u4, y.copy())):
+        layer.record(u, inp)
+    assert len(layer.factors) == 3
+    (merged, first), (kept, second), (last, third) = layer.factors
+    assert first is x and second is y and third is not y and np.array_equal(third, y)
+    assert np.array_equal(merged, u1_before + u3) and np.array_equal(u1, u1_before)
+    assert kept is u2 and last is u4

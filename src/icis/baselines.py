@@ -16,10 +16,8 @@ from .nn import LinearLayer, MlpTwoLayer, batch_loss
 from .tensor import RngState, as_matrix, row_normalize
 
 
-def _cosine_sim_matrix(left, right) -> np.ndarray:
-    left = row_normalize(as_matrix(left))
-    right = row_normalize(as_matrix(right))
-    return left @ right.T
+def _cosine_sim_matrix(left: DescriptorSet, right: DescriptorSet) -> np.ndarray:
+    return row_normalize(left.matrix, left.class_ids) @ row_normalize(right.matrix, right.class_ids).T
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +57,8 @@ def conse_classify(
     if np.any(norms == 0.0):
         raise IcisError("combined semantic vector collapsed to zero")
     # cosine similarities as the logits of a head of unit descriptor rows
-    targets = ClassifierHead(target_descriptors.class_ids, row_normalize(target_descriptors.matrix))
+    unit_rows = row_normalize(target_descriptors.matrix, target_descriptors.class_ids)
+    targets = ClassifierHead(target_descriptors.class_ids, unit_rows)
     return classify(targets, combined / norms)
 
 
@@ -77,7 +76,7 @@ def costa_weights(
     An unseen class with no positive similarity to any seen class has no
     usable weighting, so it is reported as an error.
     """
-    sims = _cosine_sim_matrix(unseen_descriptors.matrix, seen_descriptors.subset(head.class_ids).matrix)
+    sims = _cosine_sim_matrix(unseen_descriptors, seen_descriptors.subset(head.class_ids))
     sims = np.maximum(sims, 0.0)
     dead = np.flatnonzero(sims.sum(axis=1) == 0.0)
     if dead.size:
@@ -97,7 +96,7 @@ def vgse_wavg_weights(
     the weighting toward the most similar seen classes."""
     if not (np.isfinite(temperature) and temperature > 0.0):
         raise IcisError(f"temperature must be finite and > 0, got {temperature!r}")
-    sims = _cosine_sim_matrix(unseen_descriptors.matrix, seen_descriptors.subset(head.class_ids).matrix)
+    sims = _cosine_sim_matrix(unseen_descriptors, seen_descriptors.subset(head.class_ids))
     alpha = softmax_rows(sims / temperature)
     return alpha @ head.weights
 

@@ -27,7 +27,7 @@ from .data import (
     subsample_pairs,
     synth_generate,
 )
-from .errors import DivergenceError, IcisError, ZeroNormError
+from .errors import DataFormatError, DivergenceError, IcisError, ZeroNormError
 from .evaluation import (
     EvalReport,
     evaluate,
@@ -150,10 +150,14 @@ def _load_split_task(args):
     """:func:`_load_task` for a command that evaluates: the features come
     back split once into their unseen and seen parts, in the GZSL protocol's
     fixed split, and the whole set is not kept. A manifest without unseen
-    classes is refused here, before anything trains."""
+    classes, or features whose width is not the head's, is refused here,
+    before anything trains."""
     manifest, descriptors, head, features = _load_task(args)
     if not manifest.unseen:
         raise IcisError(NO_UNSEEN)
+    if features.features.shape[1] != head.weight_dim:
+        raise DataFormatError(args.features, f"feature dim {features.features.shape[1]} "
+                                             f"does not match head weight dim {head.weight_dim}")
     split = (features.restrict_to(manifest.unseen), features.restrict_to(manifest.seen))
     return manifest, descriptors, head, split
 
@@ -392,7 +396,7 @@ def cmd_baseline(args) -> int:
             rows = row_builders[method]()
         elif method == "dae":
             rows = bl.dae_refine(seen_head.weights, row_builders[args.base](), seed=args.seed)
-        elif method == "subreg":
+        else:  # subreg: argparse `choices` refuses any other method first
             pairs = make_pairs(descriptors, seen_head)
             model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
                                    args.hidden_dim, RngState(args.seed).spawn("model-init"))
@@ -404,8 +408,6 @@ def cmd_baseline(args) -> int:
                 run_dir.mkdir(parents=True, exist_ok=True)
                 trace.to_csv(run_dir / "trace.csv")
             rows = infer_weights(model, unseen_desc.matrix)
-        else:
-            raise IcisError(f"unknown baseline method {method!r}")
         new_head = inject(head, manifest.unseen, rows)
         report = _evaluate_task(new_head, split, manifest)
 

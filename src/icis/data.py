@@ -236,15 +236,19 @@ def rows_of(class_ids, ids) -> list:
         raise ClassIdError(f"unknown class id {exc.args[0]!r}") from None
 
 
-def _load_with_ids(matrix_path, kind: str = "id", unit: str = "classes"):
-    """A matrix and the sidecar next to it, which must list one entry per row."""
-    matrix = load_matrix(matrix_path)
-    ids = load_ids(ids_path_for(matrix_path))
-    if len(ids) != matrix.shape[0]:
-        raise ClassIdError(
-            f"{matrix_path}: matrix has {matrix.shape[0]} rows but {kind} sidecar lists {len(ids)} {unit}"
-        )
-    return matrix, ids
+def _load_with_ids(matrix_path):
+    """A matrix and the ids (or labels) of the sidecar next to it; the
+    container built from them checks that there is one per row."""
+    return load_matrix(matrix_path), load_ids(ids_path_for(matrix_path))
+
+
+def from_file(path, make, *args):
+    """``make(*args)`` on arguments read from ``path``: the container's
+    refusal becomes a :class:`DataFormatError` naming that file."""
+    try:
+        return make(*args)
+    except IcisError as exc:
+        raise DataFormatError(path, str(exc)) from None
 
 
 def _save_with_ids(matrix_path, matrix, ids) -> None:
@@ -285,7 +289,7 @@ class DescriptorSet:
 
 def load_descriptor_set(matrix_path) -> DescriptorSet:
     matrix, ids = _load_with_ids(matrix_path)
-    return DescriptorSet(ids, matrix)
+    return from_file(matrix_path, DescriptorSet, ids, matrix)
 
 
 @dataclass
@@ -306,8 +310,10 @@ class ClassifierHead:
                 f"weight matrix has {self.weights.shape[0]} rows but {len(self.class_ids)} class ids"
             )
         # row sums of squares: zero exactly where the norm is, with no temporary the size of the weights
-        if np.any(np.einsum("ij,ij->i", self.weights, self.weights) == 0.0):
-            raise IcisError("classifier head contains zero-norm weight rows")
+        zero = np.einsum("ij,ij->i", self.weights, self.weights) == 0.0
+        if zero.any():
+            raise IcisError(f"classifier head contains zero-norm weight rows, first of class "
+                            f"{self.class_ids[int(np.argmax(zero))]!r}")
         if self.biases is not None:
             self.biases = np.ascontiguousarray(self.biases, dtype=np.float64).reshape(-1)
             if self.biases.shape[0] != self.weights.shape[0]:
@@ -350,13 +356,9 @@ class ClassifierHead:
         return block
 
     def subset(self, ids) -> "ClassifierHead":
-        rows = rows_of(self.class_ids, ids)
-        return ClassifierHead(
-            [self.class_ids[r] for r in rows],
-            self.weights[rows],
-            None if self.biases is None else self.biases[rows],
-            self.seen[rows],
-        )
+        block = self._block(rows_of(self.class_ids, ids))
+        _check_unique(block.class_ids, "classifier")
+        return block
 
     def save(self, weights_path, biases_path=None) -> None:
         if self.biases is not None:
@@ -373,13 +375,14 @@ def load_classifier_head(weights_path, biases_path=None, seen_ids=None) -> Class
     biases = None
     if biases_path is not None:
         biases = load_matrix(biases_path)
-        if biases.shape[0] != 1:
-            raise DataFormatError(biases_path, f"bias matrix has shape {biases.shape}; expected one row")
+        if biases.shape != (1, weights.shape[0]):
+            raise DataFormatError(biases_path, f"bias matrix has shape {biases.shape}; "
+                                               f"expected one row of {weights.shape[0]} biases")
     seen = None
     if seen_ids is not None:
         seen_ids = {str(s) for s in seen_ids}
         seen = np.array([i in seen_ids for i in ids], dtype=bool)
-    return ClassifierHead(ids, weights, biases, seen)
+    return from_file(weights_path, ClassifierHead, ids, weights, biases, seen)
 
 
 @dataclass
@@ -417,8 +420,8 @@ class FeatureSet:
 
 
 def load_feature_set(matrix_path) -> FeatureSet:
-    features, labels = _load_with_ids(matrix_path, "label", "samples")
-    return FeatureSet(features, labels)
+    features, labels = _load_with_ids(matrix_path)
+    return from_file(matrix_path, FeatureSet, features, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +476,7 @@ def load_manifest(path) -> SplitManifest:
             raise DataFormatError(path, f"line {lineno}: class id before any section header")
         else:
             sections[current].append(line)
-    return SplitManifest(sections["seen"], sections["unseen"], sections["val_seen"])
+    return from_file(path, SplitManifest, sections["seen"], sections["unseen"], sections["val_seen"])
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (ClassifierHead, PairSet, check_float32_range, open_binary, read_matrix_block,
-                   write_matrix_block)
+from .data import (ClassifierHead, PairSet, check_float32_range, from_file, open_binary,
+                   read_matrix_block, write_matrix_block)
 from .errors import ClassIdError, DataFormatError, DivergenceError, IcisError, ZeroNormError
 from .nn import AdamState, LinearLayer, MlpTwoLayer, adam_step, batch_loss
 from .tensor import RngState, as_matrix
@@ -380,36 +380,29 @@ def inject(
 
     Existing rows are carried over bit-identically and keep their seen
     flags; new rows are flagged unseen. With ``zsl_only`` the result holds
-    only the new rows, restricting decisions to the injected classes.
+    only the new rows, restricting decisions to the injected classes. The
+    new rows are checked once, as a :class:`ClassifierHead` of their own,
+    and must have the head's width and ids that it does not hold.
     """
-    new_ids = [str(i) for i in new_ids]
-    new_weights = as_matrix(new_weights)
-    if len(new_ids) != new_weights.shape[0]:
-        raise ClassIdError(f"{new_weights.shape[0]} new rows but {len(new_ids)} new ids")
-    if new_weights.shape[0] and new_weights.shape[1] != head.weight_dim:
+    new = ClassifierHead(new_ids, new_weights, new_biases, np.zeros(len(new_weights), dtype=bool))
+    if new.weight_dim != head.weight_dim:
         raise IcisError(
-            f"new weight dim {new_weights.shape[1]} does not match head dim {head.weight_dim}"
+            f"new weight dim {new.weight_dim} does not match head dim {head.weight_dim}"
         )
-    collisions = set(new_ids) & set(head.class_ids)
+    collisions = set(new.class_ids) & set(head.class_ids)
     if collisions:
         raise ClassIdError(f"new class ids already present in head: {sorted(collisions)[:5]}")
-    if new_biases is not None:
-        new_biases = np.ascontiguousarray(new_biases, dtype=np.float64).reshape(-1)
-        if new_biases.shape[0] != len(new_ids):
-            raise ClassIdError("new bias length does not match new ids")
-
     if zsl_only:
-        return ClassifierHead(new_ids, new_weights.copy(), new_biases,
-                              np.zeros(len(new_ids), dtype=bool))
+        return new.subset(new.class_ids)  # a gathered copy: it shares no array with the caller's rows
 
-    weights = np.vstack([head.weights, new_weights]) if new_ids else head.weights.copy()
+    weights = np.vstack([head.weights, new.weights])
     biases = None
-    if head.biases is not None or new_biases is not None:
+    if head.biases is not None or new.biases is not None:
         old_b = head.biases if head.biases is not None else np.zeros(head.n_classes)
-        add_b = new_biases if new_biases is not None else np.zeros(len(new_ids))
+        add_b = new.biases if new.biases is not None else np.zeros(new.n_classes)
         biases = np.concatenate([old_b, add_b])
-    seen = np.concatenate([head.seen, np.zeros(len(new_ids), dtype=bool)])
-    return ClassifierHead(list(head.class_ids) + new_ids, weights, biases, seen)
+    seen = np.concatenate([head.seen, new.seen])
+    return ClassifierHead(list(head.class_ids) + new.class_ids, weights, biases, seen)
 
 
 def infer_and_inject(
@@ -501,10 +494,7 @@ def load_checkpoint(path):
     if pos != size:
         raise DataFormatError(path, f"{size - pos} trailing bytes after last block", offset=pos)
 
-    try:
-        model = IcisModel(*layers)
-    except IcisError as exc:
-        raise DataFormatError(path, str(exc)) from None
+    model = from_file(path, IcisModel, *layers)
     for dim_key, value in (("d_a", model.d_a), ("d_w", model.d_w), ("hidden", model.hidden)):
         if dims[dim_key] is not None and dims[dim_key] != value:
             raise DataFormatError(path, f"header line {header_line[dim_key]}: {dim_key}={meta[dim_key]} "

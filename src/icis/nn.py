@@ -373,8 +373,8 @@ def adam_step(state: AdamState, params, grads):
         if not p.flags.c_contiguous:
             raise ShapeMismatchError(f"parameter of shape {p.shape} is not C-contiguous (strides {p.strides})")
     if state._m is None:
-        state._m = [np.zeros_like(p) for p in params]
-        state._v = [np.zeros_like(p) for p in params]
+        state._m = [np.zeros(p.shape) for p in params]
+        state._v = [np.zeros(p.shape) for p in params]
     elif [m.shape for m in state._m] != [p.shape for p in params]:
         raise ShapeMismatchError("parameters differ from those the Adam moments were built for",
                                  left=[p.shape for p in params], right=[m.shape for m in state._m])

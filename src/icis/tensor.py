@@ -41,12 +41,15 @@ def check_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def row_normalize(m) -> np.ndarray:
-    """Scale every row to unit Euclidean norm. Zero rows are an error."""
+def row_normalize(m, ids=None) -> np.ndarray:
+    """Scale every row to unit Euclidean norm. Zero rows are an error that
+    names them by their ``ids`` when given, else by position."""
     m = as_matrix(m)
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms == 0.0):
-        raise ZeroNormError(f"cannot normalise zero row(s) at {np.flatnonzero(norms == 0.0).tolist()}")
+        zero = np.flatnonzero(norms == 0.0).tolist()
+        where = f"at {zero}" if ids is None else f"of class(es) {[ids[i] for i in zero]}"
+        raise ZeroNormError(f"cannot normalise zero row(s) {where}")
     return m / norms[:, None]
 
 

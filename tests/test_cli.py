@@ -20,7 +20,7 @@ from icis.data import (
     load_matrix,
     save_matrix,
 )
-from icis.model import IcisModel, save_checkpoint
+from icis.model import IcisModel, LossConfig, save_checkpoint
 from icis.nn import LinearLayer
 from icis.tensor import RngState
 
@@ -299,8 +299,12 @@ def test_negative_seeds_and_sample_counts_are_data_errors(tmp_path, capsys, comm
     ("ablate", ["no-unseen"], "manifest lists no unseen classes to inject"),
     ("sweep", ["no-unseen"], "manifest lists no unseen classes to inject"),
     ("baseline", ["--method", "subreg", "no-unseen"], "manifest lists no unseen classes to inject"),
+    # features one column narrower than the head, named by their file
+    ("ablate", ["narrow"], "narrow.wsmat: feature dim 5 does not match head weight dim 6"),
+    ("baseline", ["--method", "subreg", "narrow"], "narrow.wsmat: feature dim 5 does not match head weight dim 6"),
 ], ids=["ablate-flags0", "sweep-flags1", "sweep-fraction-above-one", "sweep-one-pair",
-        "sweep-one-directory-twice", "ablate-no-unseen", "sweep-no-unseen", "baseline-subreg-no-unseen"])
+        "sweep-one-directory-twice", "ablate-no-unseen", "sweep-no-unseen", "baseline-subreg-no-unseen",
+        "ablate-narrow-features", "baseline-subreg-narrow-features"])
 def test_refused_ladder_runs_leave_no_out_directory(tmp_path, capsys, command, flags, message):
     task = _synth(tmp_path)
     out = tmp_path / "out"
@@ -308,6 +312,10 @@ def test_refused_ladder_runs_leave_no_out_directory(tmp_path, capsys, command, f
         manifest = tmp_path / "seen_only.txt"
         manifest.write_text("[seen]\n" + "".join(f"{c}\n" for c in load_manifest(task / "manifest.txt").seen))
         flags = [f for f in flags if f != "no-unseen"] + ["--manifest", str(manifest)]
+    if "narrow" in flags:
+        features = load_matrix(task / "features.wsmat")
+        FeatureSet(features[:, :-1], load_ids(task / "features.ids")).save(tmp_path / "narrow.wsmat")
+        flags = [f for f in flags if f != "narrow"] + ["--features", str(tmp_path / "narrow.wsmat")]
     args = [command, *_task_args(task), "--features", str(task / "features.wsmat"), "--out", str(out), *FAST]
     assert main(args + flags) == 3
     err = capsys.readouterr().err
@@ -442,6 +450,98 @@ def test_eval_biases_must_be_one_row(tmp_path, capsys):
     capsys.readouterr()
     assert main(args) == 3
     assert "b.wsmat: bias matrix has shape (11, 1); expected one row" in capsys.readouterr().err
+
+
+def _zeroed(task, tmp_path, name, class_ids):
+    """A copy of the task's ``name`` matrix and sidecar with the rows of ``class_ids`` set to zero."""
+    matrix, ids = load_matrix(task / f"{name}.wsmat"), load_ids(task / f"{name}.ids")
+    matrix[[ids.index(c) for c in class_ids]] = 0.0
+    path = tmp_path / f"zero_{name}.wsmat"
+    save_matrix(path, matrix)
+    (tmp_path / f"zero_{name}.ids").write_text("".join(f"{i}\n" for i in ids))
+    return path
+
+
+@pytest.mark.parametrize("case", ["biases-length", "ids-count", "ids-duplicate", "manifest-duplicate", "zero-norm-row"])
+def test_a_refusal_while_a_file_is_read_names_that_file(tmp_path, capsys, case):
+    task = _synth(tmp_path)
+    paths = {"head": task / "head.wsmat", "manifest": task / "manifest.txt"}
+    if case == "biases-length":
+        paths["biases"] = tmp_path / "b.wsmat"
+        save_matrix(paths["biases"], np.zeros((1, 7)))
+        expected = "b.wsmat: bias matrix has shape (1, 7); expected one row of 8 biases"
+    elif case.startswith("ids-"):
+        paths["head"] = tmp_path / "relisted.wsmat"
+        save_matrix(paths["head"], load_matrix(task / "head.wsmat"))
+        ids = load_ids(task / "head.ids")
+        listed, expected = {
+            "ids-count": (ids[:-1], "relisted.wsmat: weight matrix has 8 rows but 7 class ids"),
+            "ids-duplicate": ([ids[0], *ids[:-1]], "relisted.wsmat: duplicate classifier id 'c000'"),
+        }[case]
+        (tmp_path / "relisted.ids").write_text("".join(f"{i}\n" for i in listed))
+    elif case == "manifest-duplicate":
+        paths["manifest"] = tmp_path / "dup.txt"
+        text = (task / "manifest.txt").read_text()
+        paths["manifest"].write_text(text.replace("[seen]\n", "[seen]\nc000\n"))
+        expected = "dup.txt: duplicate seen id 'c000'"
+    else:
+        paths["head"] = _zeroed(task, tmp_path, "head", ["c003", "c005"])
+        expected = "zero_head.wsmat: classifier head contains zero-norm weight rows, first of class 'c003'"
+    args = ["eval", "--features", str(task / "features.wsmat")]
+    for name, path in paths.items():
+        args += [f"--{name}", str(path)]
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(expected), err
+
+
+SEEN = [f"c{i:03d}" for i in range(8)]
+
+
+@pytest.mark.parametrize("command, flags, zero, code, message", [
+    # a baseline that normalises descriptors names the zero rows' classes (exit 4, degenerate input)
+    ("baseline", ["--method", "costa"], ["c009"], 4, "cannot normalise zero row(s) of class(es) ['c009']"),
+    ("baseline", ["--method", "wavg"], ["c009"], 4, "cannot normalise zero row(s) of class(es) ['c009']"),
+    ("baseline", ["--method", "conse"], ["c009"], 4, "cannot normalise zero row(s) of class(es) ['c009']"),
+    # refused as data (exit 3): ConSE's combination of zero seen descriptors, and analyze's ranking
+    ("baseline", ["--method", "conse"], SEEN, 3, "combined semantic vector collapsed to zero"),
+    ("analyze", ["--class", "c008"], ["c009"], 3, "descriptor set has zero-norm rows; cosine ranks undefined"),
+], ids=["baseline-costa", "baseline-wavg", "baseline-conse", "baseline-conse-seen", "analyze"])
+def test_zero_norm_descriptors_exit_as_documented(tmp_path, capsys, command, flags, zero, code, message):
+    task = _synth(tmp_path)
+    out = tmp_path / "out"
+    args = [command, *_task_args(task), "--features", str(task / "features.wsmat"), "--out", str(out), *flags]
+    args[args.index("--descriptors") + 1] = str(_zeroed(task, tmp_path, "descriptors", zero))
+    capsys.readouterr()
+    assert main(args) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_inject_refuses_a_manifest_without_unseen_classes(tmp_path, capsys):
+    task = _synth(tmp_path)
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(checkpoint, IcisModel.init(5, 6, 4, RngState(0)), LossConfig())
+    manifest = tmp_path / "seen_only.txt"
+    manifest.write_text("[seen]\n" + "".join(f"{c}\n" for c in load_manifest(task / "manifest.txt").seen))
+    out = tmp_path / "full.wsmat"
+    args = ["inject", "--checkpoint", str(checkpoint), *_task_args(task), "--manifest", str(manifest)]
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: manifest lists no unseen classes to inject\n"
+    assert not out.exists()
+
+
+def test_an_out_directory_that_is_a_regular_file_is_a_data_error(tmp_path, capsys):
+    task = _synth(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(["train", *_task_args(task), "--out", str(out), *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and str(out) in err, err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_ablate_runs_the_full_ladder(tmp_path, capsys):

@@ -307,6 +307,11 @@ def test_head_rejects_zero_norm_rows():
         ClassifierHead(["a", "b"], [[1.0, 0.0], [0.0, 0.0]])
 
 
+def test_a_zero_norm_head_row_is_named_by_its_first_class():
+    with pytest.raises(IcisError, match="zero-norm weight rows, first of class 'b'$"):
+        ClassifierHead(["a", "b", "c"], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+
+
 def test_head_logits_with_and_without_bias():
     head = ClassifierHead(["a", "b"], [[1.0, 0.0], [0.0, 2.0]], biases=[0.5, -1.0])
     x = np.array([[1.0, 1.0]])
@@ -323,6 +328,24 @@ def test_head_subset_carries_bias_and_seen_flags():
     assert sub.class_ids == ["c", "b"]
     assert sub.biases.tolist() == [3.0, 2.0]
     assert sub.seen.tolist() == [True, False]
+
+
+def test_head_subset_is_a_gathered_block_of_checked_rows(monkeypatch):
+    head = ClassifierHead(["a", "b", "c"], np.eye(3) + 0.5, biases=[1.0, 2.0, 3.0], seen=[True, False, True])
+
+    def checked_again(self):
+        raise AssertionError("a subset ran the head checks again")
+
+    monkeypatch.setattr(ClassifierHead, "__post_init__", checked_again)
+    sub = head.subset(["c", "a"])
+    assert sub.class_ids == ["c", "a"] and sub.weights.tolist() == [[0.5, 0.5, 1.5], [1.5, 0.5, 0.5]]
+    for mine, theirs in ((sub.weights, head.weights), (sub.biases, head.biases), (sub.seen, head.seen)):
+        assert mine.flags.c_contiguous and not np.shares_memory(mine, theirs)
+    # unknown ids are refused first, then duplicates, as classify(among=...) reports them
+    with pytest.raises(ClassIdError, match="unknown class id 'x'"):
+        head.subset(["a", "a", "x"])
+    with pytest.raises(ClassIdError, match="duplicate classifier id 'a'"):
+        head.subset(["a", "c", "a"])
 
 
 def test_head_round_trip_with_biases(tmp_path):

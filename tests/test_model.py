@@ -599,6 +599,34 @@ def test_inject_merges_biases_with_zero_fill():
     assert out.biases.tolist() == [0.0, 0.0, 0.0, 2.5]
 
 
+def test_inject_checks_new_rows_as_a_head():
+    # the new rows are refused by the ClassifierHead checks, with its messages
+    with pytest.raises(IcisError, match="zero-norm weight rows, first of class 'e'"):
+        inject(_head(), ["d", "e"], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ClassIdError, match="duplicate classifier id 'd'"):
+        inject(_head(), ["d", "d"], np.ones((2, 3)))
+    with pytest.raises(ClassIdError, match="bias vector length does not match weight rows"):
+        inject(_head(), ["d"], np.ones((1, 3)), new_biases=[1.0, 2.0])
+    with pytest.raises(IcisError, match="non-finite"):
+        inject(_head(), ["d"], [[1.0, np.nan, 0.0]])
+
+
+def test_inject_of_no_rows_returns_a_copy_of_the_head():
+    head = ClassifierHead(["a", "b"], np.eye(2) + 0.1, biases=[1.0, 2.0])
+    out = inject(head, [], np.zeros((0, 2)))
+    assert out.class_ids == head.class_ids and out.biases.tolist() == [1.0, 2.0]
+    for mine, theirs in ((out.weights, head.weights), (out.biases, head.biases), (out.seen, head.seen)):
+        assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
+
+
+def test_inject_zsl_only_shares_no_array_with_the_input():
+    weights, biases = np.ones((2, 3)), np.array([1.0, 2.0])
+    out = inject(_head(), ["d", "e"], weights, new_biases=biases, zsl_only=True)
+    assert not np.shares_memory(out.weights, weights) and not np.shares_memory(out.biases, biases)
+    weights[:], biases[:] = 7.0, 7.0
+    assert out.weights.tolist() == [[1.0] * 3] * 2 and out.biases.tolist() == [1.0, 2.0]
+
+
 def test_inject_shape_errors():
     with pytest.raises(ClassIdError):
         inject(_head(), ["d", "e"], np.ones((1, 3)))

@@ -9,7 +9,7 @@ rows is the caller's job. Biases are not modelled here.
 import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, PairSet
-from .errors import IcisError
+from .errors import IcisError, ZeroNormError
 from .evaluation import classify, softmax_rows
 from .model import IcisModel, LossConfig, LossTrace, TrainConfig, check_hidden_dim, fit, stopping_threshold
 from .nn import LinearLayer, MlpTwoLayer, batch_loss
@@ -55,7 +55,7 @@ def conse_classify(
     combined = conse_combine(head, seen_descriptors, features, top_t)
     norms = np.linalg.norm(combined, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        raise IcisError("combined semantic vector collapsed to zero")
+        raise ZeroNormError("combined semantic vector collapsed to zero")
     # cosine similarities as the logits of a head of unit descriptor rows
     unit_rows = row_normalize(target_descriptors.matrix, target_descriptors.class_ids)
     targets = ClassifierHead(target_descriptors.class_ids, unit_rows)

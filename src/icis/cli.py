@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric divergence.
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -162,6 +163,19 @@ def _load_split_task(args):
     return manifest, descriptors, head, split
 
 
+@contextmanager
+def _partial_trace_kept(run_dir):
+    """A run that fails in training writes the trace of its finished epochs
+    to ``run_dir/trace.csv``; with no ``run_dir`` it writes nothing."""
+    try:
+        yield
+    except (DivergenceError, ZeroNormError) as exc:
+        if run_dir is not None and exc.trace is not None:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            exc.trace.to_csv(run_dir / "trace.csv")
+        raise
+
+
 def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run_dir: Path):
     """One training run in its own directory: config, trace, checkpoint.
     ``unseen_rows`` join the descriptor autoencoder only if the loss uses them.
@@ -176,29 +190,14 @@ def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run
     config_path = run_dir / "config.txt"
     _write_config(config_path, settings)
     started = time.monotonic()
-    try:
+    with _partial_trace_kept(run_dir):
         trace = train(model, pairs, unseen_rows, loss_config, train_config)
-    except (DivergenceError, ZeroNormError) as exc:
-        if exc.trace is not None:
-            exc.trace.to_csv(run_dir / "trace.csv")
-        raise
     settings["wall_clock_s"] = f"{time.monotonic() - started:.3f}"
     _write_config(config_path, settings)
     trace.to_csv(run_dir / "trace.csv")
     save_checkpoint(run_dir / "model.ckpt", model, loss_config,
                     include_bias=include_bias, seed=train_config.seed)
     return model, trace
-
-
-def _evaluate_task(head_with_new, split, manifest) -> EvalReport:
-    """``evaluate`` on the ``(unseen, seen)`` features of :func:`_load_split_task`."""
-    unseen_feats, seen_feats = split
-    return evaluate(
-        head_with_new,
-        unseen_feats,
-        seen_feats if seen_feats.n_samples else None,
-        unseen_ids=manifest.unseen,
-    )
 
 
 def _fmt(value, spec: str = "%.2f") -> str:
@@ -261,8 +260,7 @@ def cmd_inject(args) -> int:
                                 include_bias=include_bias, zsl_only=args.zsl_only)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    bias_path = out.with_name(out.stem + ".biases" + out.suffix) if new_head.biases is not None else None
-    new_head.save(out, bias_path)
+    new_head.save(out)
     print(f"wrote head with {new_head.n_classes} classes to {out}")
     return EXIT_OK
 
@@ -275,7 +273,7 @@ def cmd_eval(args) -> int:
         head = head.subset(present)
         report = evaluate(head, split[0].restrict_to(present), None, unseen_ids=present)
     else:
-        report = _evaluate_task(head, split, manifest)
+        report = evaluate(head, *split, unseen_ids=manifest.unseen)
     sys.stdout.write(report.to_text())
     if args.report_dir:
         _write_report(Path(args.report_dir), report)
@@ -307,7 +305,7 @@ def _run_ladder(args, fractions=None):
             # a subsample narrows only training; injection still extends the full head
             new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
                                         include_bias=args.include_bias)
-            report = _evaluate_task(new_head, split, manifest)
+            report = evaluate(new_head, *split, unseen_ids=manifest.unseen)
             # free this rung's model and head before the next one trains
             del model, new_head
             _write_report(run_dir, report)
@@ -375,42 +373,42 @@ def _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc, spli
     return report
 
 
+def _baseline_rows(method, args, seen_head, seen_desc, unseen_desc):
+    """Unseen rows from a baseline that builds them; ``dae`` refines those of its ``--base``."""
+    if method == "costa":
+        return bl.costa_weights(unseen_desc, seen_desc, seen_head)
+    if method == "wavg":
+        return bl.vgse_wavg_weights(unseen_desc, seen_desc, seen_head, temperature=args.temperature)
+    if method == "smo":
+        return bl.vgse_smo_weights(unseen_desc, seen_desc, seen_head, gamma=args.gamma)
+    if method == "dae":
+        base = _baseline_rows(args.base, args, seen_head, seen_desc, unseen_desc)
+        return bl.dae_refine(seen_head.weights, base, seed=args.seed)
+    # subreg: argparse `choices` refuses any other method first
+    pairs = make_pairs(seen_desc, seen_head)
+    model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
+                           args.hidden_dim, RngState(args.seed).spawn("model-init"))
+    run_dir = Path(args.out) if args.out else None
+    with _partial_trace_kept(run_dir):
+        trace = bl.train_subreg(model, pairs, unseen_desc.matrix, lam=args.lam,
+                                distance=args.distance, train_config=_train_config_from_args(args))
+    if run_dir is not None:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(run_dir / "trace.csv")
+    return infer_weights(model, unseen_desc.matrix)
+
+
 def cmd_baseline(args) -> int:
     manifest, descriptors, head, split = _load_split_task(args)
     seen_head = head.subset(manifest.seen)
     seen_desc = descriptors.subset(manifest.seen)
     unseen_desc = descriptors.subset(manifest.unseen)
-    method = args.method
-    # rows of the similarity baselines; dae refines the rows of its --base method
-    row_builders = {
-        "costa": lambda: bl.costa_weights(unseen_desc, seen_desc, seen_head),
-        "wavg": lambda: bl.vgse_wavg_weights(unseen_desc, seen_desc, seen_head, temperature=args.temperature),
-        "smo": lambda: bl.vgse_smo_weights(unseen_desc, seen_desc, seen_head, gamma=args.gamma),
-    }
-
-    if method == "conse":
+    if args.method == "conse":
         report = _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc,
                                split, args.top_t)
     else:
-        if method in row_builders:
-            rows = row_builders[method]()
-        elif method == "dae":
-            rows = bl.dae_refine(seen_head.weights, row_builders[args.base](), seed=args.seed)
-        else:  # subreg: argparse `choices` refuses any other method first
-            pairs = make_pairs(descriptors, seen_head)
-            model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
-                                   args.hidden_dim, RngState(args.seed).spawn("model-init"))
-            cfg = _train_config_from_args(args)
-            trace = bl.train_subreg(model, pairs, unseen_desc.matrix, lam=args.lam,
-                                    distance=args.distance, train_config=cfg)
-            if args.out:
-                run_dir = Path(args.out)
-                run_dir.mkdir(parents=True, exist_ok=True)
-                trace.to_csv(run_dir / "trace.csv")
-            rows = infer_weights(model, unseen_desc.matrix)
-        new_head = inject(head, manifest.unseen, rows)
-        report = _evaluate_task(new_head, split, manifest)
-
+        rows = _baseline_rows(args.method, args, seen_head, seen_desc, unseen_desc)
+        report = evaluate(inject(head, manifest.unseen, rows), *split, unseen_ids=manifest.unseen)
     sys.stdout.write(report.to_text())
     if args.out:
         _write_report(Path(args.out), report)
@@ -509,10 +507,7 @@ def main(argv=None) -> int:
     except (DivergenceError, ZeroNormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except IcisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (IcisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -14,6 +14,7 @@ Formats (documented bit-exactly in the README):
 """
 
 import csv as _csv
+import io
 import math
 import os
 import struct
@@ -144,29 +145,27 @@ def _save_matrix_csv(path: Path, matrix) -> None:
 
 
 def _load_matrix_csv(path: Path) -> np.ndarray:
+    reader = _csv.reader(io.StringIO(_read_utf8(path), newline=""))
     try:
-        with open(path, newline="") as f:
-            reader = _csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(path, "empty CSV; a header row is required")
+        cols = len(header)
+        rows = []
+        for lineno, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != cols:
+                raise DataFormatError(path, f"line {lineno}: expected {cols} fields, got {len(record)}")
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DataFormatError(path, "empty CSV; a header row is required") from None
-            cols = len(header)
-            rows = []
-            for lineno, record in enumerate(reader, start=2):
-                if not record:
-                    continue
-                if len(record) != cols:
-                    raise DataFormatError(path, f"line {lineno}: expected {cols} fields, got {len(record)}")
-                try:
-                    values = [float(x) for x in record]
-                except ValueError as exc:
-                    raise DataFormatError(path, f"line {lineno}: {exc}") from None
-                if not all(map(math.isfinite, values)):
-                    raise DataFormatError(path, f"line {lineno}: non-finite value")
-                rows.append(values)
-    except OSError as exc:
-        raise DataFormatError(path, f"cannot read file: {exc}") from exc
+                values = [float(x) for x in record]
+            except ValueError as exc:
+                raise DataFormatError(path, f"line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise DataFormatError(path, f"line {lineno}: non-finite value")
+            rows.append(values)
+    except _csv.Error as exc:
+        raise DataFormatError(path, f"line {reader.line_num}: {exc}") from None
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), cols)
 
 
@@ -344,16 +343,20 @@ class ClassifierHead:
             scores += self.biases
         return scores
 
+    @classmethod
+    def _of_checked_rows(cls, class_ids, weights, biases, seen) -> "ClassifierHead":
+        """A head of rows that passed ``__post_init__``'s checks as part of
+        heads already built, put together without running them again."""
+        head = object.__new__(cls)
+        head.class_ids, head.weights, head.biases, head.seen = class_ids, weights, biases, seen
+        return head
+
     def _block(self, rows) -> "ClassifierHead":
         """Head rows ``rows`` for scoring: a slice gives views, an index
-        array a gathered copy. ``__post_init__`` does not run again, since
-        every row passed its checks when this head was built."""
-        block = object.__new__(ClassifierHead)
-        block.class_ids = self.class_ids[rows] if isinstance(rows, slice) else [self.class_ids[r] for r in rows]
-        block.weights = self.weights[rows]
-        block.biases = None if self.biases is None else self.biases[rows]
-        block.seen = self.seen[rows]
-        return block
+        array a gathered copy."""
+        ids = self.class_ids[rows] if isinstance(rows, slice) else [self.class_ids[r] for r in rows]
+        biases = None if self.biases is None else self.biases[rows]
+        return ClassifierHead._of_checked_rows(ids, self.weights[rows], biases, self.seen[rows])
 
     def subset(self, ids) -> "ClassifierHead":
         block = self._block(rows_of(self.class_ids, ids))
@@ -361,12 +364,15 @@ class ClassifierHead:
         return block
 
     def save(self, weights_path, biases_path=None) -> None:
+        """Write the weights with their ``.ids`` sidecar and any biases as one
+        row, by default to the ``<stem>.biases<suffix>`` sidecar."""
         if self.biases is not None:
-            if biases_path is None:
-                raise IcisError("head has biases; a biases path is required to save them")
             check_float32_range(self.biases, "bias vector")  # before any file is written
         _save_with_ids(weights_path, self.weights, self.class_ids)
         if self.biases is not None:
+            if biases_path is None:
+                path = Path(weights_path)
+                biases_path = path.with_name(path.stem + ".biases" + path.suffix)
             save_matrix(biases_path, self.biases.reshape(1, -1))
 
 

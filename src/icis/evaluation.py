@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, FeatureSet, _check_unique, rows_of
-from .errors import ClassIdError, IcisError
+from .errors import ClassIdError, IcisError, ZeroNormError
 from .nn import ENTROPY_STRIP, EVAL_BLOCK, row_blocks
 from .tensor import as_matrix
 
@@ -187,7 +187,7 @@ def similarity_ranks(descriptors: DescriptorSet, anchor_id) -> dict:
     a = descriptors.matrix
     norms = np.linalg.norm(a, axis=1)
     if np.any(norms == 0.0):
-        raise IcisError("descriptor set has zero-norm rows; cosine ranks undefined")
+        raise ZeroNormError("descriptor set has zero-norm rows; cosine ranks undefined")
     anchor = descriptors.vector(anchor_id)
     sims = (a @ anchor) / (norms * np.linalg.norm(anchor))
     order = sorted(

@@ -382,7 +382,8 @@ def inject(
     flags; new rows are flagged unseen. With ``zsl_only`` the result holds
     only the new rows, restricting decisions to the injected classes. The
     new rows are checked once, as a :class:`ClassifierHead` of their own,
-    and must have the head's width and ids that it does not hold.
+    and must have the head's width and ids that it does not hold; the
+    head's rows, checked when it was built, are not checked again.
     """
     new = ClassifierHead(new_ids, new_weights, new_biases, np.zeros(len(new_weights), dtype=bool))
     if new.weight_dim != head.weight_dim:
@@ -402,7 +403,7 @@ def inject(
         add_b = new.biases if new.biases is not None else np.zeros(new.n_classes)
         biases = np.concatenate([old_b, add_b])
     seen = np.concatenate([head.seen, new.seen])
-    return ClassifierHead(list(head.class_ids) + new.class_ids, weights, biases, seen)
+    return ClassifierHead._of_checked_rows(list(head.class_ids) + new.class_ids, weights, biases, seen)
 
 
 def infer_and_inject(

@@ -264,6 +264,14 @@ def test_exit_codes(tmp_path):
     ])
     assert code == 4
     assert (div / "trace.csv").exists()
+    # so does the subreg baseline, which writes no checkpoint or report
+    div = tmp_path / "subreg-div"
+    code = main([
+        "baseline", "--method", "subreg", *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(div), "--hidden-dim", "8", "--lr", "1e6", "--max-epochs", "5", "--distance", "l2",
+    ])
+    assert code == 4
+    assert sorted(p.name for p in div.iterdir()) == ["trace.csv"]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -504,9 +512,9 @@ SEEN = [f"c{i:03d}" for i in range(8)]
     ("baseline", ["--method", "costa"], ["c009"], 4, "cannot normalise zero row(s) of class(es) ['c009']"),
     ("baseline", ["--method", "wavg"], ["c009"], 4, "cannot normalise zero row(s) of class(es) ['c009']"),
     ("baseline", ["--method", "conse"], ["c009"], 4, "cannot normalise zero row(s) of class(es) ['c009']"),
-    # refused as data (exit 3): ConSE's combination of zero seen descriptors, and analyze's ranking
-    ("baseline", ["--method", "conse"], SEEN, 3, "combined semantic vector collapsed to zero"),
-    ("analyze", ["--class", "c008"], ["c009"], 3, "descriptor set has zero-norm rows; cosine ranks undefined"),
+    # degenerate too: ConSE's combination of zero seen descriptors, and analyze's ranking
+    ("baseline", ["--method", "conse"], SEEN, 4, "combined semantic vector collapsed to zero"),
+    ("analyze", ["--class", "c008"], ["c009"], 4, "descriptor set has zero-norm rows; cosine ranks undefined"),
 ], ids=["baseline-costa", "baseline-wavg", "baseline-conse", "baseline-conse-seen", "analyze"])
 def test_zero_norm_descriptors_exit_as_documented(tmp_path, capsys, command, flags, zero, code, message):
     task = _synth(tmp_path)
@@ -718,19 +726,19 @@ def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsy
         "synth", "--out", str(task), "--seed", "3", "--seen", "4", "--unseen", "3", "--desc-dim", "5",
         "--weight-dim", "256", "--samples-per-class", "40", "--feature-noise", "0.05",
     ]) == 0
-    real = cli._evaluate_task
+    real = cli.evaluate
     peaks, rows = [], []
 
-    def traced(head, split, manifest):
+    def traced(head, *split, unseen_ids):
         rows.append(min(part.features.nbytes for part in split))
         tracemalloc.start()
         try:
-            return real(head, split, manifest)
+            return real(head, *split, unseen_ids=unseen_ids)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(cli, "_evaluate_task", traced)
+    monkeypatch.setattr(cli, "evaluate", traced)
     assert main([
         "ablate", *_task_args(task), "--features", str(task / "features.wsmat"),
         "--out", str(tmp_path / "abl"), "--hidden-dim", "16", "--lr", "1e-3", "--max-epochs", "1",

@@ -197,6 +197,19 @@ def test_csv_empty_file_is_an_error(tmp_path):
         load_matrix(p)
 
 
+@pytest.mark.parametrize("payload, message", [
+    (b"a,b\n1,2\n3,\xff\n", " (byte 10): not UTF-8: invalid start byte"),
+    (b"a\n1\n" + b"2" * 131073 + b"\n", ": line 3: field larger than field limit (131072)"),
+], ids=["not-utf8", "field-over-limit"])
+def test_csv_undecodable_or_oversized_input_is_a_data_error(tmp_path, payload, message):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(payload)
+    with pytest.raises(DataFormatError) as err:
+        load_matrix(p)
+    # the offset or line locates the problem, and nothing escapes as a csv or decoding error
+    assert str(err.value) == f"{p}{message}"
+
+
 def test_ids_round_trip(tmp_path):
     p = tmp_path / "m.ids"
     save_ids(p, ["c001", "c002", "zebra"])
@@ -357,6 +370,14 @@ def test_head_round_trip_with_biases(tmp_path):
     assert np.array_equal(back.weights, head.weights)
     assert back.biases.tolist() == [0.5, -0.5]
     assert back.seen.tolist() == [True, False]
+
+
+def test_head_save_writes_biases_to_their_sidecar_by_default(tmp_path):
+    head = ClassifierHead(["a", "b"], [[1.0, 2.0], [3.0, 4.0]], biases=[0.5, -0.5])
+    head.save(tmp_path / "h.wsmat")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.biases.wsmat", "h.ids", "h.wsmat"]
+    back = load_classifier_head(tmp_path / "h.wsmat", biases_path=tmp_path / "h.biases.wsmat")
+    assert back.biases.tolist() == [0.5, -0.5]
 
 
 def test_head_biases_must_be_one_row(tmp_path):

@@ -611,6 +611,24 @@ def test_inject_checks_new_rows_as_a_head():
         inject(_head(), ["d"], [[1.0, np.nan, 0.0]])
 
 
+def test_inject_checks_the_new_rows_and_not_the_carried_over_ones(monkeypatch):
+    head = ClassifierHead(["a", "b", "c"], np.eye(3) + 0.5, biases=[1.0, 2.0, 3.0], seen=[True, False, True])
+    real, checked = ClassifierHead.__post_init__, []
+
+    def counted(self):
+        checked.append(list(self.class_ids))
+        real(self)
+
+    monkeypatch.setattr(ClassifierHead, "__post_init__", counted)
+    out = inject(head, ["d", "e"], np.full((2, 3), 0.5), new_biases=[4.0, 5.0])
+    assert checked == [["d", "e"]]
+    # the result holds what the checking constructor would have made of the same rows
+    again = ClassifierHead(out.class_ids, out.weights, out.biases, out.seen)
+    for mine, theirs in ((out.weights, again.weights), (out.biases, again.biases), (out.seen, again.seen)):
+        assert mine.dtype == theirs.dtype and mine.flags.c_contiguous and np.array_equal(mine, theirs)
+    assert out.class_ids == ["a", "b", "c", "d", "e"] and out.seen.tolist() == [True, False, True, False, False]
+
+
 def test_inject_of_no_rows_returns_a_copy_of_the_head():
     head = ClassifierHead(["a", "b"], np.eye(2) + 0.1, biases=[1.0, 2.0])
     out = inject(head, [], np.zeros((0, 2)))

@@ -30,8 +30,8 @@ from .tensor import RngState, as_matrix, check_finite, rand_normal, row_normaliz
 MATRIX_MAGIC = b"WSMAT01\n"
 _HEADER_LEN = len(MATRIX_MAGIC) + 8
 
-# The reader converts and checks a payload this many values at a time: the
-# float32 chunk and its finiteness mask (320 KiB) fit in a 2 MiB L2.
+# The reader reads and checks a payload this many values at a time: the
+# chunk (256 KiB of float32) and its finiteness mask fit in a 2 MiB L2.
 READ_CHUNK = 1 << 16
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -50,25 +50,35 @@ def check_float32_range(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_stored(data) -> np.ndarray:
+    """``data`` itself when it is a C-contiguous 2-D float32 array, the type
+    of the container's payload, else :func:`as_matrix` of it."""
+    if isinstance(data, np.ndarray) and data.dtype == np.float32 and data.ndim == 2 and data.flags.c_contiguous:
+        return data
+    return as_matrix(data)
+
+
 def write_matrix_block(f, matrix) -> None:
     """Write one binary matrix block (magic, shape, float32 payload) to the
     open binary file ``f``; the caller has checked it with
-    :func:`check_float32_range`."""
-    m = as_matrix(matrix)
+    :func:`check_float32_range`. Float32 rows are written as they are, and
+    other rows through one float32 copy."""
+    m = _as_stored(matrix)
     rows, cols = m.shape
     if rows >= 2**32 or cols >= 2**32:
         raise IcisError(f"matrix dimensions {m.shape} exceed the 32-bit container limit")
     f.write(MATRIX_MAGIC)
     f.write(struct.pack("<II", rows, cols))
-    f.write(m.astype("<f4").tobytes(order="C"))
+    f.write(memoryview(np.ascontiguousarray(m, dtype="<f4")))
 
 
 def read_matrix_block(f, path) -> np.ndarray:
     """Read the matrix block at the current position of the open binary file
     ``f``, leaving ``f`` just past it.
 
-    The float64 result is allocated once and filled ``READ_CHUNK`` values at
-    a time, so the file is never held whole next to it. Malformed or
+    The result holds the payload's float32 values exactly. It is allocated
+    once and read into ``READ_CHUNK`` values at a time, each chunk checked
+    as it arrives, so the file is never held whole next to it. Malformed or
     non-finite blocks raise :class:`DataFormatError` naming ``path`` and the
     offending byte offset.
     """
@@ -87,17 +97,16 @@ def read_matrix_block(f, path) -> np.ndarray:
             f"truncated payload for declared shape ({rows}, {cols}): need {end} bytes, have {size}",
             offset=size,
         )
-    m = np.empty((rows, cols), dtype=np.float64)
+    m = np.empty((rows, cols), dtype="<f4")
     flat = m.reshape(-1)
     for lo in range(0, flat.size, READ_CHUNK):
-        count = min(READ_CHUNK, flat.size - lo)
-        chunk = np.fromfile(f, dtype="<f4", count=count)
-        if chunk.size < count:
+        chunk = flat[lo : lo + READ_CHUNK]
+        if f.readinto(memoryview(chunk)) < chunk.nbytes:
             raise DataFormatError(path, "truncated payload", offset=f.tell())
-        if not np.isfinite(chunk).all():
-            bad = lo + int(np.argmin(np.isfinite(chunk)))
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            bad = lo + int(np.argmin(finite))
             raise DataFormatError(path, "payload contains a non-finite value", offset=pos + _HEADER_LEN + 4 * bad)
-        flat[lo : lo + count] = chunk
     return m
 
 
@@ -118,13 +127,14 @@ def save_matrix(path, matrix) -> None:
     if path.suffix == ".csv":
         _save_matrix_csv(path, matrix)
         return
-    m = check_float32_range(as_matrix(matrix))
+    m = check_float32_range(_as_stored(matrix))
     with open(path, "wb") as f:
         write_matrix_block(f, m)
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix from the binary container or a headered CSV file."""
+    """Read a matrix from the binary container, as float32, or from a
+    headered CSV file, as float64."""
     path = Path(path)
     if path.suffix == ".csv":
         return _load_matrix_csv(path)
@@ -174,6 +184,12 @@ def _load_matrix_csv(path: Path) -> np.ndarray:
 
 def ids_path_for(matrix_path) -> Path:
     return Path(matrix_path).with_suffix(".ids")
+
+
+def biases_path_for(weights_path) -> Path:
+    """The ``<stem>.biases<suffix>`` sidecar that holds a head's biases."""
+    path = Path(weights_path)
+    return path.with_name(path.stem + ".biases" + path.suffix)
 
 
 def _check_writable_ids(ids, manifest: bool = False) -> None:
@@ -293,7 +309,11 @@ def load_descriptor_set(matrix_path) -> DescriptorSet:
 
 @dataclass
 class ClassifierHead:
-    """Per-class weight rows (optionally with biases) of a linear classifier."""
+    """Per-class weight rows (optionally with biases) of a linear classifier.
+
+    C-contiguous float32 weights, such as a loaded head's, are kept as they
+    are; any other weights become float64. Scoring goes through
+    :meth:`_block`, which upcasts float32 rows one class block at a time."""
 
     class_ids: list
     weights: np.ndarray
@@ -301,7 +321,7 @@ class ClassifierHead:
     seen: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weights = check_finite(as_matrix(self.weights), "classifier weights")
+        self.weights = check_finite(_as_stored(self.weights), "classifier weights")
         self.class_ids = [str(i) for i in self.class_ids]
         _check_unique(self.class_ids, "classifier")
         if len(self.class_ids) != self.weights.shape[0]:
@@ -309,7 +329,7 @@ class ClassifierHead:
                 f"weight matrix has {self.weights.shape[0]} rows but {len(self.class_ids)} class ids"
             )
         # row sums of squares: zero exactly where the norm is, with no temporary the size of the weights
-        zero = np.einsum("ij,ij->i", self.weights, self.weights) == 0.0
+        zero = np.einsum("ij,ij->i", self.weights, self.weights, dtype=np.float64) == 0.0
         if zero.any():
             raise IcisError(f"classifier head contains zero-norm weight rows, first of class "
                             f"{self.class_ids[int(np.argmax(zero))]!r}")
@@ -352,11 +372,13 @@ class ClassifierHead:
         return head
 
     def _block(self, rows) -> "ClassifierHead":
-        """Head rows ``rows`` for scoring: a slice gives views, an index
-        array a gathered copy."""
+        """Head rows ``rows`` for scoring, as float64: a slice of float64
+        rows gives views, an index array a gathered copy, and float32 rows
+        are upcast, which is exact."""
         ids = self.class_ids[rows] if isinstance(rows, slice) else [self.class_ids[r] for r in rows]
         biases = None if self.biases is None else self.biases[rows]
-        return ClassifierHead._of_checked_rows(ids, self.weights[rows], biases, self.seen[rows])
+        weights = self.weights[rows].astype(np.float64, copy=False)
+        return ClassifierHead._of_checked_rows(ids, weights, biases, self.seen[rows])
 
     def subset(self, ids) -> "ClassifierHead":
         block = self._block(rows_of(self.class_ids, ids))
@@ -371,13 +393,17 @@ class ClassifierHead:
         _save_with_ids(weights_path, self.weights, self.class_ids)
         if self.biases is not None:
             if biases_path is None:
-                path = Path(weights_path)
-                biases_path = path.with_name(path.stem + ".biases" + path.suffix)
+                biases_path = biases_path_for(weights_path)
             save_matrix(biases_path, self.biases.reshape(1, -1))
 
 
 def load_classifier_head(weights_path, biases_path=None, seen_ids=None) -> ClassifierHead:
+    """A head read from ``weights_path`` and its ``.ids`` sidecar. Its biases
+    come from ``biases_path``, else from the ``<stem>.biases<suffix>``
+    sidecar when one exists; with neither, it has none."""
     weights, ids = _load_with_ids(weights_path)
+    if biases_path is None and biases_path_for(weights_path).exists():
+        biases_path = biases_path_for(weights_path)
     biases = None
     if biases_path is not None:
         biases = load_matrix(biases_path)

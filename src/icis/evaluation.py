@@ -27,8 +27,9 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     and across blocks. A row that meets a NaN gets the first id of
     ``among``. When the id-sorted head rows form one ascending run (the full
     head of a head in id order), each class block is a view of the head;
-    otherwise it is gathered from head rows found once per call. Neither
-    checks the head's rows again.
+    otherwise it is gathered from head rows found once per call. Float32
+    rows are upcast, block by block (see :meth:`ClassifierHead._block`).
+    None of these checks the head's rows again.
     """
     if among is None:
         ids = head.class_ids
@@ -166,16 +167,72 @@ def _entropies_in_place(s: np.ndarray) -> np.ndarray:
     return entropies
 
 
+_LOWEST = float(np.finfo(np.float64).min)
+
+
+class _OnlineEntropy:
+    """Softmax entropies (nats) of logits rows, folded in over column blocks
+    of them: an online softmax (Milakov & Gimelshein, arXiv 1805.02867) with
+    a second running sum. Per row it keeps the running maximum ``m``,
+    ``Z = sum exp(s - m)`` and ``T = sum exp(s - m) * (s - m)``; when ``m``
+    grows by ``d``, ``T`` becomes ``exp(-d) * (T - d * Z)`` and ``Z`` becomes
+    ``exp(-d) * Z``. The entropy is ``log Z - T / Z``, so no per-element log
+    or divide is taken. The conventions are :func:`_entropies_in_place`'s: a
+    term whose exponential underflows to 0 adds nothing, and a row with a NaN
+    or with no finite maximum scores 0."""
+
+    def __init__(self, rows: int):
+        self.m = np.full(rows, -np.inf)
+        self.z = np.zeros(rows)
+        self.t = np.zeros(rows)
+
+    def add(self, lo: int, scores: np.ndarray) -> None:
+        """Fold in ``scores``, some columns of rows ``lo`` onwards, in row
+        strips of about ``ENTROPY_STRIP`` elements."""
+        rows, width = scores.shape
+        m, z, t = (a[lo : lo + rows] for a in (self.m, self.z, self.t))
+        with np.errstate(invalid="ignore"):  # rows with a NaN or an infinite maximum score 0 in the end
+            top = np.maximum(m, scores.max(axis=1))
+            d = np.where(z > 0.0, top - m, 0.0)  # a row with no term yet has nothing to rescale
+            scale = np.exp(-d)
+            t -= d * z
+            t *= scale
+            z *= scale
+            m[...] = top
+            shift = np.where(np.isfinite(top), top, 0.0)
+            step = max(1, ENTROPY_STRIP // max(width, 1))
+            x = np.empty((min(step, rows), width))
+            e = np.empty_like(x)
+            for a in range(0, rows, step):
+                b = min(a + step, rows)
+                xs, es = x[: b - a], e[: b - a]
+                np.subtract(scores[a:b], shift[a:b, None], out=xs)
+                np.exp(xs, out=es)
+                np.maximum(xs, _LOWEST, out=xs)  # a -inf logit's term is 0 * lowest, not 0 * -inf
+                z[a:b] += es.sum(axis=1)
+                t[a:b] += np.einsum("ij,ij->i", es, xs)
+
+    def entropies(self) -> np.ndarray:
+        live = np.isfinite(self.m)
+        h = np.zeros(self.m.shape)
+        h[live] = np.log(self.z[live]) - self.t[live] / self.z[live]
+        return h
+
+
 def _head_entropy(head: ClassifierHead, features) -> float:
-    """``mean_prediction_entropy(head.logits(features))``, scored in blocks
-    of about ``EVAL_BLOCK`` logits and averaged once, as there. With OpenBLAS
-    the blocks equal one whole product on the heads of 1000 to 20000 classes
-    measured; a narrow head can differ from it in the last bit on a few rows."""
+    """``mean_prediction_entropy(head.logits(features))`` in one read of the
+    head: its class blocks of about ``EVAL_BLOCK`` weights, in head row
+    order, are scored over feature-row blocks of about ``EVAL_BLOCK`` logits,
+    as in :func:`classify`, and folded into an :class:`_OnlineEntropy`. So
+    neither the head in float64 nor samples x classes is held at once."""
     features = as_matrix(features)
-    return float(np.concatenate([
-        _entropies_in_place(head.logits(features[lo:hi]))
-        for lo, hi in row_blocks(features.shape[0], head.n_classes, EVAL_BLOCK)
-    ]).mean())
+    entropy = _OnlineEntropy(features.shape[0])
+    for clo, chi in row_blocks(head.n_classes, head.weight_dim, EVAL_BLOCK):
+        block = head._block(slice(clo, chi))
+        for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
+            entropy.add(lo, block.logits(features[lo:hi]))
+        del block  # an upcast block is freed before the next is made
+    return float(entropy.entropies().mean())
 
 
 def similarity_ranks(descriptors: DescriptorSet, anchor_id) -> dict:

@@ -396,7 +396,7 @@ def inject(
     if zsl_only:
         return new.subset(new.class_ids)  # a gathered copy: it shares no array with the caller's rows
 
-    weights = np.vstack([head.weights, new.weights])
+    weights = np.vstack([head.weights, new.weights], dtype=np.float64)  # a loaded head's float32 rows upcast exactly
     biases = None
     if head.biases is not None or new.biases is not None:
         old_b = head.biases if head.biases is not None else np.zeros(head.n_classes)

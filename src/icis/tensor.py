@@ -1,7 +1,8 @@
 """Dense matrix helpers and seeded randomness.
 
 A "matrix" throughout this package is a 2-D, C-contiguous ``float64`` numpy
-array. The helpers here validate shapes at module boundaries and raise the
+array; a classifier head's weights, and what the binary reader returns, may
+instead be ``float32``, the type stored on disk. The helpers here validate shapes at module boundaries and raise the
 package's structured errors instead of letting numpy broadcast silently.
 
 Randomness goes through :class:`RngState`, a thin wrapper around numpy's

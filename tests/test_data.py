@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from icis.data import (
     MATRIX_MAGIC,
     PairSet,
     SplitManifest,
+    biases_path_for,
     ids_path_for,
     load_classifier_head,
     load_descriptor_set,
@@ -33,6 +35,7 @@ from icis.data import (
 )
 from icis.errors import ClassIdError, DataFormatError, IcisError
 from icis.evaluation import evaluate
+from icis.model import inject
 
 # ---------------------------------------------------------------------------
 # matrix container
@@ -378,6 +381,14 @@ def test_head_save_writes_biases_to_their_sidecar_by_default(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.biases.wsmat", "h.ids", "h.wsmat"]
     back = load_classifier_head(tmp_path / "h.wsmat", biases_path=tmp_path / "h.biases.wsmat")
     assert back.biases.tolist() == [0.5, -0.5]
+    # read back from the sidecar by default; an explicit biases path wins, and no sidecar means no biases
+    assert biases_path_for(tmp_path / "h.wsmat") == tmp_path / "h.biases.wsmat"
+    assert load_classifier_head(tmp_path / "h.wsmat").biases.tolist() == [0.5, -0.5]
+    save_matrix(tmp_path / "other.wsmat", [[1.5, 2.5]])
+    explicit = load_classifier_head(tmp_path / "h.wsmat", biases_path=tmp_path / "other.wsmat")
+    assert explicit.biases.tolist() == [1.5, 2.5]
+    ClassifierHead(["a", "b"], [[1.0, 2.0], [3.0, 4.0]]).save(tmp_path / "plain.wsmat")
+    assert load_classifier_head(tmp_path / "plain.wsmat").biases is None
 
 
 def test_head_biases_must_be_one_row(tmp_path):
@@ -631,3 +642,69 @@ def test_subsample_too_small_fraction_is_an_error():
         subsample_pairs(pairs, 0.1, seed=0)
     with pytest.raises(IcisError):
         subsample_pairs(pairs, 1.5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# float32 heads
+
+
+def _float32_head_file(tmp_path, n_classes=2000, dim=1024):
+    weights = np.random.default_rng(23).standard_normal((n_classes, dim)).astype(np.float32)
+    ClassifierHead([f"c{i:04d}" for i in range(n_classes)], weights).save(tmp_path / "h.wsmat")
+    return tmp_path / "h.wsmat", weights
+
+
+def test_a_head_keeps_c_contiguous_float32_weights_and_makes_the_rest_float64():
+    w32 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
+    assert ClassifierHead(["a", "b"], w32).weights is w32
+    for other in (np.asfortranarray(w32), w32.astype(np.float16), w32.tolist(), w32.astype(np.float64)):
+        head = ClassifierHead(["a", "b"], other)
+        assert head.weights.dtype == np.float64 and head.weights.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(IcisError, match="zero-norm weight rows, first of class 'b'"):
+        ClassifierHead(["a", "b"], np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
+
+
+def test_a_loaded_head_is_float32_and_its_derived_rows_are_float64(tmp_path):
+    path, weights = _float32_head_file(tmp_path, 6, 4)
+    head = load_classifier_head(path)
+    assert head.weights.dtype == np.float32 and np.array_equal(head.weights, weights)
+    derived = {
+        "subset": head.subset(["c0004", "c0001"]).weights,
+        "block": head._block(slice(1, 3)).weights,
+        "inject": inject(head, ["n0"], np.ones((1, 4))).weights,
+        "make_pairs": make_pairs(DescriptorSet(head.class_ids, np.eye(6, 3) + 1.0), head).weights,
+    }
+    expected = {"subset": weights[[4, 1]], "block": weights[1:3], "inject": np.vstack([weights, np.ones((1, 4))]),
+                "make_pairs": weights}
+    for name, rows in derived.items():
+        assert rows.dtype == np.float64 and np.array_equal(rows, expected[name]), name
+
+
+def test_loading_a_head_holds_its_float32_payload_once(tmp_path):
+    path, weights = _float32_head_file(tmp_path)
+    tracemalloc.start()
+    try:
+        head = load_classifier_head(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 8 MiB of rows, plus about 0.3 MB: one read chunk's finiteness mask, the
+    # zero-norm check's buffer and the ids; a float64 head would hold twice the payload
+    assert head.weights.dtype == np.float32
+    assert peak < 1.1 * weights.nbytes
+
+
+def test_saving_a_float32_head_copies_no_payload_and_writes_the_same_bytes(tmp_path):
+    path, weights = _float32_head_file(tmp_path)
+    head = load_classifier_head(path)
+    tracemalloc.start()
+    try:
+        head.save(tmp_path / "again.wsmat")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the ids' text and nothing the size of the 8 MiB payload
+    assert peak < weights.nbytes / 4
+    assert (tmp_path / "again.wsmat").read_bytes() == path.read_bytes()
+    ClassifierHead(head.class_ids, weights.astype(np.float64)).save(tmp_path / "wide.wsmat")
+    assert (tmp_path / "wide.wsmat").read_bytes() == path.read_bytes()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from icis import evaluation
-from icis.data import ClassifierHead, DescriptorSet, FeatureSet
+from icis.data import ClassifierHead, DescriptorSet, FeatureSet, load_classifier_head
 from icis.errors import ClassIdError, IcisError
 from icis.evaluation import (
     EvalReport,
@@ -425,7 +425,7 @@ def test_blocked_scoring_is_bit_identical_to_the_whole_array(monkeypatch, rows, 
     assert predictions[7] == predictions[8] == head.class_ids[1] == "k01998"
     rows_entropy = np.concatenate([evaluation._entropies_in_place(b.copy()) for b in blocks])
     assert np.array_equal(rows_entropy, evaluation._entropies_in_place(whole.copy()))
-    assert evaluation._head_entropy(head, features) == mean_prediction_entropy(whole)
+    assert evaluation._head_entropy(head, features) == pytest.approx(mean_prediction_entropy(whole), rel=1e-12)
 
 
 def test_blocked_evaluate_equals_one_block(monkeypatch):
@@ -439,7 +439,10 @@ def test_blocked_evaluate_equals_one_block(monkeypatch):
     for budget in (1 << 30, 4 * head.n_classes):
         monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
         with pytest.warns(UserWarning, match="without samples"):
-            reports.append(evaluate(head, unseen, seen).to_json())
+            reports.append(json.loads(evaluate(head, unseen, seen).to_json()))
+    # the entropy's online softmax sums in the order of its class blocks
+    for key in ("entropy_unseen", "entropy_seen"):
+        assert reports[1].pop(key) == pytest.approx(reports[0].pop(key), rel=1e-12)
     assert reports[0] == reports[1]
 
 
@@ -748,3 +751,111 @@ def test_strip_entropy_is_bit_identical_to_the_whole_array(logits):
         got = evaluation._entropies_in_place(logits.copy())
     assert np.count_nonzero(p_oracle[1] == 0.0) > 0 and np.isnan(p_oracle[-1]).all()
     assert np.array_equal(got, entropies, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# float32 heads, upcast block by block, and the online entropy
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_a_loaded_float32_head_decides_as_its_float64_rows(tmp_path, monkeypatch, n_blocks):
+    rng = np.random.default_rng(18)
+    n_classes, dim, rows = 30, 8, 60
+    ids = [f"p{i:02d}" for i in range(n_classes)]
+    weights = rng.standard_normal((n_classes, dim)).astype(np.float32)
+    weights[[3, 11]] *= 4.0
+    # exact ties: classes 3 and 25 (in different blocks at 2 and 3 blocks), and 11 and 12
+    weights[25], weights[12] = weights[3], weights[11]
+    biases = (0.1 * rng.standard_normal(n_classes)).astype(np.float32)
+    biases[25], biases[12] = biases[3], biases[11]
+    ClassifierHead(ids, weights, biases).save(tmp_path / "h.wsmat")
+    loaded = load_classifier_head(tmp_path / "h.wsmat")
+    in_memory = ClassifierHead(ids, weights.astype(np.float64), biases.astype(np.float64))
+    assert loaded.weights.dtype == np.float32 and in_memory.weights.dtype == np.float64
+    features = rng.standard_normal((rows, dim))
+    features[:4] = weights[[3, 11, 3, 11]]
+
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == n_blocks
+    kinds = _spy_blocks(monkeypatch)
+    # the full head, scattered rows (gathered) and one ascending run of rows (viewed)
+    for among, kind in ((None, "view"), (ids[1::2], "gathered"), (ids[26:9:-1], "view")):
+        kinds.clear()
+        assert classify(loaded, features, among=among) == classify(in_memory, features, among=among)
+        assert kinds[0] == kind
+    predictions = classify(loaded, features)
+    assert predictions[0] == predictions[2] == "p03" and predictions[1] == predictions[3] == "p11"
+    assert evaluation._head_entropy(loaded, features) == evaluation._head_entropy(in_memory, features)
+
+
+def _hard_logits():
+    """Rows that take every path of the online entropy, with their columns
+    split unevenly: a later block raises the maximum, one term underflows
+    to p = 0, -inf logits sit in a row with a finite maximum (and fill its
+    first block), and three rows have no finite maximum (all -inf, a NaN,
+    a +inf)."""
+    logits = np.random.default_rng(19).standard_normal((9, 11)) * 3.0
+    logits[0] = np.arange(11.0)  # the maximum grows in every block
+    logits[1] = [0.0, -1000.0, 1.0, -800.0, 0.5, 0.0, 2.0, -3.0, 1.0, 0.0, 0.0]
+    logits[2, :4] = -np.inf
+    logits[3] = -np.inf
+    logits[4, 6] = np.nan
+    logits[5, 9] = np.inf
+    return logits
+
+
+@pytest.mark.parametrize("widths", [[11], [4, 7], [1, 3, 2, 5], [3, 3, 3, 2]])
+def test_online_entropy_equals_the_whole_array_per_row(monkeypatch, widths):
+    monkeypatch.setattr(evaluation, "ENTROPY_STRIP", 22)  # row strips of 2 to 22 rows, some cut short
+    logits = _hard_logits()
+    with np.errstate(invalid="ignore"):
+        whole = evaluation._entropies_in_place(logits.copy())
+        expected_mean = mean_prediction_entropy(logits)
+    online = evaluation._OnlineEntropy(logits.shape[0])
+    for columns in np.split(logits, np.cumsum(widths)[:-1], axis=1):
+        for lo, hi in ((0, 4), (4, 9)):  # feature-row blocks inside each class block
+            online.add(lo, columns[lo:hi])
+    got = online.entropies()
+    assert got[1] > 0.0 and got[2] > 0.0
+    assert got[3] == got[4] == got[5] == 0.0 and whole[3] == whole[4] == whole[5] == 0.0
+    np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0.0)
+    assert got.mean() == pytest.approx(expected_mean, rel=1e-12)
+
+
+def test_evaluate_of_a_float32_head_holds_one_upcast_block_and_one_logits_block(monkeypatch):
+    rng = np.random.default_rng(21)
+    n_classes, dim, rows = 2000, 1024, 1000
+    budget = 1 << 18
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
+    monkeypatch.setattr(evaluation, "ENTROPY_STRIP", 1 << 10)
+    ids = [f"c{i:04d}" for i in range(n_classes)]
+    head = ClassifierHead(ids, rng.standard_normal((n_classes, dim)).astype(np.float32),
+                          seen=np.arange(n_classes) % 2 == 0)
+    assert head.weights.dtype == np.float32
+    unseen = FeatureSet(rng.standard_normal((rows, dim)), [ids[1 + 2 * (i % 50)] for i in range(rows)])
+    seen = FeatureSet(rng.standard_normal((rows, dim)), [ids[2 * (i % 50)] for i in range(rows)])
+    class_rows = next(row_blocks(n_classes, dim, budget))[1]
+    feature_rows = next(row_blocks(rows, class_rows, budget))[1]
+    class_block_bytes, logits_block_bytes = class_rows * dim * 8, feature_rows * class_rows * 8
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="without samples"):
+            evaluate(head, unseen, seen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 2 MiB each; upcasting the whole head would hold 16 MiB, two class blocks 4 MiB
+    assert peak < class_block_bytes + logits_block_bytes + (1 << 18)
+
+
+def test_online_entropy_of_nearly_one_hot_rows_agrees_to_the_rounding_of_log_z():
+    # logits of std 30 leave many rows with an entropy under 1e-6; there both
+    # forms carry the 1e-16 absolute rounding of log Z (here) or of log p
+    # (there), which is more than 1e-12 of such an entropy
+    logits = _strip_logits(70, 80, 22)
+    online = evaluation._OnlineEntropy(70)
+    online.add(0, logits[:, :40])
+    online.add(0, logits[:, 40:])
+    whole = evaluation._entropies_in_place(logits.copy())
+    assert np.count_nonzero(whole < 1e-6) > 10
+    np.testing.assert_allclose(online.entropies(), whole, rtol=1e-12, atol=1e-15)

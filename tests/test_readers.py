@@ -61,7 +61,7 @@ def test_matrix_round_trip_is_exact(m, chunk):
         p = Path(tmp) / "m.wsmat"
         save_matrix(p, m)
         back = load_matrix(p)
-    assert back.dtype == np.float64 and back.shape == m.shape
+    assert back.dtype == np.float32 and back.shape == m.shape
     assert np.array_equal(back, m.astype(np.float64))
 
 

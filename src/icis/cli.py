@@ -267,9 +267,13 @@ def cmd_inject(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest, _, head, split = _load_split_task(args)
+    known = set(head.class_ids)
+    present = [c for c in manifest.unseen if c in known]
+    # --zsl-only scores the unseen classes the head holds; a full eval needs every one
+    if len(present) < (1 if args.zsl_only else len(manifest.unseen)):
+        missing = next(c for c in manifest.unseen if c not in known)
+        raise DataFormatError(args.head, f"head has no row for the manifest's unseen class {missing!r}")
     if args.zsl_only:
-        known = set(head.class_ids)
-        present = [c for c in manifest.unseen if c in known]
         head = head.subset(present)
         report = evaluate(head, split[0].restrict_to(present), None, unseen_ids=present)
     else:

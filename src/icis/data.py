@@ -385,16 +385,14 @@ class ClassifierHead:
         _check_unique(block.class_ids, "classifier")
         return block
 
-    def save(self, weights_path, biases_path=None) -> None:
+    def save(self, weights_path) -> None:
         """Write the weights with their ``.ids`` sidecar and any biases as one
-        row, by default to the ``<stem>.biases<suffix>`` sidecar."""
+        row to the ``<stem>.biases<suffix>`` sidecar."""
         if self.biases is not None:
             check_float32_range(self.biases, "bias vector")  # before any file is written
         _save_with_ids(weights_path, self.weights, self.class_ids)
         if self.biases is not None:
-            if biases_path is None:
-                biases_path = biases_path_for(weights_path)
-            save_matrix(biases_path, self.biases.reshape(1, -1))
+            save_matrix(biases_path_for(weights_path), self.biases.reshape(1, -1))
 
 
 def load_classifier_head(weights_path, biases_path=None, seen_ids=None) -> ClassifierHead:

@@ -12,8 +12,19 @@ import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, FeatureSet, _check_unique, rows_of
 from .errors import ClassIdError, IcisError, ZeroNormError
-from .nn import ENTROPY_STRIP, EVAL_BLOCK, row_blocks
+from .nn import row_blocks
 from .tensor import as_matrix
+
+# Evaluation scores the classes in blocks of about this many weights, and each
+# class block over feature-row blocks of about this many logits (32 MiB of
+# float64). Every feature-row block re-reads its class block, so smaller
+# blocks cost time on wide heads: 1 << 20 took about 20% longer on 20k classes.
+EVAL_BLOCK = 1 << 22
+
+# The online entropy folds in a logits block in row strips of about this many
+# elements, through two strip buffers of 256 KiB of float64 each, so no
+# temporary is the size of the block.
+ENTROPY_STRIP = 1 << 15
 
 
 def classify(head: ClassifierHead, features, among=None) -> list:
@@ -47,21 +58,19 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     ranged = bool(np.all(np.diff(rows) == 1))
     best = np.full(features.shape[0], -np.inf)
     winner = np.full(features.shape[0], order[0])  # the lowest id, where every score is -inf
-    top = np.empty_like(best)
-    column = np.empty_like(winner)
     for clo, chi in row_blocks(len(ids), head.weight_dim, EVAL_BLOCK):
         block = head._block(slice(first + clo, first + chi) if ranged else rows[clo:chi])
         for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
             scores = block.logits(features[lo:hi])
-            top[lo:hi] = scores.max(axis=1)
-            column[lo:hi] = order[clo + scores.argmax(axis=1)]
+            top = scores.max(axis=1)
+            column = order[clo + scores.argmax(axis=1)]
             del scores  # one logits block is live at a time
+            lost = np.isnan(top)
+            column[lost] = 0
+            take = lost | (top > best[lo:hi])
+            np.copyto(winner[lo:hi], column, where=take)
+            np.copyto(best[lo:hi], top, where=take)
         del block  # a gathered block is freed before the next is gathered
-        lost = np.isnan(top)
-        column[lost] = 0
-        take = lost | (top > best)
-        np.copyto(winner, column, where=take)
-        np.copyto(best, top, where=take)
     return [ids[j] for j in winner]
 
 
@@ -121,11 +130,7 @@ def harmonic_mean(unseen_acc: float, seen_acc: float) -> float:
 
 
 def softmax_rows(logits) -> np.ndarray:
-    return _softmax_in_place(as_matrix(logits).copy())
-
-
-def _softmax_in_place(s: np.ndarray) -> np.ndarray:
-    """Row-wise softmax written over ``s``, which the caller owns."""
+    s = as_matrix(logits).copy()
     s -= s.max(axis=1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=1, keepdims=True)
@@ -138,33 +143,16 @@ def mean_prediction_entropy(logits) -> float:
     Entropy uses the convention ``0 * log 0 = 0``; a uniform row scores
     ``ln K`` and a one-hot row scores zero.
     """
-    return float(_entropies_in_place(as_matrix(logits).copy()).mean())
+    return float(_entropies(logits).mean())
 
 
-def _entropies_in_place(s: np.ndarray) -> np.ndarray:
-    """Shannon entropy (nats) of the softmax of each row of ``s``,
-    overwriting ``s``, which the caller owns.
-
-    The float operations are those of ``softmax_rows`` and of
-    ``where(p > 0, p * log(p), 0)``, so the result is bit-identical. The
-    terms are taken in row strips of about ``ENTROPY_STRIP`` elements (one
-    row where a row is wider), so the only temporaries are one strip of
-    terms and its ``p > 0`` mask."""
-    p = _softmax_in_place(s)
-    rows, width = p.shape
-    step = max(1, ENTROPY_STRIP // max(width, 1))
-    strip = np.empty((min(step, rows), width))
-    positive = np.empty(strip.shape, dtype=bool)
-    entropies = np.empty(rows)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        terms, mask, q = strip[:hi - lo], positive[:hi - lo], p[lo:hi]
-        terms.fill(0.0)
-        np.greater(q, 0.0, out=mask)
-        np.log(q, out=terms, where=mask)
-        np.multiply(terms, q, out=terms, where=mask)  # a NaN p (a row with no finite maximum) adds 0
-        np.negative(terms.sum(axis=1), out=entropies[lo:hi])
-    return entropies
+def _entropies(logits) -> np.ndarray:
+    """Shannon entropy (nats) of the softmax of each row of the logits. A
+    ``p`` that underflows to 0 adds nothing, and so does a NaN ``p`` (a row
+    with no finite maximum), which scores 0."""
+    p = softmax_rows(logits)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0.0, p * np.log(p), 0.0).sum(axis=1)
 
 
 _LOWEST = float(np.finfo(np.float64).min)
@@ -177,7 +165,7 @@ class _OnlineEntropy:
     ``Z = sum exp(s - m)`` and ``T = sum exp(s - m) * (s - m)``; when ``m``
     grows by ``d``, ``T`` becomes ``exp(-d) * (T - d * Z)`` and ``Z`` becomes
     ``exp(-d) * Z``. The entropy is ``log Z - T / Z``, so no per-element log
-    or divide is taken. The conventions are :func:`_entropies_in_place`'s: a
+    or divide is taken. The conventions are those of :func:`_entropies`: a
     term whose exponential underflows to 0 adds nothing, and a row with a NaN
     or with no finite maximum scores 0."""
 

@@ -132,14 +132,10 @@ class LinearLayer:
     def stacked_factors(self):
         """The recorded pairs as one ``(U, X)`` pair, or None if none is
         recorded. Several pairs are stacked once; the result replaces the
-        list, so later writes reuse it. Each per-term array is dropped as
-        soon as it is copied, so the stack and the terms are never all held
-        at once."""
+        list, so later writes reuse it and the per-term arrays are freed."""
         if len(self.factors) > 1:
-            upstreams = [u for u, _ in self.factors]
-            inputs = [x for _, x in self.factors]
-            self.factors.clear()
-            self.factors.append((_stack_rows(upstreams), _stack_rows(inputs)))
+            upstreams, inputs = zip(*self.factors)
+            self.factors[:] = [(np.concatenate(upstreams), np.concatenate(inputs))]
         return self.factors[0] if self.factors else None
 
     def parameters(self):
@@ -261,18 +257,6 @@ class MlpTwoLayer:
         self._cache = None
 
 
-def _stack_rows(arrays: list) -> np.ndarray:
-    """The rows of the 2-D ``arrays`` in order, as one new array. The list is
-    emptied as its arrays are copied, so each can be freed at once."""
-    out = np.empty((sum(a.shape[0] for a in arrays), arrays[0].shape[1]))
-    lo = 0
-    while arrays:
-        a = arrays.pop(0)
-        out[lo : lo + a.shape[0]] = a
-        lo += a.shape[0]
-    return out
-
-
 def row_blocks(rows: int, width: int, budget: int):
     """``(lo, hi)`` bounds that cover ``range(rows)`` (zero rows: one empty
     block) in blocks of about ``budget`` elements of a ``width``-column array.
@@ -300,16 +284,6 @@ ADAM_CHUNK = 32768
 # into a 1 MiB scratch block and consumes it at once, while most of it is
 # still in a 2 MiB L2.
 GRAD_BLOCK = 131072
-
-# Evaluation scores the feature rows in blocks of about this many logits
-# (32 MiB of float64). Every block re-reads the whole head, so smaller blocks
-# cost time on wide heads: 1 << 20 took about 20% longer on 20k classes.
-EVAL_BLOCK = 1 << 22
-
-# The entropy of a logits block takes its p * log(p) terms in row strips of
-# about this many elements (256 KiB of float64, plus a 32 KiB mask), so no
-# temporary is the size of the block.
-ENTROPY_STRIP = 1 << 15
 
 
 class AdamState:

@@ -234,6 +234,19 @@ def test_eval_zsl_only_restricts_the_decision(tmp_path, capsys):
     assert values["zsl_accuracy"] == values["gzsl_unseen"]
 
 
+@pytest.mark.parametrize("zsl_only", [False, True])
+def test_eval_refuses_a_head_without_the_manifests_unseen_classes(tmp_path, capsys, zsl_only):
+    # the synth head holds the seen classes c000-c007 only; the manifest's unseen ones are c008-c010
+    task = _synth(tmp_path)
+    capsys.readouterr()
+    assert main([
+        "eval", "--head", str(task / "head.wsmat"), "--manifest", str(task / "manifest.txt"),
+        "--features", str(task / "features.wsmat"), *(["--zsl-only"] if zsl_only else []),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {task / 'head.wsmat'}: head has no row for the manifest's unseen class 'c008'\n"
+
+
 def test_exit_codes(tmp_path):
     task = _synth(tmp_path)
     # missing input file -> data error

@@ -152,7 +152,7 @@ def test_matrix_float32_max_round_trips(tmp_path):
 def test_head_save_rejects_what_float32_cannot_hold_and_writes_nothing(tmp_path, weights, biases):
     head = ClassifierHead(["a", "b"], weights, biases)
     with pytest.raises(IcisError, match="float32"):
-        head.save(tmp_path / "h.wsmat", tmp_path / "h.biases.wsmat")
+        head.save(tmp_path / "h.wsmat")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -366,7 +366,8 @@ def test_head_subset_is_a_gathered_block_of_checked_rows(monkeypatch):
 
 def test_head_round_trip_with_biases(tmp_path):
     head = ClassifierHead(["a", "b"], [[1.0, 2.0], [3.0, 4.0]], biases=[0.5, -0.5])
-    head.save(tmp_path / "h.wsmat", tmp_path / "h_bias.wsmat")
+    head.save(tmp_path / "h.wsmat")
+    (tmp_path / "h.biases.wsmat").rename(tmp_path / "h_bias.wsmat")
     back = load_classifier_head(
         tmp_path / "h.wsmat", biases_path=tmp_path / "h_bias.wsmat", seen_ids=["a"]
     )

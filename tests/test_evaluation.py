@@ -423,8 +423,8 @@ def test_blocked_scoring_is_bit_identical_to_the_whole_array(monkeypatch, rows, 
     predictions = classify(head, features)
     assert predictions == [head.class_ids[j] for j in _lowest_rank_argmax_oracle(whole, _ranks(head.class_ids))]
     assert predictions[7] == predictions[8] == head.class_ids[1] == "k01998"
-    rows_entropy = np.concatenate([evaluation._entropies_in_place(b.copy()) for b in blocks])
-    assert np.array_equal(rows_entropy, evaluation._entropies_in_place(whole.copy()))
+    rows_entropy = np.concatenate([evaluation._entropies(b) for b in blocks])
+    assert np.array_equal(rows_entropy, evaluation._entropies(whole))
     assert evaluation._head_entropy(head, features) == pytest.approx(mean_prediction_entropy(whole), rel=1e-12)
 
 
@@ -468,7 +468,7 @@ def test_evaluate_holds_no_samples_by_classes_array(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# class blocks, tie-break and entropy in place
+# class blocks, tie-break and the whole-array entropy
 
 
 def _lowest_rank_argmax_oracle(scores, ranks):
@@ -646,14 +646,14 @@ def test_entropy_in_place_is_bit_identical_and_the_public_ones_copy():
     p_oracle, entropies = _entropy_oracle(logits)
     assert np.count_nonzero(p_oracle[2] == 0.0) == 2
     before = logits.copy()
-    assert np.array_equal(evaluation._entropies_in_place(logits.copy()), entropies)
+    assert np.array_equal(evaluation._entropies(logits), entropies)
     assert np.array_equal(softmax_rows(logits), p_oracle)
     assert mean_prediction_entropy(logits) == entropies.mean()
     assert np.array_equal(logits, before)
 
 
 # ---------------------------------------------------------------------------
-# class blocks as views, entropy in strips
+# class blocks as views, and the whole-array entropy's edge rows
 
 
 def _spy_blocks(monkeypatch):
@@ -732,23 +732,22 @@ def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_block
         assert getattr(reports[0], name) == getattr(reports[1], name), name
 
 
-def _strip_logits(rows, width, seed):
+def _random_logits(rows, width, seed):
     return np.random.default_rng(seed).standard_normal((rows, width)) * 30.0
 
 
 @pytest.mark.parametrize("logits", [
-    # 70 rows of 1000: strips of 32 rows, the last one 6 rows
-    _strip_logits(70, 1000, 16),
-    # rows wider than the strip: a strip of one row
-    _strip_logits(3, evaluation.ENTROPY_STRIP + 7, 17),
-], ids=["rows-not-a-multiple-of-the-strip", "rows-wider-than-the-strip"])
-def test_strip_entropy_is_bit_identical_to_the_whole_array(logits):
+    _random_logits(70, 1000, 16),
+    # rows wider than one of the online entropy's strips
+    _random_logits(3, evaluation.ENTROPY_STRIP + 7, 17),
+], ids=["tall", "wide"])
+def test_whole_array_entropy_is_bit_identical_to_its_oracle(logits):
     logits = logits.copy()
     logits[1, ::3] = -2000.0  # underflows to p = 0
     logits[-1] = -np.inf  # no finite maximum: every p is NaN, and the row adds no term
     with np.errstate(invalid="ignore"):
         p_oracle, entropies = _entropy_oracle(logits)
-        got = evaluation._entropies_in_place(logits.copy())
+        got = evaluation._entropies(logits)
     assert np.count_nonzero(p_oracle[1] == 0.0) > 0 and np.isnan(p_oracle[-1]).all()
     assert np.array_equal(got, entropies, equal_nan=True)
 
@@ -809,7 +808,7 @@ def test_online_entropy_equals_the_whole_array_per_row(monkeypatch, widths):
     monkeypatch.setattr(evaluation, "ENTROPY_STRIP", 22)  # row strips of 2 to 22 rows, some cut short
     logits = _hard_logits()
     with np.errstate(invalid="ignore"):
-        whole = evaluation._entropies_in_place(logits.copy())
+        whole = evaluation._entropies(logits)
         expected_mean = mean_prediction_entropy(logits)
     online = evaluation._OnlineEntropy(logits.shape[0])
     for columns in np.split(logits, np.cumsum(widths)[:-1], axis=1):
@@ -852,10 +851,10 @@ def test_online_entropy_of_nearly_one_hot_rows_agrees_to_the_rounding_of_log_z()
     # logits of std 30 leave many rows with an entropy under 1e-6; there both
     # forms carry the 1e-16 absolute rounding of log Z (here) or of log p
     # (there), which is more than 1e-12 of such an entropy
-    logits = _strip_logits(70, 80, 22)
+    logits = _random_logits(70, 80, 22)
     online = evaluation._OnlineEntropy(70)
     online.add(0, logits[:, :40])
     online.add(0, logits[:, 40:])
-    whole = evaluation._entropies_in_place(logits.copy())
+    whole = evaluation._entropies(logits)
     assert np.count_nonzero(whole < 1e-6) > 10
     np.testing.assert_allclose(online.entropies(), whole, rtol=1e-12, atol=1e-15)

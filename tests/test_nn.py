@@ -377,27 +377,6 @@ def test_first_write_leaves_one_factor_pair_per_layer_and_frees_the_terms():
     assert all(ref() is None for ref in terms)
 
 
-def test_stacking_drops_each_term_once_it_is_copied():
-    # two terms of 16 rows on a 1024 x 1024 layer: the terms hold T = 512 KiB,
-    # the stack as much again. Stacking with every term alive would peak at
-    # 2T; dropping each upstream once copied peaks at 1.5T.
-    layer = LinearLayer(np.zeros((1024, 1024)), np.zeros(1024))
-    rng = np.random.default_rng(8)
-    out = np.empty((2, 1024))
-    tracemalloc.start()
-    try:
-        for _ in range(2):
-            layer.record(rng.standard_normal((16, 1024)), rng.standard_normal((16, 1024)))
-        terms, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        GradientWriter(layer, bias=False).write(out, 0, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert terms >= 4 * 16 * 1024 * 8
-    assert peak < 1.75 * terms
-
-
 def test_zero_grad_drops_the_factors_and_the_gradient_reads_zeros():
     rng = RngState(50)
     net = MlpTwoLayer(LinearLayer.init(3, 4, rng, pre_rectifier=True),

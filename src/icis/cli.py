@@ -17,11 +17,13 @@ from pathlib import Path
 
 from . import baselines as bl
 from .data import (
+    from_file,
     load_classifier_head,
     load_descriptor_set,
     load_feature_set,
     load_manifest,
     make_pairs,
+    rows_of,
     save_ids,
     save_manifest,
     save_matrix,
@@ -136,12 +138,18 @@ def _add_task_options(p: argparse.ArgumentParser, descriptors: bool = True, feat
         p.add_argument("--features", required=True)
 
 
-def _load_task(args):
+def _load_task(args, unseen_descriptors: bool = True):
     """Read the task files in one fixed order: manifest, descriptors, head
     (seen flags from the manifest, optional biases), features. A file the
-    subcommand does not take comes back as ``None``."""
+    subcommand does not take comes back as ``None``. A descriptor file that
+    lacks a seen class of the manifest, or an unseen one while
+    ``unseen_descriptors``, is refused naming that file and the class."""
     manifest = load_manifest(args.manifest)
-    descriptors = load_descriptor_set(args.descriptors) if "descriptors" in args else None
+    descriptors = None
+    if "descriptors" in args:
+        descriptors = load_descriptor_set(args.descriptors)
+        wanted = manifest.seen + manifest.unseen if unseen_descriptors else manifest.seen
+        from_file(args.descriptors, rows_of, descriptors.class_ids, wanted)
     head = load_classifier_head(args.head, seen_ids=manifest.seen, biases_path=args.biases)
     features = load_feature_set(args.features) if "features" in args else None
     return manifest, descriptors, head, features
@@ -235,11 +243,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest, descriptors, head, _ = _load_task(args)
     loss_config = _loss_config_from_args(args)
-    train_config = _train_config_from_args(args)
-    pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
     # only a loss that uses them needs a descriptor for every unseen class
+    manifest, descriptors, head, _ = _load_task(args, loss_config.uses_unseen_descriptors)
+    train_config = _train_config_from_args(args)
+    pairs = make_pairs(descriptors, from_file(args.head, head.subset, manifest.seen),
+                       include_bias=args.include_bias)
     unseen_rows = descriptors.subset(manifest.unseen).matrix if loss_config.uses_unseen_descriptors else None
     run_dir = Path(args.out)
     _, trace = _train_once(pairs, unseen_rows, loss_config, train_config, args.include_bias, run_dir)
@@ -291,7 +300,8 @@ def _run_ladder(args, fractions=None):
     ``(variant, label, pairs, report, trace)`` record per run."""
     manifest, descriptors, head, split = _load_split_task(args)
     train_config = _train_config_from_args(args)
-    seen_pairs = make_pairs(descriptors, head.subset(manifest.seen), include_bias=args.include_bias)
+    seen_pairs = make_pairs(descriptors, from_file(args.head, head.subset, manifest.seen),
+                            include_bias=args.include_bias)
     unseen = descriptors.subset(manifest.unseen)
     pair_sets = {None: seen_pairs} if fractions is None else {}
     for fraction in fractions or ():
@@ -404,7 +414,7 @@ def _baseline_rows(method, args, seen_head, seen_desc, unseen_desc):
 
 def cmd_baseline(args) -> int:
     manifest, descriptors, head, split = _load_split_task(args)
-    seen_head = head.subset(manifest.seen)
+    seen_head = from_file(args.head, head.subset, manifest.seen)
     seen_desc = descriptors.subset(manifest.seen)
     unseen_desc = descriptors.subset(manifest.unseen)
     if args.method == "conse":

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ClassIdError, DataFormatError, IcisError
-from .tensor import RngState, as_matrix, check_finite, rand_normal, row_normalize
+from .tensor import RngState, as_matrix, check_finite, rand_normal, row_blocks, row_normalize
 
 MATRIX_MAGIC = b"WSMAT01\n"
 _HEADER_LEN = len(MATRIX_MAGIC) + 8
@@ -313,7 +313,7 @@ class ClassifierHead:
 
     C-contiguous float32 weights, such as a loaded head's, are kept as they
     are; any other weights become float64. Scoring goes through
-    :meth:`_block`, which upcasts float32 rows one class block at a time."""
+    :meth:`logit_blocks`, which upcasts float32 rows one class block at a time."""
 
     class_ids: list
     weights: np.ndarray
@@ -371,19 +371,32 @@ class ClassifierHead:
         head.class_ids, head.weights, head.biases, head.seen = class_ids, weights, biases, seen
         return head
 
-    def _block(self, rows) -> "ClassifierHead":
-        """Head rows ``rows`` for scoring, as float64: a slice of float64
-        rows gives views, an index array a gathered copy, and float32 rows
-        are upcast, which is exact."""
-        ids = self.class_ids[rows] if isinstance(rows, slice) else [self.class_ids[r] for r in rows]
-        biases = None if self.biases is None else self.biases[rows]
-        weights = self.weights[rows].astype(np.float64, copy=False)
-        return ClassifierHead._of_checked_rows(ids, weights, biases, self.seen[rows])
+    def logit_blocks(self, features, rows, budget: int):
+        """``(lo, clo, logits)``: the logits of feature rows ``lo`` onwards
+        against head rows ``rows[clo:]``, as many as ``logits`` has rows and
+        columns. ``rows`` is taken in class blocks of about ``budget`` weights,
+        each scored with :meth:`logits` over feature-row blocks of about
+        ``budget`` logits and dropped before the next is built. A class block
+        is a view when ``rows`` is one ascending run, else gathered; float32
+        rows are upcast, which is exact. Blocks carry no ids or flags."""
+        features = as_matrix(features)
+        rows = np.asarray(rows, dtype=np.intp)
+        ranged = rows.size > 0 and bool(np.all(np.diff(rows) == 1))
+        for clo, chi in row_blocks(rows.size, self.weight_dim, budget):
+            take = slice(rows[0] + clo, rows[0] + chi) if ranged else rows[clo:chi]
+            biases = None if self.biases is None else self.biases[take]
+            block = ClassifierHead._of_checked_rows(
+                None, self.weights[take].astype(np.float64, copy=False), biases, None)
+            for lo, hi in row_blocks(features.shape[0], chi - clo, budget):
+                yield lo, clo, block.logits(features[lo:hi])
+            del block  # dropped before the next class block is built
 
     def subset(self, ids) -> "ClassifierHead":
-        block = self._block(rows_of(self.class_ids, ids))
-        _check_unique(block.class_ids, "classifier")
-        return block
+        rows = rows_of(self.class_ids, ids)
+        class_ids = [self.class_ids[r] for r in rows]
+        _check_unique(class_ids, "classifier")
+        biases = None if self.biases is None else self.biases[rows]
+        return ClassifierHead._of_checked_rows(class_ids, self.weights[rows], biases, self.seen[rows])
 
     def save(self, weights_path) -> None:
         """Write the weights with their ``.ids`` sidecar and any biases as one

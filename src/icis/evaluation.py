@@ -12,7 +12,6 @@ import numpy as np
 
 from .data import ClassifierHead, DescriptorSet, FeatureSet, _check_unique, rows_of
 from .errors import ClassIdError, IcisError, ZeroNormError
-from .nn import row_blocks
 from .tensor import as_matrix
 
 # Evaluation scores the classes in blocks of about this many weights, and each
@@ -31,16 +30,10 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     """Predicted class id per feature row, among the classes of ``among``
     (default: every head class); an exact tie goes to the lowest class id.
 
-    The classes are walked in ascending id order, in blocks of about
-    ``EVAL_BLOCK`` weights, each scored over feature-row blocks of about
-    ``EVAL_BLOCK`` logits, so neither the head nor samples x classes is held
-    at once. The first top score met is then the lowest id's, within a block
-    and across blocks. A row that meets a NaN gets the first id of
-    ``among``. When the id-sorted head rows form one ascending run (the full
-    head of a head in id order), each class block is a view of the head;
-    otherwise it is gathered from head rows found once per call. Float32
-    rows are upcast, block by block (see :meth:`ClassifierHead._block`).
-    None of these checks the head's rows again.
+    The classes are scored in ascending id order, in the logits blocks of
+    :meth:`ClassifierHead.logit_blocks` at a budget of ``EVAL_BLOCK``, so the
+    first top score met is the lowest id's. A row that meets a NaN gets the
+    first id of ``among``. None of the head's rows is checked again.
     """
     if among is None:
         ids = head.class_ids
@@ -53,24 +46,18 @@ def classify(head: ClassifierHead, features, among=None) -> list:
         raise IcisError("no classes to classify among")
     features = as_matrix(features)
     order = np.argsort(ids, kind="stable")  # positions in ids, by code point
-    rows = np.asarray(rows)[order]
-    first = int(rows[0])
-    ranged = bool(np.all(np.diff(rows) == 1))
     best = np.full(features.shape[0], -np.inf)
     winner = np.full(features.shape[0], order[0])  # the lowest id, where every score is -inf
-    for clo, chi in row_blocks(len(ids), head.weight_dim, EVAL_BLOCK):
-        block = head._block(slice(first + clo, first + chi) if ranged else rows[clo:chi])
-        for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
-            scores = block.logits(features[lo:hi])
-            top = scores.max(axis=1)
-            column = order[clo + scores.argmax(axis=1)]
-            del scores  # one logits block is live at a time
-            lost = np.isnan(top)
-            column[lost] = 0
-            take = lost | (top > best[lo:hi])
-            np.copyto(winner[lo:hi], column, where=take)
-            np.copyto(best[lo:hi], top, where=take)
-        del block  # a gathered block is freed before the next is gathered
+    for lo, clo, scores in head.logit_blocks(features, np.asarray(rows)[order], EVAL_BLOCK):
+        hi = lo + scores.shape[0]
+        top = scores.max(axis=1)
+        column = order[clo + scores.argmax(axis=1)]
+        del scores  # one logits block is live at a time
+        lost = np.isnan(top)
+        column[lost] = 0
+        take = lost | (top > best[lo:hi])
+        np.copyto(winner[lo:hi], column, where=take)
+        np.copyto(best[lo:hi], top, where=take)
     return [ids[j] for j in winner]
 
 
@@ -209,17 +196,14 @@ class _OnlineEntropy:
 
 def _head_entropy(head: ClassifierHead, features) -> float:
     """``mean_prediction_entropy(head.logits(features))`` in one read of the
-    head: its class blocks of about ``EVAL_BLOCK`` weights, in head row
-    order, are scored over feature-row blocks of about ``EVAL_BLOCK`` logits,
-    as in :func:`classify`, and folded into an :class:`_OnlineEntropy`. So
-    neither the head in float64 nor samples x classes is held at once."""
+    head: the logits blocks of :meth:`ClassifierHead.logit_blocks`, in head
+    row order at a budget of ``EVAL_BLOCK``, folded into an
+    :class:`_OnlineEntropy`."""
     features = as_matrix(features)
     entropy = _OnlineEntropy(features.shape[0])
-    for clo, chi in row_blocks(head.n_classes, head.weight_dim, EVAL_BLOCK):
-        block = head._block(slice(clo, chi))
-        for lo, hi in row_blocks(features.shape[0], chi - clo, EVAL_BLOCK):
-            entropy.add(lo, block.logits(features[lo:hi]))
-        del block  # an upcast block is freed before the next is made
+    for lo, _, logits in head.logit_blocks(features, range(head.n_classes), EVAL_BLOCK):
+        entropy.add(lo, logits)
+        del logits  # one logits block is live at a time
     return float(entropy.entropies().mean())
 
 

@@ -97,6 +97,8 @@ class TrainConfig:
             raise IcisError("stop_threshold must be > 0")
         if self.hidden_dim < 1:
             raise IcisError("hidden_dim must be >= 1")
+        if self.seed < 0:
+            raise IcisError(f"seed must be >= 0, got {self.seed}")
 
 
 def check_hidden_dim(model, cfg: TrainConfig) -> None:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import IcisError, ShapeMismatchError, ZeroNormError
-from .tensor import RngState, as_matrix, as_vector, rand_normal
+from .tensor import RngState, as_matrix, as_vector, rand_normal, row_blocks
 
 # ---------------------------------------------------------------------------
 # distances
@@ -255,21 +255,6 @@ class MlpTwoLayer:
         dhidden = upstream @ self.layer2.weight
         self.layer1.record(dhidden * (pre > 0.0), x)
         self._cache = None
-
-
-def row_blocks(rows: int, width: int, budget: int):
-    """``(lo, hi)`` bounds that cover ``range(rows)`` (zero rows: one empty
-    block) in blocks of about ``budget`` elements of a ``width``-column array.
-    A one-row remainder joins the block before it: OpenBLAS sends a one-row
-    product to GEMV, which rounds differently from GEMM."""
-    step = max(2, budget // max(width, 1))
-    lo = 0
-    while True:
-        hi = rows if rows - lo <= step + 1 else lo + step
-        yield lo, hi
-        if hi == rows:
-            return
-        lo = hi
 
 
 # ---------------------------------------------------------------------------

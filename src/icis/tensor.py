@@ -54,6 +54,21 @@ def row_normalize(m, ids=None) -> np.ndarray:
     return m / norms[:, None]
 
 
+def row_blocks(rows: int, width: int, budget: int):
+    """``(lo, hi)`` bounds that cover ``range(rows)`` (zero rows: one empty
+    block) in blocks of about ``budget`` elements of a ``width``-column array.
+    A one-row remainder joins the block before it: OpenBLAS sends a one-row
+    product to GEMV, which rounds differently from GEMM."""
+    step = max(2, budget // max(width, 1))
+    lo = 0
+    while True:
+        hi = rows if rows - lo <= step + 1 else lo + step
+        yield lo, hi
+        if hi == rows:
+            return
+        lo = hi
+
+
 class RngState:
     """Deterministic random stream backed by the Philox counter generator.
 

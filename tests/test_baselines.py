@@ -276,6 +276,27 @@ def test_row_average_baselines_stay_in_the_seen_span():
         assert np.linalg.norm(residual) < 1e-8
 
 
+def test_baselines_of_a_float32_seen_head_are_those_of_its_float64_rows():
+    # a loaded head keeps float32 rows and so does its subset; each product of
+    # them must give the bits of the same rows held as float64
+    task = synth_generate(seed=7, n_seen=150, n_unseen=50, d_a=40, d_w=96, samples_per_class=2)
+    narrow = ClassifierHead(task.head.class_ids, task.head.weights.astype(np.float32))
+    sub = narrow.subset(task.manifest.seen[::-1])
+    assert sub.weights.dtype == np.float32
+    heads = [sub, ClassifierHead(sub.class_ids, sub.weights.astype(np.float64))]
+    seen = task.descriptors.subset(task.manifest.seen)
+    unseen = task.descriptors.subset(task.manifest.unseen)
+    features = task.features.features
+    rows = [
+        [costa_weights(unseen, seen, h), vgse_wavg_weights(unseen, seen, h), vgse_smo_weights(unseen, seen, h),
+         conse_combine(h, seen, features)]
+        for h in heads
+    ]
+    for narrow_rows, wide_rows in zip(*rows):
+        assert np.array_equal(narrow_rows, wide_rows)
+    assert conse_classify(heads[0], seen, unseen, features) == conse_classify(heads[1], seen, unseen, features)
+
+
 # ---------------------------------------------------------------------------
 # span penalty
 

@@ -15,11 +15,13 @@ from icis.data import (
     FeatureSet,
     load_classifier_head,
     load_descriptor_set,
+    load_feature_set,
     load_ids,
     load_manifest,
     load_matrix,
     save_matrix,
 )
+from icis.evaluation import evaluate
 from icis.model import IcisModel, LossConfig, save_checkpoint
 from icis.nn import LinearLayer
 from icis.tensor import RngState
@@ -431,6 +433,48 @@ def test_train_reads_unseen_descriptors_only_when_it_uses_them(tmp_path, capsys)
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "on")]) == 3
     assert "unknown class id 'c010'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", []),
+    ("ablate", ["--features"]),
+    ("baseline", ["--method", "costa", "--features"]),
+], ids=["train", "ablate", "baseline"])
+@pytest.mark.parametrize("name, missing", [("descriptors", "c003"), ("descriptors", "c009"), ("head", "c003")],
+                         ids=["descriptors-seen", "descriptors-unseen", "head-seen"])
+def test_a_task_file_without_a_manifest_class_is_refused_with_its_path(tmp_path, capsys, command, flags, name,
+                                                                       missing):
+    # the synth task's seen classes are c000-c007 and its unseen ones c008-c010
+    task = _synth(tmp_path)
+    path = tmp_path / f"short_{name}.wsmat"
+    load = load_descriptor_set if name == "descriptors" else load_classifier_head
+    full = load(task / f"{name}.wsmat")
+    full.subset([c for c in full.class_ids if c != missing]).save(path)
+    out = tmp_path / "out"
+    args = [command, *_task_args(task), "--out", str(out), *FAST, *flags]
+    if "--features" in flags:
+        args.append(str(task / "features.wsmat"))
+    args[args.index(f"--{name}") + 1] = str(path)
+    capsys.readouterr()
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {path}: unknown class id '{missing}'\n"
+    assert not out.exists()
+
+
+def test_eval_zsl_only_of_a_saved_head_reports_as_evaluate_on_its_float64_rows(tmp_path):
+    task = _synth(tmp_path)
+    run, full = tmp_path / "run", tmp_path / "full.wsmat"
+    assert main(["train", *_task_args(task), "--out", str(run), *FAST, "--include-bias"]) == 0
+    assert main(["inject", "--checkpoint", str(run / "model.ckpt"), *_task_args(task), "--out", str(full)]) == 0
+    assert main(["eval", "--head", str(full), "--manifest", str(task / "manifest.txt"),
+                 "--features", str(task / "features.wsmat"), "--zsl-only", "--report-dir", str(tmp_path / "zsl")]) == 0
+    saved = load_classifier_head(full)
+    assert saved.weights.dtype == np.float32
+    unseen = load_manifest(task / "manifest.txt").unseen
+    rows = [saved.class_ids.index(c) for c in unseen]
+    head = ClassifierHead(unseen, saved.weights[rows].astype(np.float64), saved.biases[rows])
+    report = evaluate(head, load_feature_set(task / "features.wsmat").restrict_to(unseen), None, unseen_ids=unseen)
+    assert (tmp_path / "zsl" / "report.structured").read_text() == report.to_json() + "\n"
 
 
 def test_a_narrow_latent_dead_at_init_is_reported_as_a_zero_norm_prediction(tmp_path, capsys):

@@ -670,15 +670,35 @@ def test_a_loaded_head_is_float32_and_its_derived_rows_are_float64(tmp_path):
     head = load_classifier_head(path)
     assert head.weights.dtype == np.float32 and np.array_equal(head.weights, weights)
     derived = {
-        "subset": head.subset(["c0004", "c0001"]).weights,
-        "block": head._block(slice(1, 3)).weights,
         "inject": inject(head, ["n0"], np.ones((1, 4))).weights,
         "make_pairs": make_pairs(DescriptorSet(head.class_ids, np.eye(6, 3) + 1.0), head).weights,
     }
-    expected = {"subset": weights[[4, 1]], "block": weights[1:3], "inject": np.vstack([weights, np.ones((1, 4))]),
-                "make_pairs": weights}
+    expected = {"inject": np.vstack([weights, np.ones((1, 4))]), "make_pairs": weights}
     for name, rows in derived.items():
         assert rows.dtype == np.float64 and np.array_equal(rows, expected[name]), name
+    # a subset keeps the head's float32 rows; scoring upcasts each class block
+    sub = head.subset(["c0004", "c0001"])
+    assert sub.weights.dtype == np.float32 and np.array_equal(sub.weights, weights[[4, 1]])
+    x = np.random.default_rng(24).standard_normal((5, 4))
+    for scored, rows in ((head, [1, 2]), (head, [4, 1]), (sub, range(2))):
+        (lo, clo, logits), = scored.logit_blocks(x, rows, 1 << 10)
+        assert (lo, clo) == (0, 0) and logits.dtype == np.float64
+        assert np.array_equal(logits, x @ scored.weights[list(rows)].astype(np.float64).T)
+
+
+def test_a_subset_of_a_float32_head_holds_one_float32_copy_of_its_rows(tmp_path):
+    path, weights = _float32_head_file(tmp_path)
+    head = load_classifier_head(path)
+    ids = head.class_ids[::2]
+    tracemalloc.start()
+    try:
+        sub = head.subset(ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 4 MiB of gathered rows and the id lookup; a float64 copy next to them would hold 3 times that
+    assert peak < 1.25 * weights[::2].nbytes
+    assert sub.weights.dtype == np.float32 and np.array_equal(sub.weights, weights[::2])
 
 
 def test_loading_a_head_holds_its_float32_payload_once(tmp_path):

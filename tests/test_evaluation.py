@@ -22,7 +22,7 @@ from icis.evaluation import (
     similarity_ranks,
     softmax_rows,
 )
-from icis.nn import row_blocks
+from icis.tensor import row_blocks
 
 # ---------------------------------------------------------------------------
 # classification
@@ -656,17 +656,22 @@ def test_entropy_in_place_is_bit_identical_and_the_public_ones_copy():
 # class blocks as views, and the whole-array entropy's edge rows
 
 
-def _spy_blocks(monkeypatch):
-    """Record whether each class block ``classify`` takes is a view (a
-    slice) or gathered (an index array)."""
+class _SpiedRows(np.ndarray):
+    """Head weights that record, in ``kinds``, whether each read of their
+    rows takes a slice (a view) or an index array (gathered)."""
+
+    def __getitem__(self, key):
+        self.kinds.append("view" if isinstance(key, slice) else "gathered")
+        return np.asarray(self)[key]
+
+
+def _spy_blocks(*heads):
+    """Record whether each class block that ``logit_blocks`` takes from
+    ``heads`` is a view (a slice) or gathered (an index array)."""
     kinds = []
-    take = ClassifierHead._block
-
-    def spied(self, rows):
-        kinds.append("view" if isinstance(rows, slice) else "gathered")
-        return take(self, rows)
-
-    monkeypatch.setattr(ClassifierHead, "_block", spied)
+    for head in heads:
+        head.weights = head.weights.view(_SpiedRows)
+        head.weights.kinds = kinds
     return kinds
 
 
@@ -679,7 +684,7 @@ def test_full_head_classify_of_an_id_ordered_head_holds_no_class_block(monkeypat
     features = rng.standard_normal((rows, dim))
     blocks = list(row_blocks(n_classes, dim, budget))
     block_bytes = (blocks[0][1] - blocks[0][0]) * dim * 8
-    kinds = _spy_blocks(monkeypatch)
+    kinds = _spy_blocks(head)
     tracemalloc.start()
     try:
         classify(head, features)
@@ -714,7 +719,7 @@ def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_block
 
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
     assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == n_blocks
-    kinds = _spy_blocks(monkeypatch)
+    kinds = _spy_blocks(ordered, permuted)
     assert classify(ordered, features) == classify(permuted, features)
     assert kinds == ["view"] * n_blocks + ["gathered"] * n_blocks
     # scattered head rows are gathered; one ascending run of them, from row 10, is viewed
@@ -776,7 +781,7 @@ def test_a_loaded_float32_head_decides_as_its_float64_rows(tmp_path, monkeypatch
 
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
     assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == n_blocks
-    kinds = _spy_blocks(monkeypatch)
+    kinds = _spy_blocks(loaded, in_memory)
     # the full head, scattered rows (gathered) and one ascending run of rows (viewed)
     for among, kind in ((None, "view"), (ids[1::2], "gathered"), (ids[26:9:-1], "view")):
         kinds.clear()

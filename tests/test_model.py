@@ -62,6 +62,8 @@ def test_train_config_validation():
         TrainConfig(stop_threshold=0.0)
     with pytest.raises(IcisError):
         TrainConfig(hidden_dim=0)
+    with pytest.raises(IcisError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
     TrainConfig(lr=0.0)  # a zero learning rate is legal
     for bad in (dict(lr=-1.0), dict(lr=float("nan")), dict(lr=float("inf")),
                 dict(stop_threshold=float("nan"))):

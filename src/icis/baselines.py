@@ -8,12 +8,13 @@ rows is the caller's job. Biases are not modelled here.
 
 import numpy as np
 
-from .data import ClassifierHead, DescriptorSet, PairSet
+from . import evaluation
+from .data import ClassifierHead, DescriptorSet, PairSet, _as_stored
 from .errors import IcisError, ZeroNormError
 from .evaluation import classify, softmax_rows
 from .model import IcisModel, LossConfig, LossTrace, TrainConfig, check_hidden_dim, fit, stopping_threshold
 from .nn import LinearLayer, MlpTwoLayer, batch_loss
-from .tensor import RngState, as_matrix, row_normalize
+from .tensor import RngState, as_matrix, row_blocks, row_normalize
 
 
 def _cosine_sim_matrix(left: DescriptorSet, right: DescriptorSet) -> np.ndarray:
@@ -25,18 +26,26 @@ def _cosine_sim_matrix(left: DescriptorSet, right: DescriptorSet) -> np.ndarray:
 
 def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, features, top_t: int = 10) -> np.ndarray:
     """Per sample, a convex combination of seen-class descriptors weighted
-    by the renormalised top ``top_t`` softmax scores of the seen head."""
+    by the renormalised top ``top_t`` softmax scores of the seen head.
+
+    Every step is per row, so the feature rows are scored in blocks whose
+    float64 rows and logits stay within about ``EVAL_BLOCK`` elements."""
     if top_t < 1:
         raise IcisError("top_t must be >= 1")
     a_seen = seen_descriptors.subset(head.class_ids).matrix
-    probs = softmax_rows(head.logits(features))
-    t = min(top_t, probs.shape[1])
-    # keep only each row's t largest probabilities, renormalised
-    idx = np.argpartition(probs, -t, axis=1)[:, -t:]
-    kept = np.zeros_like(probs)
-    np.put_along_axis(kept, idx, np.take_along_axis(probs, idx, axis=1), axis=1)
-    kept /= kept.sum(axis=1, keepdims=True)
-    return kept @ a_seen
+    features = _as_stored(features)
+    t = min(top_t, head.n_classes)
+    combined = np.empty((features.shape[0], a_seen.shape[1]))
+    width = max(head.n_classes, head.weight_dim)
+    for lo, hi in row_blocks(features.shape[0], width, evaluation.EVAL_BLOCK):
+        probs = softmax_rows(head.logits(features[lo:hi]))
+        # keep only each row's t largest probabilities, renormalised
+        idx = np.argpartition(probs, -t, axis=1)[:, -t:]
+        kept = np.zeros_like(probs)
+        np.put_along_axis(kept, idx, np.take_along_axis(probs, idx, axis=1), axis=1)
+        kept /= kept.sum(axis=1, keepdims=True)
+        combined[lo:hi] = kept @ a_seen
+    return combined
 
 
 def conse_classify(

@@ -61,7 +61,7 @@ EXIT_DIVERGED = 4
 # a2w, the regression term, is always on; each other term maps to its LossConfig switch
 TERM_FLAGS = {"a2a": "use_a_to_a", "w2w": "use_w_to_w", "w2a": "use_w_to_a"}
 TERMS = ("a2w", *TERM_FLAGS)
-NO_UNSEEN = "manifest lists no unseen classes to inject"
+NO_UNSEEN = "the [unseen] section lists no classes"
 
 
 def _write_config(path: Path, settings: dict) -> None:
@@ -163,7 +163,7 @@ def _load_split_task(args):
     before anything trains."""
     manifest, descriptors, head, features = _load_task(args)
     if not manifest.unseen:
-        raise IcisError(NO_UNSEEN)
+        raise DataFormatError(args.manifest, NO_UNSEEN)
     if features.features.shape[1] != head.weight_dim:
         raise DataFormatError(args.features, f"feature dim {features.features.shape[1]} "
                                              f"does not match head weight dim {head.weight_dim}")
@@ -263,7 +263,11 @@ def cmd_inject(args) -> int:
     model, _loss_config, meta = load_checkpoint(args.checkpoint)
     include_bias = bool(int(meta.get("include_bias", "0")))
     if not manifest.unseen:
-        raise IcisError(NO_UNSEEN)
+        raise DataFormatError(args.manifest, NO_UNSEEN)
+    known = set(head.class_ids)
+    held = [c for c in manifest.unseen if c in known]
+    if held:
+        raise DataFormatError(args.manifest, f"unseen classes the head already holds: {held[:5]}")
     unseen = descriptors.subset(manifest.unseen)
     new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
                                 include_bias=include_bias, zsl_only=args.zsl_only)
@@ -363,6 +367,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     _, descriptors, head, features = _load_task(args)
+    # every class the head can predict needs a descriptor to be ranked
+    from_file(args.descriptors, rows_of, descriptors.class_ids, head.class_ids)
     record = failure_histogram(head, features, descriptors, args.class_id, bin_size=args.bin_size)
     sys.stdout.write(record.to_text())
     if args.out:

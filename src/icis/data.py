@@ -374,22 +374,28 @@ class ClassifierHead:
     def logit_blocks(self, features, rows, budget: int):
         """``(lo, clo, logits)``: the logits of feature rows ``lo`` onwards
         against head rows ``rows[clo:]``, as many as ``logits`` has rows and
-        columns. ``rows`` is taken in class blocks of about ``budget`` weights,
-        each scored with :meth:`logits` over feature-row blocks of about
-        ``budget`` logits and dropped before the next is built. A class block
-        is a view when ``rows`` is one ascending run, else gathered; float32
-        rows are upcast, which is exact. Blocks carry no ids or flags."""
-        features = as_matrix(features)
+        columns. The feature rows are taken in blocks small enough that the
+        float64 block and each logits block hold about ``budget`` elements;
+        each block is upcast once and scored with :meth:`logits` against
+        ``rows`` in class blocks of about ``budget`` weights, in ascending
+        ``clo``, each dropped before the next is built. A class block is a
+        view when ``rows`` is one ascending run, else gathered. Float32 rows,
+        features or weights, are upcast, which is exact. Blocks carry no ids
+        or flags."""
+        features = _as_stored(features)
         rows = np.asarray(rows, dtype=np.intp)
         ranged = rows.size > 0 and bool(np.all(np.diff(rows) == 1))
-        for clo, chi in row_blocks(rows.size, self.weight_dim, budget):
-            take = slice(rows[0] + clo, rows[0] + chi) if ranged else rows[clo:chi]
-            biases = None if self.biases is None else self.biases[take]
-            block = ClassifierHead._of_checked_rows(
-                None, self.weights[take].astype(np.float64, copy=False), biases, None)
-            for lo, hi in row_blocks(features.shape[0], chi - clo, budget):
-                yield lo, clo, block.logits(features[lo:hi])
-            del block  # dropped before the next class block is built
+        classes = list(row_blocks(rows.size, self.weight_dim, budget))
+        for lo, hi in row_blocks(features.shape[0], max(classes[0][1], self.weight_dim), budget):
+            x = as_matrix(features[lo:hi])
+            for clo, chi in classes:
+                take = slice(rows[0] + clo, rows[0] + chi) if ranged else rows[clo:chi]
+                biases = None if self.biases is None else self.biases[take]
+                block = ClassifierHead._of_checked_rows(
+                    None, self.weights[take].astype(np.float64, copy=False), biases, None)
+                yield lo, clo, block.logits(x)
+                del block  # dropped before the next class block is built
+            del x  # dropped before the next feature-row block is upcast
 
     def subset(self, ids) -> "ClassifierHead":
         rows = rows_of(self.class_ids, ids)
@@ -430,13 +436,18 @@ def load_classifier_head(weights_path, biases_path=None, seen_ids=None) -> Class
 
 @dataclass
 class FeatureSet:
-    """Per-sample feature vectors with class labels."""
+    """Per-sample feature vectors with class labels.
+
+    C-contiguous float32 features, such as a loaded feature set's, are kept
+    as they are, and so are the rows of :meth:`restrict_to`; any other
+    features become float64. Scoring upcasts one feature-row block at a time
+    (:meth:`ClassifierHead.logit_blocks`)."""
 
     features: np.ndarray
     labels: list
 
     def __post_init__(self):
-        self.features = check_finite(as_matrix(self.features), "feature matrix")
+        self.features = check_finite(_as_stored(self.features), "feature matrix")
         self.labels = [str(l) for l in self.labels]
         if len(self.labels) != self.features.shape[0]:
             raise ClassIdError(

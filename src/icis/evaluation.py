@@ -10,14 +10,15 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import ClassifierHead, DescriptorSet, FeatureSet, _check_unique, rows_of
+from .data import ClassifierHead, DescriptorSet, FeatureSet, _as_stored, _check_unique, rows_of
 from .errors import ClassIdError, IcisError, ZeroNormError
 from .tensor import as_matrix
 
-# Evaluation scores the classes in blocks of about this many weights, and each
-# class block over feature-row blocks of about this many logits (32 MiB of
-# float64). Every feature-row block re-reads its class block, so smaller
-# blocks cost time on wide heads: 1 << 20 took about 20% longer on 20k classes.
+# Evaluation scores the classes in blocks of about this many weights, over
+# feature-row blocks whose float64 rows and logits stay within about this many
+# elements (32 MiB of float64). Every class block is re-read per feature-row
+# block, so smaller blocks cost time on wide heads: 1 << 20 took about 20%
+# longer on 20k classes.
 EVAL_BLOCK = 1 << 22
 
 # The online entropy folds in a logits block in row strips of about this many
@@ -44,7 +45,7 @@ def classify(head: ClassifierHead, features, among=None) -> list:
         _check_unique(ids, "classifier")
     if not ids:
         raise IcisError("no classes to classify among")
-    features = as_matrix(features)
+    features = _as_stored(features)  # float32 rows stay as they are; logit_blocks upcasts a block at a time
     order = np.argsort(ids, kind="stable")  # positions in ids, by code point
     best = np.full(features.shape[0], -np.inf)
     winner = np.full(features.shape[0], order[0])  # the lowest id, where every score is -inf
@@ -199,7 +200,7 @@ def _head_entropy(head: ClassifierHead, features) -> float:
     head: the logits blocks of :meth:`ClassifierHead.logit_blocks`, in head
     row order at a budget of ``EVAL_BLOCK``, folded into an
     :class:`_OnlineEntropy`."""
-    features = as_matrix(features)
+    features = _as_stored(features)
     entropy = _OnlineEntropy(features.shape[0])
     for lo, _, logits in head.logit_blocks(features, range(head.n_classes), EVAL_BLOCK):
         entropy.add(lo, logits)

@@ -5,6 +5,7 @@ regression, and denoising refinement."""
 import numpy as np
 import pytest
 
+from icis import evaluation
 from icis.baselines import (
     conse_classify,
     conse_combine,
@@ -22,7 +23,7 @@ from icis.errors import DivergenceError, IcisError
 from icis.evaluation import softmax_rows
 from icis.model import IcisModel, TrainConfig
 from icis.nn import LinearLayer, MlpTwoLayer
-from icis.tensor import RngState, row_normalize
+from icis.tensor import RngState, row_blocks, row_normalize
 
 # ---------------------------------------------------------------------------
 # score-weighted semantic combination
@@ -295,6 +296,26 @@ def test_baselines_of_a_float32_seen_head_are_those_of_its_float64_rows():
     for narrow_rows, wide_rows in zip(*rows):
         assert np.array_equal(narrow_rows, wide_rows)
     assert conse_classify(heads[0], seen, unseen, features) == conse_classify(heads[1], seen, unseen, features)
+
+
+@pytest.mark.parametrize("head_dtype", [np.float64, np.float32])
+def test_conse_of_float32_feature_rows_in_blocks_is_that_of_their_float64_upcast_whole(monkeypatch, head_dtype):
+    task = synth_generate(seed=8, n_seen=40, n_unseen=30, d_a=12, d_w=24, samples_per_class=2, feature_noise=0.3)
+    head = ClassifierHead(task.head.class_ids, task.head.weights.astype(head_dtype))
+    seen = task.descriptors.subset(task.manifest.seen)
+    targets = task.descriptors.subset(task.manifest.unseen[::-1])  # gathered class blocks
+    x32 = task.features.features.astype(np.float32)
+    x64 = x32.astype(np.float64)
+    whole = conse_combine(head, seen, x64, top_t=5)
+    # the 140 feature rows in blocks of 3 against the 40 seen classes; the nearest
+    # descriptor scores them in blocks of 10 against 3 class blocks of 10 targets
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 10 * 12)
+    assert len(list(row_blocks(x32.shape[0], 40, evaluation.EVAL_BLOCK))) == 47
+    assert len(list(row_blocks(len(targets.class_ids), 12, evaluation.EVAL_BLOCK))) == 3
+    assert len(list(row_blocks(x32.shape[0], 12, evaluation.EVAL_BLOCK))) == 14
+    for x in (x32, x64):
+        assert np.array_equal(conse_combine(head, seen, x, top_t=5), whole)
+    assert conse_classify(head, seen, targets, x32, top_t=5) == conse_classify(head, seen, targets, x64, top_t=5)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from icis.data import (
 from icis.evaluation import evaluate
 from icis.model import IcisModel, LossConfig, save_checkpoint
 from icis.nn import LinearLayer
-from icis.tensor import RngState
+from icis.tensor import RngState, row_blocks
 
 SYNTH = [
     "synth",
@@ -319,9 +319,9 @@ def test_negative_seeds_and_sample_counts_are_data_errors(tmp_path, capsys, comm
     ("sweep", ["--fractions", "0.5,0.1"], "fraction 0.1 leaves 1 pairs"),
     ("sweep", ["--fractions", "0.5,0.50"], "run directory fraction_0.5 twice"),
     # a manifest whose [unseen] section is empty
-    ("ablate", ["no-unseen"], "manifest lists no unseen classes to inject"),
-    ("sweep", ["no-unseen"], "manifest lists no unseen classes to inject"),
-    ("baseline", ["--method", "subreg", "no-unseen"], "manifest lists no unseen classes to inject"),
+    ("ablate", ["no-unseen"], "seen_only.txt: the [unseen] section lists no classes\n"),
+    ("sweep", ["no-unseen"], "seen_only.txt: the [unseen] section lists no classes\n"),
+    ("baseline", ["--method", "subreg", "no-unseen"], "seen_only.txt: the [unseen] section lists no classes\n"),
     # features one column narrower than the head, named by their file
     ("ablate", ["narrow"], "narrow.wsmat: feature dim 5 does not match head weight dim 6"),
     ("baseline", ["--method", "subreg", "narrow"], "narrow.wsmat: feature dim 5 does not match head weight dim 6"),
@@ -613,8 +613,49 @@ def test_inject_refuses_a_manifest_without_unseen_classes(tmp_path, capsys):
     args = ["inject", "--checkpoint", str(checkpoint), *_task_args(task), "--manifest", str(manifest)]
     capsys.readouterr()
     assert main(args + ["--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: manifest lists no unseen classes to inject\n"
+    assert capsys.readouterr().err == f"error: {manifest}: the [unseen] section lists no classes\n"
     assert not out.exists()
+
+
+def test_eval_refuses_a_manifest_without_unseen_classes_naming_it(tmp_path, capsys):
+    task = _synth(tmp_path)
+    manifest = tmp_path / "seen_only.txt"
+    manifest.write_text("[seen]\n" + "".join(f"{c}\n" for c in load_manifest(task / "manifest.txt").seen))
+    capsys.readouterr()
+    assert main(["eval", "--head", str(task / "head.wsmat"), "--manifest", str(manifest),
+                 "--features", str(task / "features.wsmat")]) == 3
+    # eval injects nothing, so the message does not say "to inject"
+    assert capsys.readouterr().err == f"error: {manifest}: the [unseen] section lists no classes\n"
+
+
+@pytest.mark.parametrize("zsl_only", [False, True])
+def test_inject_refuses_unseen_classes_the_head_already_holds_naming_the_manifest(tmp_path, capsys, zsl_only):
+    task = _synth(tmp_path)
+    run, full, again = tmp_path / "run", tmp_path / "full.wsmat", tmp_path / "again.wsmat"
+    assert main(["train", *_task_args(task), "--out", str(run), *FAST]) == 0
+    inject = ["inject", "--checkpoint", str(run / "model.ckpt"), *_task_args(task)]
+    assert main(inject + ["--out", str(full)]) == 0
+    # the injected head already holds the manifest's unseen classes
+    inject[inject.index("--head") + 1] = str(full)
+    capsys.readouterr()
+    assert main(inject + ["--out", str(again), *(["--zsl-only"] if zsl_only else [])]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {task / 'manifest.txt'}: unseen classes the head already holds: ['c008', 'c009', 'c010']\n")
+    assert not again.exists()
+
+
+def test_analyze_refuses_a_head_class_without_a_descriptor_naming_the_descriptors(tmp_path, capsys):
+    task = _synth(tmp_path)
+    head = load_classifier_head(task / "head.wsmat")
+    extra = tmp_path / "extra.wsmat"
+    ClassifierHead(head.class_ids + ["x999"], np.vstack([head.weights, head.weights[:1]])).save(extra)
+    args = ["analyze", *_task_args(task), "--features", str(task / "features.wsmat")]
+    capsys.readouterr()
+    assert main(args + ["--head", str(extra), "--class", "c001"]) == 3
+    assert capsys.readouterr().err == f"error: {task / 'descriptors.wsmat'}: unknown class id 'x999'\n"
+    # the histogram's own refusals name no file, as before
+    assert main(args + ["--class", "nope"]) == 3
+    assert capsys.readouterr().err == "error: no samples labelled 'nope' in the feature set\n"
 
 
 def test_an_out_directory_that_is_a_regular_file_is_a_data_error(tmp_path, capsys):
@@ -800,12 +841,16 @@ def test_eval_splits_the_features_once(tmp_path, capsys, monkeypatch, zsl_only, 
 
 def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsys, monkeypatch):
     import icis.cli as cli
+    import icis.evaluation as evaluation
 
     task = tmp_path / "task"
     assert main([
         "synth", "--out", str(task), "--seed", "3", "--seen", "4", "--unseen", "3", "--desc-dim", "5",
         "--weight-dim", "256", "--samples-per-class", "40", "--feature-noise", "0.05",
     ]) == 0
+    # the smaller part's 120 rows are scored in 15 feature-row blocks of 8 rows
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 256)
+    assert len(list(row_blocks(120, 256, evaluation.EVAL_BLOCK))) >= 4
     real = cli.evaluate
     peaks, rows = [], []
 
@@ -824,9 +869,10 @@ def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsy
         "--out", str(tmp_path / "abl"), "--hidden-dim", "16", "--lr", "1e-3", "--max-epochs", "1",
     ]) == 0
     assert len(peaks) == 5
-    # the smaller part holds 120 rows (240 KiB); one evaluation's allocations stay far below it
-    assert rows == [120 * 256 * 8] * 5
-    assert max(peaks) < rows[0] / 4
+    # the smaller part holds 120 float32 rows (120 KiB), as loaded; one evaluation's
+    # allocations stay below a quarter of its float64 copy (240 KiB)
+    assert rows == [120 * 256 * 4] * 5
+    assert max(peaks) < 120 * 256 * 8 / 4
 
 
 @pytest.mark.parametrize("command, flags, runs", [("ablate", [], 5), ("sweep", ["--fractions", "0.5,1.0"], 10)])

@@ -729,3 +729,46 @@ def test_saving_a_float32_head_copies_no_payload_and_writes_the_same_bytes(tmp_p
     assert (tmp_path / "again.wsmat").read_bytes() == path.read_bytes()
     ClassifierHead(head.class_ids, weights.astype(np.float64)).save(tmp_path / "wide.wsmat")
     assert (tmp_path / "wide.wsmat").read_bytes() == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# float32 feature rows
+
+
+def test_a_feature_set_keeps_c_contiguous_float32_rows_and_makes_the_rest_float64():
+    x32 = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
+    assert FeatureSet(x32, ["a", "b"]).features is x32
+    for other in (np.asfortranarray(x32), x32.astype(np.float16), x32.tolist(), x32.astype(np.float64)):
+        features = FeatureSet(other, ["a", "b"]).features
+        assert features.dtype == np.float64 and features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_a_loaded_feature_set_and_its_splits_keep_float32_rows(tmp_path):
+    x32 = np.random.default_rng(25).standard_normal((12, 4)).astype(np.float32)
+    labels = [f"c{i % 3}" for i in range(12)]
+    FeatureSet(x32, labels).save(tmp_path / "f.wsmat")
+    loaded = load_feature_set(tmp_path / "f.wsmat")
+    assert loaded.features.dtype == np.float32 and np.array_equal(loaded.features, x32)
+    part = loaded.restrict_to(["c2", "c0"])
+    kept = [l != "c1" for l in labels]
+    assert part.features.dtype == np.float32 and part.features.flags.c_contiguous
+    assert np.array_equal(part.features, x32[kept]) and part.labels == [l for l, k in zip(labels, kept) if k]
+    # a CSV copy, which shares the .ids sidecar, loads the same values as float64
+    save_matrix(tmp_path / "f.csv", loaded.features)
+    wide = load_feature_set(tmp_path / "f.csv")
+    assert wide.features.dtype == np.float64 and np.array_equal(wide.features, x32)
+
+
+def test_loading_a_feature_set_holds_its_float32_payload_once(tmp_path):
+    x32 = np.random.default_rng(26).standard_normal((2000, 1024)).astype(np.float32)
+    FeatureSet(x32, [f"c{i % 50:02d}" for i in range(2000)]).save(tmp_path / "f.wsmat")
+    tracemalloc.start()
+    try:
+        features = load_feature_set(tmp_path / "f.wsmat")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 8 MiB of rows, one read chunk's finiteness mask and the labels; a float64
+    # copy next to the payload would hold 3 times the payload
+    assert features.features.dtype == np.float32
+    assert peak < 1.1 * x32.nbytes

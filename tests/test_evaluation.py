@@ -719,9 +719,13 @@ def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_block
 
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
     assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == n_blocks
+    # a budget of 8 weights per class of a block scores the 60 feature rows in blocks
+    # of 8 rows (the last of 4), each against every class block
+    feature_blocks = len(list(row_blocks(rows, max(-(-n_classes // n_blocks), dim), evaluation.EVAL_BLOCK)))
+    assert feature_blocks == 8
     kinds = _spy_blocks(ordered, permuted)
     assert classify(ordered, features) == classify(permuted, features)
-    assert kinds == ["view"] * n_blocks + ["gathered"] * n_blocks
+    assert kinds == ["view"] * n_blocks * feature_blocks + ["gathered"] * n_blocks * feature_blocks
     # scattered head rows are gathered; one ascending run of them, from row 10, is viewed
     for among, kind in ((unseen_ids[::-1], "gathered"), (ids[26:9:-1], "view")):
         kinds.clear()
@@ -863,3 +867,42 @@ def test_online_entropy_of_nearly_one_hot_rows_agrees_to_the_rounding_of_log_z()
     whole = evaluation._entropies(logits)
     assert np.count_nonzero(whole < 1e-6) > 10
     np.testing.assert_allclose(online.entropies(), whole, rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# float32 feature rows, upcast block by block
+
+
+@pytest.mark.parametrize("head_dtype", [np.float64, np.float32])
+def test_float32_feature_rows_score_as_their_float64_upcast(monkeypatch, head_dtype):
+    rng = np.random.default_rng(27)
+    n_classes, dim, rows = 30, 8, 60
+    ids = [f"p{i:02d}" for i in range(n_classes)]
+    weights = rng.standard_normal((n_classes, dim)).astype(head_dtype)
+    weights[25], weights[12] = weights[3], weights[11]  # exact ties across and within class blocks
+    biases = 0.1 * rng.standard_normal(n_classes)
+    biases[25], biases[12] = biases[3], biases[11]
+    seen = np.arange(n_classes) % 3 != 0
+    head = ClassifierHead(ids, weights, biases, seen)
+    x32 = rng.standard_normal((rows, dim)).astype(np.float32)
+    x32[:4] = weights[[3, 11, 3, 11]]
+    unseen_ids = [c for c, s in zip(ids, seen) if not s]
+    seen_ids = [c for c, s in zip(ids, seen) if s]
+    labels = [unseen_ids[i // 2 % 10] if i % 2 else seen_ids[i // 2 % 20] for i in range(rows)]
+    narrow, wide = FeatureSet(x32, labels), FeatureSet(x32.astype(np.float64), labels)
+    assert narrow.features.dtype == np.float32 and wide.features.dtype == np.float64
+
+    # 3 class blocks of 10, and the 60 feature rows in blocks of 8 (30 unseen rows: 4 blocks)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 10 * dim)
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == 3
+    assert len(list(row_blocks(rows // 2, 10, evaluation.EVAL_BLOCK))) == 4
+    reports = [evaluate(head, f.restrict_to(unseen_ids), f.restrict_to(seen_ids), unseen_ids=unseen_ids)
+               for f in (narrow, wide)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert classify(head, narrow.features) == classify(head, wide.features)
+    # scattered head rows, gathered into class blocks
+    among = unseen_ids[::-1] + seen_ids[::3]
+    assert classify(head, narrow.features, among=among) == classify(head, wide.features, among=among)
+    descriptors = DescriptorSet(ids, rng.standard_normal((n_classes, 5)))
+    histograms = [failure_histogram(head, f, descriptors, "p03", bin_size=4) for f in (narrow, wide)]
+    assert histograms[0].to_json() == histograms[1].to_json() and histograms[0].n_samples == 3

@@ -140,9 +140,10 @@ def _add_task_options(p: argparse.ArgumentParser, descriptors: bool = True, feat
 
 def _load_task(args, unseen_descriptors: bool = True):
     """Read the task files in one fixed order: manifest, descriptors, head
-    (seen flags from the manifest, optional biases), features. A file the
-    subcommand does not take comes back as ``None``. A descriptor file that
-    lacks a seen class of the manifest, or an unseen one while
+    (seen flags from the manifest, optional biases). A subcommand that takes
+    no descriptors gets ``None`` for them; one that takes ``--features``
+    reads them next (:func:`_read_features`). A descriptor file that lacks a
+    seen class of the manifest, or an unseen one while
     ``unseen_descriptors``, is refused naming that file and the class."""
     manifest = load_manifest(args.manifest)
     descriptors = None
@@ -151,24 +152,27 @@ def _load_task(args, unseen_descriptors: bool = True):
         wanted = manifest.seen + manifest.unseen if unseen_descriptors else manifest.seen
         from_file(args.descriptors, rows_of, descriptors.class_ids, wanted)
     head = load_classifier_head(args.head, seen_ids=manifest.seen, biases_path=args.biases)
-    features = load_feature_set(args.features) if "features" in args else None
-    return manifest, descriptors, head, features
+    return manifest, descriptors, head
 
 
-def _load_split_task(args):
-    """:func:`_load_task` for a command that evaluates: the features come
-    back split once into their unseen and seen parts, in the GZSL protocol's
-    fixed split, and the whole set is not kept. A manifest without unseen
-    classes, or features whose width is not the head's, is refused here,
-    before anything trains."""
-    manifest, descriptors, head, features = _load_task(args)
+def _read_features(args, manifest, head):
+    """``--features`` read whole and checked for a command that evaluates
+    the task of :func:`_load_task`. A manifest without unseen classes, or
+    features whose width is not the head's, is refused here."""
+    features = load_feature_set(args.features)
     if not manifest.unseen:
         raise DataFormatError(args.manifest, NO_UNSEEN)
     if features.features.shape[1] != head.weight_dim:
         raise DataFormatError(args.features, f"feature dim {features.features.shape[1]} "
                                              f"does not match head weight dim {head.weight_dim}")
-    split = (features.restrict_to(manifest.unseen), features.restrict_to(manifest.seen))
-    return manifest, descriptors, head, split
+    return features
+
+
+def _read_split(args, manifest, head):
+    """:func:`_read_features`, split once into their unseen and seen parts,
+    in the GZSL protocol's fixed split; the whole set is not kept."""
+    features = _read_features(args, manifest, head)
+    return features.restrict_to(manifest.unseen), features.restrict_to(manifest.seen)
 
 
 @contextmanager
@@ -184,13 +188,18 @@ def _partial_trace_kept(run_dir):
         raise
 
 
-def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run_dir: Path):
-    """One training run in its own directory: config, trace, checkpoint.
-    ``unseen_rows`` join the descriptor autoencoder only if the loss uses them.
-    A run that fails in training keeps its partial trace."""
-    model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
-                           train_config.hidden_dim,
-                           RngState(train_config.seed).spawn("model-init"))
+def _draw_model(pairs, train_config) -> IcisModel:
+    """The seeded initial model for ``pairs``: every run with the same seed,
+    pair dims and ``hidden_dim`` starts from these weights."""
+    return IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1], train_config.hidden_dim,
+                          RngState(train_config.seed).spawn("model-init"))
+
+
+def _train_once(model, pairs, unseen_rows, loss_config, train_config, include_bias, run_dir: Path):
+    """Train ``model``, an initial model of :func:`_draw_model`, in place in
+    its own run directory: config, trace, checkpoint. ``unseen_rows`` join the
+    descriptor autoencoder only if the loss uses them. Returns the trace; a
+    run that fails in training keeps its partial trace."""
     run_dir.mkdir(parents=True, exist_ok=True)
     settings = dict(sorted(asdict(train_config).items()))
     settings.update(sorted(asdict(loss_config).items()))
@@ -205,7 +214,7 @@ def _train_once(pairs, unseen_rows, loss_config, train_config, include_bias, run
     trace.to_csv(run_dir / "trace.csv")
     save_checkpoint(run_dir / "model.ckpt", model, loss_config,
                     include_bias=include_bias, seed=train_config.seed)
-    return model, trace
+    return trace
 
 
 def _fmt(value, spec: str = "%.2f") -> str:
@@ -245,13 +254,14 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     loss_config = _loss_config_from_args(args)
     # only a loss that uses them needs a descriptor for every unseen class
-    manifest, descriptors, head, _ = _load_task(args, loss_config.uses_unseen_descriptors)
+    manifest, descriptors, head = _load_task(args, loss_config.uses_unseen_descriptors)
     train_config = _train_config_from_args(args)
     pairs = make_pairs(descriptors, from_file(args.head, head.subset, manifest.seen),
                        include_bias=args.include_bias)
     unseen_rows = descriptors.subset(manifest.unseen).matrix if loss_config.uses_unseen_descriptors else None
     run_dir = Path(args.out)
-    _, trace = _train_once(pairs, unseen_rows, loss_config, train_config, args.include_bias, run_dir)
+    trace = _train_once(_draw_model(pairs, train_config), pairs, unseen_rows, loss_config, train_config,
+                        args.include_bias, run_dir)
     tail = trace.total[-1] if trace.total else float("nan")
     print(f"trained {trace.epochs_run} epochs (stopped_early={trace.stopped_early}), "
           f"final loss {tail:.6f}; checkpoint at {run_dir / 'model.ckpt'}")
@@ -259,7 +269,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    manifest, descriptors, head, _ = _load_task(args)
+    manifest, descriptors, head = _load_task(args)
     model, _loss_config, meta = load_checkpoint(args.checkpoint)
     include_bias = bool(int(meta.get("include_bias", "0")))
     if not manifest.unseen:
@@ -279,7 +289,8 @@ def cmd_inject(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    manifest, _, head, split = _load_split_task(args)
+    manifest, _, head = _load_task(args)
+    split = _read_split(args, manifest, head)
     known = set(head.class_ids)
     present = [c for c in manifest.unseen if c in known]
     # --zsl-only scores the unseen classes the head holds; a full eval needs every one
@@ -297,12 +308,57 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _trained_runs(args, head, unseen, pair_sets, train_config):
+    """Train every ablation variant on each pair set, in run order, and
+    yield each run as it finishes: ``(variant, label, pairs, trace, run_dir,
+    rows)``, where ``rows`` is the head of the run's inferred unseen rows
+    alone. The model is drawn once, and every run trains a copy of it."""
+    drawn = _draw_model(next(iter(pair_sets.values())), train_config)
+    for name, loss_config in ablation_variants().items():
+        for label, pairs in pair_sets.items():
+            run_dir = Path(args.out) / name
+            if label is not None:
+                run_dir = run_dir / f"fraction_{label}"
+            model = drawn.copy()
+            trace = _train_once(model, pairs, unseen.matrix, loss_config, train_config, args.include_bias, run_dir)
+            # a subsample narrows only training; the rows still extend the full head
+            rows = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
+                                    include_bias=args.include_bias, zsl_only=True)
+            del model  # freed before the next run's copy is made
+            yield name, label, pairs, trace, run_dir, rows
+
+
+def _score_runs(args, manifest, head, runs):
+    """Read and split the features once, then inject, evaluate, report and
+    print each run of :func:`_trained_runs`, in run order. Returns the
+    records of :func:`_run_ladder`."""
+    split = _read_split(args, manifest, head)
+    records = []
+    for name, label, pairs, trace, run_dir, rows in runs:
+        report = evaluate(inject(head, rows.class_ids, rows.weights, rows.biases), *split,
+                          unseen_ids=manifest.unseen)
+        _write_report(run_dir, report)
+        tag = name if label is None else f"{name} @ {label}"
+        print(f"{tag}: zsl={report.zsl_accuracy:.2f} unseen={report.gzsl_unseen:.2f} "
+              f"seen={_fmt(report.gzsl_seen)} H={_fmt(report.harmonic)} "
+              f"entropy={report.entropy_unseen:.3f} epochs={trace.epochs_run}")
+        records.append((name, label, pairs, report, trace))
+    return records
+
+
 def _run_ladder(args, fractions=None):
     """Train every ablation variant on the seen pairs, or on each fraction's
-    subsample of them (all checked before anything trains), inject, evaluate
-    and write the run to ``out/<variant>[/fraction_<f>]``. Returns one
-    ``(variant, label, pairs, report, trace)`` record per run."""
-    manifest, descriptors, head, split = _load_split_task(args)
+    subsample of them, then score every run, each in ``out/<variant>[/
+    fraction_<f>]``. Returns one ``(variant, label, pairs, report, trace)``
+    record per run.
+
+    Everything is checked before anything trains, the features too: they
+    are read whole and dropped, so no feature row is held while models
+    train, and read again once every run has trained. A run that fails in
+    training keeps its partial trace, and the runs before it are scored
+    before the error passes on."""
+    manifest, descriptors, head = _load_task(args)
+    _read_features(args, manifest, head)
     train_config = _train_config_from_args(args)
     seen_pairs = make_pairs(descriptors, from_file(args.head, head.subset, manifest.seen),
                             include_bias=args.include_bias)
@@ -313,25 +369,14 @@ def _run_ladder(args, fractions=None):
         if label in pair_sets:
             raise IcisError(f"--fractions names the run directory fraction_{label} twice")
         pair_sets[label] = subsample_pairs(seen_pairs, fraction, args.seed)
-    records = []
-    for name, loss_config in ablation_variants().items():
-        for label, pairs in pair_sets.items():
-            run_dir, tag = Path(args.out) / name, name
-            if label is not None:
-                run_dir, tag = run_dir / f"fraction_{label}", f"{name} @ {label}"
-            model, trace = _train_once(pairs, unseen.matrix, loss_config, train_config, args.include_bias, run_dir)
-            # a subsample narrows only training; injection still extends the full head
-            new_head = infer_and_inject(model, head, unseen.matrix, unseen.class_ids,
-                                        include_bias=args.include_bias)
-            report = evaluate(new_head, *split, unseen_ids=manifest.unseen)
-            # free this rung's model and head before the next one trains
-            del model, new_head
-            _write_report(run_dir, report)
-            print(f"{tag}: zsl={report.zsl_accuracy:.2f} unseen={report.gzsl_unseen:.2f} "
-                  f"seen={_fmt(report.gzsl_seen)} H={_fmt(report.harmonic)} "
-                  f"entropy={report.entropy_unseen:.3f} epochs={trace.epochs_run}")
-            records.append((name, label, pairs, report, trace))
-    return records
+    runs = []
+    try:
+        for run in _trained_runs(args, head, unseen, pair_sets, train_config):
+            runs.append(run)
+    except (IcisError, OSError):
+        _score_runs(args, manifest, head, runs)
+        raise
+    return _score_runs(args, manifest, head, runs)
 
 
 def cmd_ablate(args) -> int:
@@ -366,7 +411,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _, descriptors, head, features = _load_task(args)
+    _, descriptors, head = _load_task(args)
+    features = load_feature_set(args.features)
     # every class the head can predict needs a descriptor to be ranked
     from_file(args.descriptors, rows_of, descriptors.class_ids, head.class_ids)
     record = failure_histogram(head, features, descriptors, args.class_id, bin_size=args.bin_size)
@@ -406,12 +452,12 @@ def _baseline_rows(method, args, seen_head, seen_desc, unseen_desc):
         return bl.dae_refine(seen_head.weights, base, seed=args.seed)
     # subreg: argparse `choices` refuses any other method first
     pairs = make_pairs(seen_desc, seen_head)
-    model = IcisModel.init(pairs.descriptors.shape[1], pairs.weights.shape[1],
-                           args.hidden_dim, RngState(args.seed).spawn("model-init"))
+    train_config = _train_config_from_args(args)
+    model = _draw_model(pairs, train_config)
     run_dir = Path(args.out) if args.out else None
     with _partial_trace_kept(run_dir):
         trace = bl.train_subreg(model, pairs, unseen_desc.matrix, lam=args.lam,
-                                distance=args.distance, train_config=_train_config_from_args(args))
+                                distance=args.distance, train_config=train_config)
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
         trace.to_csv(run_dir / "trace.csv")
@@ -419,7 +465,8 @@ def _baseline_rows(method, args, seen_head, seen_desc, unseen_desc):
 
 
 def cmd_baseline(args) -> int:
-    manifest, descriptors, head, split = _load_split_task(args)
+    manifest, descriptors, head = _load_task(args)
+    split = _read_split(args, manifest, head)
     seen_head = from_file(args.head, head.subset, manifest.seen)
     seen_desc = descriptors.subset(manifest.seen)
     unseen_desc = descriptors.subset(manifest.unseen)

@@ -202,6 +202,11 @@ class IcisModel:
     def layers(self) -> tuple:
         return (self.desc_encoder, self.desc_decoder, self.weight_encoder, self.weight_decoder)
 
+    def copy(self) -> "IcisModel":
+        """A model of copies of these layers' parameters: training it leaves
+        this one as it is."""
+        return IcisModel(*(LinearLayer(layer.weight.copy(), layer.bias.copy()) for layer in self.layers()))
+
     def zero_grad(self) -> None:
         for layer in self.layers():
             layer.zero_grad()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from icis.cli import main
+from icis.cli import TERM_FLAGS, main
 from icis.data import (
     ClassifierHead,
     FeatureSet,
@@ -22,7 +23,8 @@ from icis.data import (
     save_matrix,
 )
 from icis.evaluation import evaluate
-from icis.model import IcisModel, LossConfig, save_checkpoint
+from icis.errors import DivergenceError
+from icis.model import IcisModel, LossConfig, LossTrace, ablation_variants, save_checkpoint
 from icis.nn import LinearLayer
 from icis.tensor import RngState, row_blocks
 
@@ -325,12 +327,24 @@ def test_negative_seeds_and_sample_counts_are_data_errors(tmp_path, capsys, comm
     # features one column narrower than the head, named by their file
     ("ablate", ["narrow"], "narrow.wsmat: feature dim 5 does not match head weight dim 6"),
     ("baseline", ["--method", "subreg", "narrow"], "narrow.wsmat: feature dim 5 does not match head weight dim 6"),
+    # a features file cut short by one value (33 x 6 values need 808 bytes), and one whose
+    # last value is a NaN, each named by its file with the byte offset
+    ("ablate", ["cut"], "cut.wsmat (byte 804): truncated payload for declared shape (33, 6)"),
+    ("sweep", ["cut"], "cut.wsmat (byte 804): truncated payload for declared shape (33, 6)"),
+    ("ablate", ["nan"], "nan.wsmat (byte 804): payload contains a non-finite value"),
+    ("sweep", ["nan"], "nan.wsmat (byte 804): payload contains a non-finite value"),
 ], ids=["ablate-flags0", "sweep-flags1", "sweep-fraction-above-one", "sweep-one-pair",
         "sweep-one-directory-twice", "ablate-no-unseen", "sweep-no-unseen", "baseline-subreg-no-unseen",
-        "ablate-narrow-features", "baseline-subreg-narrow-features"])
+        "ablate-narrow-features", "baseline-subreg-narrow-features", "ablate-cut-features",
+        "sweep-cut-features", "ablate-nan-features", "sweep-nan-features"])
 def test_refused_ladder_runs_leave_no_out_directory(tmp_path, capsys, command, flags, message):
     task = _synth(tmp_path)
     out = tmp_path / "out"
+    for kind in {"cut", "nan"} & set(flags):
+        payload = (task / "features.wsmat").read_bytes()[:-4]
+        (tmp_path / f"{kind}.wsmat").write_bytes(payload + (struct.pack("<f", np.nan) if kind == "nan" else b""))
+        (tmp_path / f"{kind}.ids").write_bytes((task / "features.ids").read_bytes())
+        flags = [f for f in flags if f != kind] + ["--features", str(tmp_path / f"{kind}.wsmat")]
     if "no-unseen" in flags:
         manifest = tmp_path / "seen_only.txt"
         manifest.write_text("[seen]\n" + "".join(f"{c}\n" for c in load_manifest(task / "manifest.txt").seen))
@@ -894,6 +908,105 @@ def test_ladder_runs_hold_no_earlier_model_while_one_trains(tmp_path, capsys, mo
         "--out", str(tmp_path / "out"), *FAST, "--max-epochs", "1", *flags,
     ]) == 0
     assert len(models) == runs
+
+
+@pytest.mark.parametrize("command, flags, runs", [("ablate", [], 5), ("sweep", ["--fractions", "0.5,1.0"], 10)])
+def test_a_ladder_draws_one_model_and_holds_no_feature_row_while_runs_train(tmp_path, capsys, monkeypatch,
+                                                                           command, flags, runs):
+    import icis.cli as cli
+
+    task = _synth(tmp_path)
+    draw, load, split, train = IcisModel.init.__func__, cli.load_feature_set, FeatureSet.restrict_to, cli.train
+    draws, features, trained = [], [], []
+
+    def counted_draw(cls, *args):
+        draws.append(args)
+        return draw(cls, *args)
+
+    def tracked(*args):
+        # every loaded set and its rows, and below both parts of a split and their rows
+        loaded = load(*args)
+        features.extend([weakref.ref(loaded), weakref.ref(loaded.features)])
+        return loaded
+
+    def tracked_split(self, class_ids):
+        part = split(self, class_ids)
+        features.extend([weakref.ref(part), weakref.ref(part.features)])
+        return part
+
+    def checked(*args):
+        # no feature row is reachable while a model trains, without a garbage collection
+        assert [ref() for ref in features] == [None] * len(features)
+        trained.append(len(features))
+        return train(*args)
+
+    monkeypatch.setattr(IcisModel, "init", classmethod(counted_draw))
+    monkeypatch.setattr(cli, "load_feature_set", tracked)
+    monkeypatch.setattr(FeatureSet, "restrict_to", tracked_split)
+    monkeypatch.setattr(cli, "train", checked)
+    assert main([
+        command, *_task_args(task), "--features", str(task / "features.wsmat"),
+        "--out", str(tmp_path / "out"), *FAST, "--max-epochs", "1", *flags,
+    ]) == 0
+    assert len(draws) == 1
+    # read and checked once before the first run trained; read again and split once after the last
+    assert trained == [2] * runs and len(features) == 2 + 2 + 4
+
+
+def _train_flags(loss_config):
+    """The ``icis train`` loss options that select ``loss_config``."""
+    terms = ["a2w"] + [key for key, flag in TERM_FLAGS.items() if getattr(loss_config, flag)]
+    unseen = "--include-unseen-desc" if loss_config.include_unseen_descriptors else "--no-include-unseen-desc"
+    return ["--distance", loss_config.distance, "--terms", ",".join(terms), unseen]
+
+
+@pytest.fixture(scope="module")
+def ablated(tmp_path_factory):
+    """The test task and its ablation ladder at 10 epochs."""
+    root = tmp_path_factory.mktemp("ablated")
+    task = _synth(root)
+    assert main(["ablate", *_task_args(task), "--features", str(task / "features.wsmat"),
+                 "--out", str(root / "abl"), *FAST]) == 0
+    return task, root / "abl"
+
+
+@pytest.mark.parametrize("variant", list(ablation_variants()))
+def test_each_ladder_run_is_the_train_run_of_its_variant(tmp_path, capsys, ablated, variant):
+    # every run starts from the seed's drawn weights, not from an earlier run's
+    task, abl = ablated
+    run = tmp_path / "run"
+    assert main(["train", *_task_args(task), "--out", str(run), *FAST,
+                 *_train_flags(ablation_variants()[variant])]) == 0
+    for name in ("model.ckpt", "trace.csv"):
+        assert (run / name).read_bytes() == (abl / variant / name).read_bytes(), name
+
+
+def test_a_ladder_run_that_fails_in_training_leaves_the_earlier_runs_reported(tmp_path, capsys, monkeypatch):
+    import icis.cli as cli
+
+    task = _synth(tmp_path)
+    real, calls = cli.train, []
+
+    def third_diverges(*args):
+        calls.append(args)
+        if len(calls) < 3:
+            return real(*args)
+        trace = LossTrace()
+        trace.append(1.5, {"reg": 1.5})
+        raise DivergenceError("training diverged at epoch 1: mean loss nan", trace=trace)
+
+    monkeypatch.setattr(cli, "train", third_diverges)
+    out = tmp_path / "out"
+    assert main(["ablate", *_task_args(task), "--features", str(task / "features.wsmat"),
+                 "--out", str(out), *FAST, "--max-epochs", "1"]) == 4
+    assert "training diverged at epoch 1" in capsys.readouterr().err
+    done = ["config.txt", "model.ckpt", "report.structured", "report.txt", "trace.csv"]
+    assert sorted(p.name for p in (out / "base_l2").iterdir()) == done
+    assert sorted(p.name for p in (out / "cosine").iterdir()) == done
+    # the failed run keeps its config and the trace of its one finished epoch
+    assert sorted(p.name for p in (out / "within_spaces").iterdir()) == ["config.txt", "trace.csv"]
+    assert len((out / "within_spaces" / "trace.csv").read_text().splitlines()) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["base_l2", "cosine", "within_spaces"]
 
 
 def test_analyze_reports_ranked_predictions(tmp_path, capsys):

@@ -58,6 +58,26 @@ def _as_stored(data) -> np.ndarray:
     return as_matrix(data)
 
 
+def _staging_buffer(m: np.ndarray, blocks) -> np.ndarray | None:
+    """A float64 buffer for the largest of ``blocks``' row ranges of ``m``
+    when ``m`` is not float64, else ``None``: float64 rows are scored as
+    they are."""
+    if m.dtype == np.float64:
+        return None
+    return np.empty((max(hi - lo for lo, hi in blocks), m.shape[1]))
+
+
+def _staged(rows: np.ndarray, buffer: np.ndarray | None) -> np.ndarray:
+    """``rows`` as float64: ``rows`` itself with no ``buffer``, else the
+    front of ``buffer`` with ``rows`` copied into it, which is exact for
+    float32 rows."""
+    if buffer is None:
+        return rows
+    staged = buffer[: rows.shape[0]]
+    np.copyto(staged, rows)
+    return staged
+
+
 def write_matrix_block(f, matrix) -> None:
     """Write one binary matrix block (magic, shape, float32 payload) to the
     open binary file ``f``; the caller has checked it with
@@ -376,26 +396,28 @@ class ClassifierHead:
         against head rows ``rows[clo:]``, as many as ``logits`` has rows and
         columns. The feature rows are taken in blocks small enough that the
         float64 block and each logits block hold about ``budget`` elements;
-        each block is upcast once and scored with :meth:`logits` against
-        ``rows`` in class blocks of about ``budget`` weights, in ascending
-        ``clo``, each dropped before the next is built. A class block is a
-        view when ``rows`` is one ascending run, else gathered. Float32 rows,
-        features or weights, are upcast, which is exact. Blocks carry no ids
-        or flags."""
+        each block is scored with :meth:`logits` against ``rows`` in class
+        blocks of about ``budget`` weights, in ascending ``clo``. A class
+        block is a view when ``rows`` is one ascending run, else gathered.
+        Float32 rows, features or weights, are upcast, which is exact, by
+        copying each block into one float64 buffer per walk for the feature
+        rows and one for the class rows, each the size of its largest block,
+        so no block of them is allocated again. Each logits block is a fresh
+        array. Blocks carry no ids or flags."""
         features = _as_stored(features)
         rows = np.asarray(rows, dtype=np.intp)
         ranged = rows.size > 0 and bool(np.all(np.diff(rows) == 1))
         classes = list(row_blocks(rows.size, self.weight_dim, budget))
-        for lo, hi in row_blocks(features.shape[0], max(classes[0][1], self.weight_dim), budget):
-            x = as_matrix(features[lo:hi])
+        samples = list(row_blocks(features.shape[0], max(classes[0][1], self.weight_dim), budget))
+        x_buffer, w_buffer = _staging_buffer(features, samples), _staging_buffer(self.weights, classes)
+        for lo, hi in samples:
+            x = _staged(features[lo:hi], x_buffer)
             for clo, chi in classes:
                 take = slice(rows[0] + clo, rows[0] + chi) if ranged else rows[clo:chi]
                 biases = None if self.biases is None else self.biases[take]
-                block = ClassifierHead._of_checked_rows(
-                    None, self.weights[take].astype(np.float64, copy=False), biases, None)
+                block = ClassifierHead._of_checked_rows(None, _staged(self.weights[take], w_buffer), biases, None)
                 yield lo, clo, block.logits(x)
-                del block  # dropped before the next class block is built
-            del x  # dropped before the next feature-row block is upcast
+                del block  # a gathered float64 block is dropped before the next is gathered
 
     def subset(self, ids) -> "ClassifierHead":
         rows = rows_of(self.class_ids, ids)

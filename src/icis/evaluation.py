@@ -16,10 +16,13 @@ from .tensor import as_matrix
 
 # Evaluation scores the classes in blocks of about this many weights, over
 # feature-row blocks whose float64 rows and logits stay within about this many
-# elements (32 MiB of float64). Every class block is re-read per feature-row
-# block, so smaller blocks cost time on wide heads: 1 << 20 took about 20%
-# longer on 20k classes.
-EVAL_BLOCK = 1 << 22
+# elements (16 MiB of float64). Every class block is re-read per feature-row
+# block, so smaller blocks cost time on wide heads. On a 20k x 2048 float32
+# head, one evaluate at 1 << 21 with float32 rows staged in reused buffers
+# took 1.007 times as long as at 1 << 22 with a fresh copy of each block
+# (median of 16 fresh-process pairs) and peaked 24 MiB lower; the buffers
+# alone, at 1 << 22, took 0.959 times as long (8 pairs).
+EVAL_BLOCK = 1 << 21
 
 # The online entropy folds in a logits block in row strips of about this many
 # elements, through two strip buffers of 256 KiB of float64 each, so no

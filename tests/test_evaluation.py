@@ -869,6 +869,66 @@ def test_online_entropy_of_nearly_one_hot_rows_agrees_to_the_rounding_of_log_z()
     np.testing.assert_allclose(online.entropies(), whole, rtol=1e-12, atol=1e-15)
 
 
+def _spy_logits(monkeypatch):
+    """Record the ``(weights, features)`` of every :meth:`ClassifierHead.logits`
+    call, which keeps each block alive for the test."""
+    calls = []
+    logits = ClassifierHead.logits
+
+    def spied(self, features):
+        calls.append((self.weights, features))
+        return logits(self, features)
+
+    monkeypatch.setattr(ClassifierHead, "logits", spied)
+    return calls
+
+
+@pytest.mark.parametrize("order", ["ranged", "gathered"])
+def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch, order):
+    rng = np.random.default_rng(29)
+    n_classes, dim, rows = 30, 8, 60
+    ids = [f"p{i:02d}" for i in range(n_classes)]
+    weights = rng.standard_normal((n_classes, dim)).astype(np.float32)
+    biases = 0.1 * rng.standard_normal(n_classes)
+    head_ids = ids if order == "ranged" else ids[::-1]  # reversed rows: classify gathers every block
+    head = ClassifierHead(head_ids, weights, biases)
+    x32 = rng.standard_normal((rows, dim)).astype(np.float32)
+    expected = classify(ClassifierHead(head_ids, weights.astype(np.float64), biases), x32.astype(np.float64))
+
+    # 3 class blocks of 10, and the 60 feature rows in 8 blocks (the last of 4)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 10 * dim)
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == 3
+    assert len(list(row_blocks(rows, 10, evaluation.EVAL_BLOCK))) == 8
+    calls = _spy_logits(monkeypatch)
+    assert classify(head, x32) == expected
+    assert len(calls) == 3 * 8
+    w_buffer, x_buffer = calls[0][0].base, calls[0][1].base
+    assert w_buffer is not None and x_buffer is not None and w_buffer is not x_buffer
+    assert all(w.base is w_buffer and x.base is x_buffer and w.dtype == x.dtype == np.float64 for w, x in calls)
+    assert w_buffer.shape == (10, dim) and x_buffer.shape == (8, dim)
+    # the next walk has buffers of its own
+    calls.clear()
+    evaluation._head_entropy(head, x32)
+    assert len(calls) == 3 * 8 and calls[0][0].base is not w_buffer and calls[0][1].base is not x_buffer
+
+
+def test_a_wide_head_walk_at_the_default_budget_holds_at_most_40_mib_of_blocks(monkeypatch):
+    # the eval_wide shape: a float32 head of 20,000 classes of width 2048, 1000 feature rows per part
+    n_classes, dim, rows = 20000, 2048, 1000
+    head = ClassifierHead._of_checked_rows(None, np.broadcast_to(np.float32(0.25), (n_classes, dim)), None, None)
+    x32 = np.full((rows, dim), 0.5, dtype=np.float32)
+    calls = _spy_logits(monkeypatch)
+    walk = head.logit_blocks(x32, range(n_classes), evaluation.EVAL_BLOCK)
+    lo, clo, logits = next(walk)
+    walk.close()
+    (w, x), = calls
+    assert (lo, clo) == (0, 0) and logits.shape[0] == rows  # one feature-row block
+    held = sum(a.nbytes if a.base is None else a.base.nbytes for a in (w, x, logits))
+    # 16 MiB of class rows, 15.6 MiB of feature rows and 7.8 MiB of logits; 2048-row class blocks held 63 MiB
+    assert held <= 40 * 2**20
+    assert np.all(logits == 0.25 * 0.5 * dim)
+
+
 # ---------------------------------------------------------------------------
 # float32 feature rows, upcast block by block
 

@@ -29,7 +29,8 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     by the renormalised top ``top_t`` softmax scores of the seen head.
 
     Every step is per row, so the feature rows are scored in blocks whose
-    float64 rows and logits stay within about ``EVAL_BLOCK`` elements."""
+    float64 rows and logits stay within about ``EVAL_BLOCK`` elements; the
+    rows are upcast, so the softmax is that of float64 logits."""
     if top_t < 1:
         raise IcisError("top_t must be >= 1")
     a_seen = seen_descriptors.subset(head.class_ids).matrix
@@ -38,7 +39,7 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     combined = np.empty((features.shape[0], a_seen.shape[1]))
     width = max(head.n_classes, head.weight_dim)
     for lo, hi in row_blocks(features.shape[0], width, evaluation.EVAL_BLOCK):
-        probs = softmax_rows(head.logits(features[lo:hi]))
+        probs = softmax_rows(head.logits(as_matrix(features[lo:hi])))
         # keep only each row's t largest probabilities, renormalised
         idx = np.argpartition(probs, -t, axis=1)[:, -t:]
         kept = np.zeros_like(probs)

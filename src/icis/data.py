@@ -58,19 +58,19 @@ def _as_stored(data) -> np.ndarray:
     return as_matrix(data)
 
 
-def _staging_buffer(m: np.ndarray, blocks) -> np.ndarray | None:
-    """A float64 buffer for the largest of ``blocks``' row ranges of ``m``
-    when ``m`` is not float64, else ``None``: float64 rows are scored as
-    they are."""
-    if m.dtype == np.float64:
+def _staging_buffer(m: np.ndarray, blocks, dtype) -> np.ndarray | None:
+    """A ``dtype`` buffer for the largest of ``blocks``' row ranges of ``m``
+    when ``m`` is not of ``dtype``, else ``None``: rows of ``dtype`` are
+    scored as they are."""
+    if m.dtype == dtype:
         return None
-    return np.empty((max(hi - lo for lo, hi in blocks), m.shape[1]))
+    return np.empty((max(hi - lo for lo, hi in blocks), m.shape[1]), dtype=dtype)
 
 
 def _staged(rows: np.ndarray, buffer: np.ndarray | None) -> np.ndarray:
-    """``rows`` as float64: ``rows`` itself with no ``buffer``, else the
-    front of ``buffer`` with ``rows`` copied into it, which is exact for
-    float32 rows."""
+    """``rows`` in the type of ``buffer``: ``rows`` itself with no
+    ``buffer``, else the front of ``buffer`` with ``rows`` copied into it,
+    which is exact for float32 rows into float64."""
     if buffer is None:
         return rows
     staged = buffer[: rows.shape[0]]
@@ -333,7 +333,8 @@ class ClassifierHead:
 
     C-contiguous float32 weights, such as a loaded head's, are kept as they
     are; any other weights become float64. Scoring goes through
-    :meth:`logit_blocks`, which upcasts float32 rows one class block at a time."""
+    :meth:`logit_blocks`, which stages rows of another type than the walk's
+    one class block at a time."""
 
     class_ids: list
     weights: np.ndarray
@@ -373,7 +374,9 @@ class ClassifierHead:
         return self.weights.shape[1]
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        features = as_matrix(features)
+        """The scores of ``features`` against every row, biases added: float32
+        when the weights and the features are both float32, else float64."""
+        features = _as_stored(features) if self.weights.dtype == np.float32 else as_matrix(features)
         if features.shape[1] != self.weight_dim:
             raise IcisError(
                 f"feature dim {features.shape[1]} does not match weight dim {self.weight_dim}"
@@ -391,25 +394,27 @@ class ClassifierHead:
         head.class_ids, head.weights, head.biases, head.seen = class_ids, weights, biases, seen
         return head
 
-    def logit_blocks(self, features, rows, budget: int):
+    def logit_blocks(self, features, rows, budget: int, dtype=np.float64):
         """``(lo, clo, logits)``: the logits of feature rows ``lo`` onwards
         against head rows ``rows[clo:]``, as many as ``logits`` has rows and
         columns. The feature rows are taken in blocks small enough that the
-        float64 block and each logits block hold about ``budget`` elements;
+        staged block and each logits block hold about ``budget`` elements;
         each block is scored with :meth:`logits` against ``rows`` in class
         blocks of about ``budget`` weights, in ascending ``clo``. A class
         block is a view when ``rows`` is one ascending run, else gathered.
-        Float32 rows, features or weights, are upcast, which is exact, by
-        copying each block into one float64 buffer per walk for the feature
-        rows and one for the class rows, each the size of its largest block,
-        so no block of them is allocated again. Each logits block is a fresh
-        array. Blocks carry no ids or flags."""
+        Rows of ``dtype``, features or weights, are scored as they are; other
+        rows are staged as ``dtype`` (float32 into float64 exactly, float64
+        into float32 rounded) by copying each block into one buffer per walk
+        for the feature rows and one for the class rows, each the size of its
+        largest block, so no block of them is allocated again. The logits
+        are float32 when both sides are, and each block is a fresh array.
+        Blocks carry no ids or flags."""
         features = _as_stored(features)
         rows = np.asarray(rows, dtype=np.intp)
         ranged = rows.size > 0 and bool(np.all(np.diff(rows) == 1))
         classes = list(row_blocks(rows.size, self.weight_dim, budget))
         samples = list(row_blocks(features.shape[0], max(classes[0][1], self.weight_dim), budget))
-        x_buffer, w_buffer = _staging_buffer(features, samples), _staging_buffer(self.weights, classes)
+        x_buffer, w_buffer = _staging_buffer(features, samples, dtype), _staging_buffer(self.weights, classes, dtype)
         for lo, hi in samples:
             x = _staged(features[lo:hi], x_buffer)
             for clo, chi in classes:
@@ -417,7 +422,7 @@ class ClassifierHead:
                 biases = None if self.biases is None else self.biases[take]
                 block = ClassifierHead._of_checked_rows(None, _staged(self.weights[take], w_buffer), biases, None)
                 yield lo, clo, block.logits(x)
-                del block  # a gathered float64 block is dropped before the next is gathered
+                del block  # a gathered block is dropped before the next is gathered
 
     def subset(self, ids) -> "ClassifierHead":
         rows = rows_of(self.class_ids, ids)
@@ -462,7 +467,7 @@ class FeatureSet:
 
     C-contiguous float32 features, such as a loaded feature set's, are kept
     as they are, and so are the rows of :meth:`restrict_to`; any other
-    features become float64. Scoring upcasts one feature-row block at a time
+    features become float64. Scoring stages one feature-row block at a time
     (:meth:`ClassifierHead.logit_blocks`)."""
 
     features: np.ndarray
@@ -483,7 +488,9 @@ class FeatureSet:
     def restrict_to(self, class_ids) -> "FeatureSet":
         wanted = {str(c) for c in class_ids}
         mask = np.array([l in wanted for l in self.labels], dtype=bool)
-        return FeatureSet(self.features[mask], [l for l in self.labels if l in wanted])
+        part = object.__new__(FeatureSet)  # of rows that passed __post_init__'s checks here: none runs again
+        part.features, part.labels = self.features[mask], [l for l in self.labels if l in wanted]
+        return part
 
     def check_labels_known(self, known_ids) -> None:
         known = {str(c) for c in known_ids}

@@ -15,9 +15,10 @@ from .errors import ClassIdError, IcisError, ZeroNormError
 from .tensor import as_matrix
 
 # Evaluation scores the classes in blocks of about this many weights, over
-# feature-row blocks whose float64 rows and logits stay within about this many
-# elements (16 MiB of float64). Every class block is re-read per feature-row
-# block, so smaller blocks cost time on wide heads. On a 20k x 2048 float32
+# feature-row blocks whose staged rows and logits stay within about this many
+# elements: 16 MiB of float64, and 8 MiB in classify's float32 walk, which
+# takes the same blocks. Every class block is re-read per feature-row block,
+# so smaller blocks cost time on wide heads. On a 20k x 2048 float32
 # head, one evaluate at 1 << 21 with float32 rows staged in reused buffers
 # took 1.007 times as long as at 1 << 22 with a fresh copy of each block
 # (median of 16 fresh-process pairs) and peaked 24 MiB lower; the buffers
@@ -38,6 +39,12 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     :meth:`ClassifierHead.logit_blocks` at a budget of ``EVAL_BLOCK``, so the
     first top score met is the lowest id's. A row that meets a NaN gets the
     first id of ``among``. None of the head's rows is checked again.
+
+    Every row is first scored in float32, which keeps its top score and the
+    runner-up. Where their gap exceeds twice :func:`_float32_error`, float32
+    rounding cannot have changed the decision of the float64 scores. The
+    other rows, at least two, are gathered and decided by the same walk in
+    float64, so every decision, tie and NaN row is the float64 walk's.
     """
     if among is None:
         ids = head.class_ids
@@ -48,21 +55,77 @@ def classify(head: ClassifierHead, features, among=None) -> list:
         _check_unique(ids, "classifier")
     if not ids:
         raise IcisError("no classes to classify among")
-    features = _as_stored(features)  # float32 rows stay as they are; logit_blocks upcasts a block at a time
+    features = _as_stored(features)  # float32 rows stay as they are; logit_blocks stages a block at a time
     order = np.argsort(ids, kind="stable")  # positions in ids, by code point
-    best = np.full(features.shape[0], -np.inf)
-    winner = np.full(features.shape[0], order[0])  # the lowest id, where every score is -inf
-    for lo, clo, scores in head.logit_blocks(features, np.asarray(rows)[order], EVAL_BLOCK):
+    walk = np.asarray(rows)[order]
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow float32 are rescored
+        winner, best, runner = _argmax_walk(head, features, walk, order, np.float32)
+        certified = np.isfinite(best) & (best - runner > 2.0 * _float32_error(head, features, walk))
+    redo = np.flatnonzero(~certified)
+    if redo.size == 1 and features.shape[0] > 1:  # a one-row product would go to GEMV, which rounds differently
+        redo = np.sort(np.append(redo, (redo[0] + 1) % features.shape[0]))
+    if redo.size:
+        winner[redo] = _argmax_walk(head, features[redo], walk, order, np.float64)[0]
+    return [ids[j] for j in winner]
+
+
+def _argmax_walk(head: ClassifierHead, features, walk, order, dtype) -> tuple:
+    """Per feature row, scoring head rows ``walk`` (in id order; ``order``
+    maps them to ``ids``) in ``dtype``: the position of the first top score
+    met (of the first NaN met), that score, and the runner-up, the largest
+    score left when it is taken out."""
+    n = features.shape[0]
+    best, runner = np.full(n, -np.inf), np.full(n, -np.inf)
+    winner = np.full(n, order[0])  # the lowest id, where every score is -inf
+    for lo, clo, scores in head.logit_blocks(features, walk, EVAL_BLOCK, dtype):
         hi = lo + scores.shape[0]
-        top = scores.max(axis=1)
-        column = order[clo + scores.argmax(axis=1)]
+        at = (np.arange(hi - lo), scores.argmax(axis=1))
+        top = scores[at]
+        scores[at] = -np.inf
+        second = scores.max(axis=1)
         del scores  # one logits block is live at a time
+        column = order[clo + at[1]]
         lost = np.isnan(top)
         column[lost] = 0
+        np.maximum(runner[lo:hi], np.maximum(second, np.minimum(best[lo:hi], top)), out=runner[lo:hi])
         take = lost | (top > best[lo:hi])
         np.copyto(winner[lo:hi], column, where=take)
         np.copyto(best[lo:hi], top, where=take)
-    return [ids[j] for j in winner]
+    return winner, best, runner
+
+
+def _float32_error(head: ClassifierHead, features, rows) -> np.ndarray:
+    """Per feature row, a bound on how far each float32 score against head
+    rows ``rows`` lies from the float64 score of the same class, or ``inf``
+    where float32 could overflow.
+    A dot product of length ``K`` summed in any order with unit roundoff
+    ``u`` is off by at most ``gamma_K * |x| * |w|``, ``gamma_n = n u / (1 - n u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1): in
+    float32 ``gamma_{K+2}``, the 2 for rounding float64 operands to float32,
+    and in float64 ``gamma_K``, taken twice to cover the rounding of the norms
+    and of this bound. A float32 bias add rounds once more, and every
+    underflow adds at most the smallest float32 subnormal."""
+    k, top = head.weight_dim, float(np.finfo(np.float32).max)
+    w_norm = float(_norm_bounds(head.weights)[rows].max())
+    x_norms = _norm_bounds(features)
+    b_max = 0.0 if head.biases is None else float(np.abs(head.biases).max())
+    p = x_norms * w_norm
+    bound = ((_gamma(k + 2, 2.0**-24) + 2.0 * _gamma(k + 4, 2.0**-53)) * p + 2.0**-23 * (p + b_max)
+             + 2.0**-149 * (np.sqrt(k) * (x_norms + w_norm) + 2 * k + 2))
+    return np.where((p + b_max < top / 4) & (x_norms < top) & (w_norm < top), bound, np.inf)
+
+
+def _gamma(n: int, u: float) -> float:
+    return n * u / (1.0 - n * u) if n * u < 0.25 else np.inf
+
+
+def _norm_bounds(m: np.ndarray) -> np.ndarray:
+    """An upper bound on each row's norm, with no temporary the size of
+    ``m``: the squares sum in ``m``'s own type, off by at most
+    ``gamma_{K+1}`` relative plus one smallest subnormal each."""
+    k, t = m.shape[1], np.finfo(m.dtype)
+    squares = np.einsum("ij,ij->i", m, m).astype(np.float64) + k * float(t.smallest_subnormal)
+    return np.sqrt(squares * (1.0 + 2.0 * _gamma(k + 1, float(t.epsneg))))
 
 
 def per_class_mean_accuracy(labels, predictions, class_ids) -> tuple:

@@ -3,9 +3,9 @@
 A "matrix" throughout this package is a 2-D, C-contiguous ``float64`` numpy
 array; a classifier head's weights, a feature set's rows and what the binary
 reader returns may instead be ``float32``, the type stored on disk, and are
-upcast one block at a time as they are scored. The helpers here validate
-shapes at module boundaries and raise the package's structured errors
-instead of letting numpy broadcast silently.
+staged one block at a time in the type of the walk that scores them. The
+helpers here validate shapes at module boundaries and raise the package's
+structured errors instead of letting numpy broadcast silently.
 
 Randomness goes through :class:`RngState`, a thin wrapper around numpy's
 Philox counter-based bit generator. Philox is chosen over the platform

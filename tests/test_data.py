@@ -336,6 +336,20 @@ def test_head_logits_with_and_without_bias():
     assert plain.logits(x).tolist() == [[1.0, 2.0]]
 
 
+def test_head_logits_are_float32_only_when_both_sides_are():
+    w32 = np.array([[1.0, 0.5], [0.25, 2.0]], dtype=np.float32)
+    x32 = np.array([[1.0, 3.0]], dtype=np.float32)
+    for weights in (w32, w32.astype(np.float64)):
+        for biases in (None, [0.5, -1.0]):
+            head = ClassifierHead(["a", "b"], weights, biases)
+            for x in (x32, x32.astype(np.float64), x32.tolist()):
+                narrow = head.weights.dtype == np.float32 and getattr(x, "dtype", None) == np.float32
+                scores = head.logits(x)
+                assert scores.dtype == (np.float32 if narrow else np.float64)
+                assert scores.tolist() == (x32.astype(np.float64) @ w32.astype(np.float64).T
+                                           + (0.0 if biases is None else np.array(biases))).tolist()
+
+
 def test_head_subset_carries_bias_and_seen_flags():
     head = ClassifierHead(
         ["a", "b", "c"], np.eye(3), biases=[1.0, 2.0, 3.0], seen=[True, False, True]
@@ -410,6 +424,19 @@ def test_feature_set_restrict_and_label_check():
     fs.check_labels_known(["a", "b", "c"])
     with pytest.raises(ClassIdError):
         fs.check_labels_known(["a", "b"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_restricted_part_is_built_from_the_checked_rows_without_checking_them_again(monkeypatch, dtype):
+    x = np.random.default_rng(24).standard_normal((9, 3)).astype(dtype)
+    fs = FeatureSet(x, ["a", "b", "c"] * 3)
+    expected = FeatureSet(x[[0, 2, 3, 5, 6, 8]], ["a", "c"] * 3)
+    monkeypatch.setattr(FeatureSet, "__post_init__", lambda self: pytest.fail("the rows were checked again"))
+    part = fs.restrict_to(["c", "a"])
+    assert type(part) is FeatureSet and part.labels == expected.labels
+    assert part.features.dtype == expected.features.dtype == dtype and part.features.flags.c_contiguous
+    assert np.array_equal(part.features, expected.features) and not np.shares_memory(part.features, x)
+    assert fs.restrict_to(["z"]).features.shape == (0, 3)
 
 
 def test_feature_set_round_trip(tmp_path):

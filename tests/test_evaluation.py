@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icis import evaluation
 from icis.data import ClassifierHead, DescriptorSet, FeatureSet, load_classifier_head
@@ -685,14 +687,22 @@ def test_full_head_classify_of_an_id_ordered_head_holds_no_class_block(monkeypat
     blocks = list(row_blocks(n_classes, dim, budget))
     block_bytes = (blocks[0][1] - blocks[0][0]) * dim * 8
     kinds = _spy_blocks(head)
+    walks = _spy_walks(monkeypatch)
+    calls = _spy_logits(monkeypatch)
     tracemalloc.start()
     try:
         classify(head, features)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # every row is decided in float32, which reads each float64 class block as a view
+    assert walks == [(np.float32, rows)]
     assert kinds == ["view"] * len(blocks)
-    # a logits block of 20 rows and the id bookkeeping; a gathered class block alone is 512 KiB
+    # and downcasts it into one float32 buffer of half a float64 block
+    w_buffer = calls[0][0].base
+    assert all(w.base is w_buffer for w, _ in calls) and w_buffer.dtype == np.float32
+    assert w_buffer.nbytes == block_bytes // 2
+    # that buffer, a logits block of 20 rows and the id bookkeeping; a float64 class block alone is 512 KiB
     assert peak < block_bytes
 
 
@@ -724,8 +734,15 @@ def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_block
     feature_blocks = len(list(row_blocks(rows, max(-(-n_classes // n_blocks), dim), evaluation.EVAL_BLOCK)))
     assert feature_blocks == 8
     kinds = _spy_blocks(ordered, permuted)
+    walks = _spy_walks(monkeypatch)
     assert classify(ordered, features) == classify(permuted, features)
-    assert kinds == ["view"] * n_blocks * feature_blocks + ["gathered"] * n_blocks * feature_blocks
+    # the exact ties (rows 0 to 3, and every row whose top class has a twin) are never certified
+    # in float32: the same rows of either head are gathered and walked again in float64
+    (_, n), (_, rescored) = walks[:2]
+    assert n == rows and 4 <= rescored < rows and walks == [(np.float32, rows), (np.float64, rescored)] * 2
+    reads = n_blocks * (feature_blocks + len(list(row_blocks(rescored, max(-(-n_classes // n_blocks), dim),
+                                                            evaluation.EVAL_BLOCK))))
+    assert kinds == ["view"] * reads + ["gathered"] * reads
     # scattered head rows are gathered; one ascending run of them, from row 10, is viewed
     for among, kind in ((unseen_ids[::-1], "gathered"), (ids[26:9:-1], "view")):
         kinds.clear()
@@ -883,6 +900,24 @@ def _spy_logits(monkeypatch):
     return calls
 
 
+def _spy_walks(monkeypatch):
+    """Record the ``(dtype, feature rows)`` of every argmax walk of :func:`classify`."""
+    walks = []
+    walk = evaluation._argmax_walk
+
+    def spied(head, features, rows, order, dtype):
+        walks.append((dtype, features.shape[0]))
+        return walk(head, features, rows, order, dtype)
+
+    monkeypatch.setattr(evaluation, "_argmax_walk", spied)
+    return walks
+
+
+def _certify_no_row(monkeypatch):
+    """Make :func:`classify` decide every row by its float64 walk."""
+    monkeypatch.setattr(evaluation, "_float32_error", lambda head, features, rows: np.full(len(features), np.inf))
+
+
 @pytest.mark.parametrize("order", ["ranged", "gathered"])
 def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch, order):
     rng = np.random.default_rng(29)
@@ -899,13 +934,30 @@ def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch,
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 10 * dim)
     assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == 3
     assert len(list(row_blocks(rows, 10, evaluation.EVAL_BLOCK))) == 8
+    _certify_no_row(monkeypatch)  # every row is walked again in float64
     calls = _spy_logits(monkeypatch)
     assert classify(head, x32) == expected
-    assert len(calls) == 3 * 8
-    w_buffer, x_buffer = calls[0][0].base, calls[0][1].base
+    assert len(calls) == 2 * 3 * 8
+    narrow, wide = calls[:24], calls[24:]
+    # the float32 walk scores the float32 rows as they are: views of x32, and class blocks
+    # that are views of the head or gathered from it, with no buffer
+    assert all(w.dtype == x.dtype == np.float32 and x.base is x32 for w, x in narrow)
+    assert all((w.base is head.weights) == (order == "ranged") for w, _ in narrow)
+    # the float64 walk stages the gathered rows and every class block in one buffer per side
+    w_buffer, x_buffer = wide[0][0].base, wide[0][1].base
     assert w_buffer is not None and x_buffer is not None and w_buffer is not x_buffer
-    assert all(w.base is w_buffer and x.base is x_buffer and w.dtype == x.dtype == np.float64 for w, x in calls)
+    assert all(w.base is w_buffer and x.base is x_buffer and w.dtype == x.dtype == np.float64 for w, x in wide)
     assert w_buffer.shape == (10, dim) and x_buffer.shape == (8, dim)
+    # a float64 head and float64 rows: the float32 walk stages them in one float32 buffer per
+    # side, and the float64 walk scores them as views
+    wide_head, x64 = ClassifierHead(head_ids, weights.astype(np.float64), biases), x32.astype(np.float64)
+    calls.clear()
+    assert classify(wide_head, x64) == expected
+    narrow, wide = calls[:24], calls[24:]
+    w32, x32_buffer = narrow[0][0].base, narrow[0][1].base
+    assert w32.shape == (10, dim) and x32_buffer.shape == (8, dim)
+    assert all(w.base is w32 and x.base is x32_buffer and w.dtype == x.dtype == np.float32 for w, x in narrow)
+    assert all(w.dtype == x.dtype == np.float64 and w.base is not w32 for w, x in wide)
     # the next walk has buffers of its own
     calls.clear()
     evaluation._head_entropy(head, x32)
@@ -966,3 +1018,104 @@ def test_float32_feature_rows_score_as_their_float64_upcast(monkeypatch, head_dt
     descriptors = DescriptorSet(ids, rng.standard_normal((n_classes, 5)))
     histograms = [failure_histogram(head, f, descriptors, "p03", bin_size=4) for f in (narrow, wide)]
     assert histograms[0].to_json() == histograms[1].to_json() and histograms[0].n_samples == 3
+
+
+# ---------------------------------------------------------------------------
+# the float32 walk and the rows it leaves to the float64 walk
+
+
+def _float64_only(head, features, among=None):
+    """:func:`classify` with no row certified: every row is decided by the
+    float64 walk, as before the float32 walk was added."""
+    with pytest.MonkeyPatch.context() as mp:
+        _certify_no_row(mp)
+        return classify(head, features, among=among)
+
+
+# scales beyond float32's range and below its smallest subnormal only fit float64
+_SCALES = {np.float32: [1.0, 2.0**-140, 1e30], np.float64: [1.0, 2.0**-140, 1e-50, 1e39, 1e300]}
+
+
+def _ulps_apart(row, ulps):
+    """``row`` as float32, each entry moved ``ulps[k]`` float32 ulps."""
+    out = row.astype(np.float32)
+    for k, n in enumerate(ulps):
+        for _ in range(abs(n)):
+            out[k] = np.nextafter(out[k], np.float32(np.inf if n > 0 else -np.inf))
+    return out
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A head of rows of 13-bit fixed-point values, some 4096 times longer
+    than others, and feature rows of such values, scaled, with exact ties
+    (copied head rows and biases, features equal to head rows) and near-ties
+    (copied head rows a few float32 ulps apart in every entry), in 1 to 3
+    class blocks."""
+    n_classes, dim, rows = draw(st.integers(2, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    head_type, feature_type = (draw(st.sampled_from([np.float32, np.float64])) for _ in range(2))
+
+    def fixed(shape):  # float32 rounds their products, float64 does not
+        return np.array(draw(st.lists(st.integers(-2**12, 2**12), min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1])), dtype=float).reshape(shape) / 2**10
+
+    weights = fixed((n_classes, dim))
+    weights[~weights.any(axis=1), 0] = 1.0
+    weights *= 2.0 ** np.array(draw(st.lists(st.sampled_from([0, 12]), min_size=n_classes, max_size=n_classes)))[:, None]
+    biases = fixed((1, n_classes))[0] if draw(st.booleans()) else None
+    row = st.integers(0, n_classes - 1)
+    for a, b, ulps in draw(st.lists(st.tuples(row, row, st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)),
+                                    max_size=3)):
+        weights[b] = _ulps_apart(weights[a], ulps)  # every ulps 0: an exact tie
+        if biases is not None:
+            biases[b] = biases[a]
+    features = fixed((rows, dim))
+    for r, j in enumerate(draw(st.lists(st.integers(-1, n_classes - 1), min_size=rows, max_size=rows))):
+        if j >= 0:
+            features[r] = weights[j]
+    weights = (weights * draw(st.sampled_from(_SCALES[head_type]))).astype(head_type)
+    features = (features * draw(st.sampled_from(_SCALES[feature_type]))).astype(feature_type)
+    weights[~weights.any(axis=1), 0] = 1.0  # rows that underflowed to zero
+    ids = [f"k{i:02d}" for i in draw(st.permutations(range(n_classes)))]
+    among = draw(st.permutations(ids))[: draw(st.integers(1, n_classes))]
+    return ClassifierHead(ids, weights, biases), features, among, draw(st.integers(1, 3))
+
+
+@settings(deadline=None)
+@given(_scoring_cases())
+def test_classify_decides_every_row_as_the_float64_walk(case):
+    head, features, among, n_blocks = case
+    for ids in (head.class_ids, among):
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(evaluation, "EVAL_BLOCK", -(-len(ids) // n_blocks) * head.weight_dim)
+            assert classify(head, features, among=ids) == _float64_only(head, features, among=ids)
+            # where the bound is finite, it holds for every score of the row against those classes
+            rows = [head.class_ids.index(c) for c in ids]
+            bound = evaluation._float32_error(head, features, rows)
+            narrow, wide = (next(head.logit_blocks(features, rows, 1 << 30, t))[2] for t in (np.float32, np.float64))
+        fits = np.isfinite(bound)
+        assert np.all(np.abs(narrow[fits] - wide[fits]) <= bound[fits, None])
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+@pytest.mark.parametrize("with_biases", [False, True])
+@pytest.mark.parametrize("head_type, feature_type", [(np.float32, np.float32), (np.float32, np.float64),
+                                                     (np.float64, np.float32), (np.float64, np.float64)])
+def test_well_separated_rows_are_all_decided_in_float32(monkeypatch, head_type, feature_type, with_biases,
+                                                         n_blocks):
+    rng = np.random.default_rng(30)
+    n_classes, dim, rows = 12, 16, 40
+    ids = [f"s{i:02d}" for i in rng.permutation(n_classes)]
+    weights = np.eye(n_classes, dim) + 0.01 * rng.standard_normal((n_classes, dim))
+    biases = 0.01 * rng.standard_normal(n_classes) if with_biases else None
+    head = ClassifierHead(ids, weights.astype(head_type), biases)
+    labels = rng.integers(0, n_classes, rows)
+    features = (4.0 * weights[labels] + 0.1 * rng.standard_normal((rows, dim))).astype(feature_type)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
+    assert _float64_only(head, features) == [ids[j] for j in labels]
+    walks = _spy_walks(monkeypatch)
+    for among in (None, ids[::2]):
+        expected = _float64_only(head, features, among=among)
+        walks.clear()
+        assert classify(head, features, among=among) == expected
+        assert walks == [(np.float32, rows)]

@@ -30,7 +30,8 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
 
     Every step is per row, so the feature rows are scored in blocks whose
     float64 rows and logits stay within about ``EVAL_BLOCK`` elements; the
-    rows are upcast, so the softmax is that of float64 logits."""
+    rows are upcast, so the softmax is that of float64 logits. A combination
+    that collapses to zero is refused."""
     if top_t < 1:
         raise IcisError("top_t must be >= 1")
     a_seen = seen_descriptors.subset(head.class_ids).matrix
@@ -46,30 +47,20 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
         np.put_along_axis(kept, idx, np.take_along_axis(probs, idx, axis=1), axis=1)
         kept /= kept.sum(axis=1, keepdims=True)
         combined[lo:hi] = kept @ a_seen
+    if np.any(np.linalg.norm(combined, axis=1) == 0.0):
+        raise ZeroNormError("combined semantic vector collapsed to zero")
     return combined
 
 
-def conse_classify(
-    head: ClassifierHead,
-    seen_descriptors: DescriptorSet,
-    target_descriptors: DescriptorSet,
-    features,
-    top_t: int = 10,
-) -> list:
-    """Nearest target class (by cosine) to each combined semantic vector.
-
-    Ties go to the lowest class id, as in head-based classification.
-    """
-    if not target_descriptors.class_ids:
-        raise IcisError("empty target class set")
-    combined = conse_combine(head, seen_descriptors, features, top_t)
+def conse_classify(targets: ClassifierHead, combined, among=None) -> list:
+    """Nearest class (by cosine) to each combined semantic vector, among the
+    classes of ``among`` (default: all). ``targets`` holds unit descriptor
+    rows, so its logits of the unit combined vectors are the cosines, and
+    :func:`classify` decides: ties go to the lowest class id."""
     norms = np.linalg.norm(combined, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ZeroNormError("combined semantic vector collapsed to zero")
-    # cosine similarities as the logits of a head of unit descriptor rows
-    unit_rows = row_normalize(target_descriptors.matrix, target_descriptors.class_ids)
-    targets = ClassifierHead(target_descriptors.class_ids, unit_rows)
-    return classify(targets, combined / norms)
+    return classify(targets, combined / norms, among)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import baselines as bl
 from .data import (
+    ClassifierHead,
     from_file,
     load_classifier_head,
     load_descriptor_set,
@@ -51,7 +52,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .tensor import RngState
+from .tensor import RngState, row_normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,12 +156,12 @@ def _load_task(args, unseen_descriptors: bool = True):
     return manifest, descriptors, head
 
 
-def _read_features(args, manifest, head):
-    """``--features`` read whole and checked for a command that evaluates
-    the task of :func:`_load_task`. A manifest without unseen classes, or
-    features whose width is not the head's, is refused here."""
+def _read_features(args, head, manifest=None):
+    """``--features`` read whole and checked for a command that scores them
+    with the head of :func:`_load_task`. Features whose width is not the
+    head's, or a given manifest without unseen classes, are refused here."""
     features = load_feature_set(args.features)
-    if not manifest.unseen:
+    if manifest is not None and not manifest.unseen:
         raise DataFormatError(args.manifest, NO_UNSEEN)
     if features.features.shape[1] != head.weight_dim:
         raise DataFormatError(args.features, f"feature dim {features.features.shape[1]} "
@@ -171,7 +172,7 @@ def _read_features(args, manifest, head):
 def _read_split(args, manifest, head):
     """:func:`_read_features`, split once into their unseen and seen parts,
     in the GZSL protocol's fixed split; the whole set is not kept."""
-    features = _read_features(args, manifest, head)
+    features = _read_features(args, head, manifest)
     return features.restrict_to(manifest.unseen), features.restrict_to(manifest.seen)
 
 
@@ -358,7 +359,7 @@ def _run_ladder(args, fractions=None):
     training keeps its partial trace, and the runs before it are scored
     before the error passes on."""
     manifest, descriptors, head = _load_task(args)
-    _read_features(args, manifest, head)
+    _read_features(args, head, manifest)
     train_config = _train_config_from_args(args)
     seen_pairs = make_pairs(descriptors, from_file(args.head, head.subset, manifest.seen),
                             include_bias=args.include_bias)
@@ -412,7 +413,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     _, descriptors, head = _load_task(args)
-    features = load_feature_set(args.features)
+    features = _read_features(args, head)
     # every class the head can predict needs a descriptor to be ranked
     from_file(args.descriptors, rows_of, descriptors.class_ids, head.class_ids)
     record = failure_histogram(head, features, descriptors, args.class_id, bin_size=args.bin_size)
@@ -422,17 +423,21 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc, split, top_t) -> EvalReport:
+def _conse_report(manifest, descriptors, seen_head, seen_desc, split, top_t) -> EvalReport:
+    """ConSE's three decisions on one head of unit descriptor rows, built
+    once the unseen part is combined (a collapse is refused first)."""
     unseen_feats, seen_feats = split
     report = EvalReport(n_unseen_samples=unseen_feats.n_samples)
-    zsl_pred = bl.conse_classify(seen_head, seen_desc, unseen_desc, unseen_feats.features, top_t)
+    unseen_rows = bl.conse_combine(seen_head, seen_desc, unseen_feats.features, top_t)
+    targets = ClassifierHead(descriptors.class_ids, row_normalize(descriptors.matrix, descriptors.class_ids))
+    zsl_pred = bl.conse_classify(targets, unseen_rows, among=manifest.unseen)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(unseen_feats.labels, zsl_pred, manifest.unseen)
     report.zsl_micro = micro_accuracy(unseen_feats.labels, zsl_pred)
     report.per_class["zsl"] = per_class
-    all_pred = bl.conse_classify(seen_head, seen_desc, descriptors, unseen_feats.features, top_t)
+    all_pred = bl.conse_classify(targets, unseen_rows)
     report.gzsl_unseen, _ = per_class_mean_accuracy(unseen_feats.labels, all_pred, manifest.unseen)
     if seen_feats.n_samples:
-        seen_pred = bl.conse_classify(seen_head, seen_desc, descriptors, seen_feats.features, top_t)
+        seen_pred = bl.conse_classify(targets, bl.conse_combine(seen_head, seen_desc, seen_feats.features, top_t))
         report.gzsl_seen, _ = per_class_mean_accuracy(seen_feats.labels, seen_pred, manifest.seen)
         report.harmonic = harmonic_mean(report.gzsl_unseen, report.gzsl_seen)
         report.n_seen_samples = seen_feats.n_samples
@@ -471,8 +476,7 @@ def cmd_baseline(args) -> int:
     seen_desc = descriptors.subset(manifest.seen)
     unseen_desc = descriptors.subset(manifest.unseen)
     if args.method == "conse":
-        report = _conse_report(manifest, descriptors, seen_head, seen_desc, unseen_desc,
-                               split, args.top_t)
+        report = _conse_report(manifest, descriptors, seen_head, seen_desc, split, args.top_t)
     else:
         rows = _baseline_rows(args.method, args, seen_head, seen_desc, unseen_desc)
         report = evaluate(inject(head, manifest.unseen, rows), *split, unseen_ids=manifest.unseen)

@@ -257,6 +257,18 @@ def _check_unique(ids, what: str):
         seen.add(i)
 
 
+def _ids_per_row(ids, matrix, what: str, unique: str | None = None) -> list:
+    """``ids`` as strings, one per row of the ``what`` matrix: class ids,
+    checked unique as ``unique`` ids, or, without ``unique``, labels."""
+    ids = [str(i) for i in ids]
+    if unique:
+        _check_unique(ids, unique)
+    if len(ids) != matrix.shape[0]:
+        raise ClassIdError(f"{what} matrix has {matrix.shape[0]} rows but {len(ids)} "
+                           f"{'class ids' if unique else 'labels'}")
+    return ids
+
+
 def rows_of(class_ids, ids) -> list:
     """Row of each of ``ids`` in ``class_ids``, in the order of ``ids``.
 
@@ -304,12 +316,7 @@ class DescriptorSet:
 
     def __post_init__(self):
         self.matrix = check_finite(as_matrix(self.matrix), "descriptor matrix")
-        self.class_ids = [str(i) for i in self.class_ids]
-        _check_unique(self.class_ids, "descriptor")
-        if len(self.class_ids) != self.matrix.shape[0]:
-            raise ClassIdError(
-                f"descriptor matrix has {self.matrix.shape[0]} rows but {len(self.class_ids)} class ids"
-            )
+        self.class_ids = _ids_per_row(self.class_ids, self.matrix, "descriptor", "descriptor")
 
     def vector(self, class_id) -> np.ndarray:
         return self.matrix[rows_of(self.class_ids, [class_id])[0]]
@@ -343,12 +350,7 @@ class ClassifierHead:
 
     def __post_init__(self):
         self.weights = check_finite(_as_stored(self.weights), "classifier weights")
-        self.class_ids = [str(i) for i in self.class_ids]
-        _check_unique(self.class_ids, "classifier")
-        if len(self.class_ids) != self.weights.shape[0]:
-            raise ClassIdError(
-                f"weight matrix has {self.weights.shape[0]} rows but {len(self.class_ids)} class ids"
-            )
+        self.class_ids = _ids_per_row(self.class_ids, self.weights, "weight", "classifier")
         # row sums of squares: zero exactly where the norm is, with no temporary the size of the weights
         zero = np.einsum("ij,ij->i", self.weights, self.weights, dtype=np.float64) == 0.0
         if zero.any():
@@ -475,11 +477,7 @@ class FeatureSet:
 
     def __post_init__(self):
         self.features = check_finite(_as_stored(self.features), "feature matrix")
-        self.labels = [str(l) for l in self.labels]
-        if len(self.labels) != self.features.shape[0]:
-            raise ClassIdError(
-                f"feature matrix has {self.features.shape[0]} rows but {len(self.labels)} labels"
-            )
+        self.labels = _ids_per_row(self.labels, self.features, "feature")
 
     @property
     def n_samples(self) -> int:

@@ -128,16 +128,21 @@ def _norm_bounds(m: np.ndarray) -> np.ndarray:
     return np.sqrt(squares * (1.0 + 2.0 * _gamma(k + 1, float(t.epsneg))))
 
 
+def _paired(labels, predictions) -> tuple:
+    """Labels and predictions as strings, refused unless one per sample."""
+    labels, predictions = [str(l) for l in labels], [str(p) for p in predictions]
+    if len(labels) != len(predictions):
+        raise IcisError(f"{len(labels)} labels but {len(predictions)} predictions")
+    return labels, predictions
+
+
 def per_class_mean_accuracy(labels, predictions, class_ids) -> tuple:
     """Mean over classes of the per-class accuracy, in percent.
 
     Returns ``(mean_pct, per_class_pct)``. Classes from ``class_ids`` with
     no labelled samples are excluded from the mean, with a warning.
     """
-    labels = [str(l) for l in labels]
-    predictions = [str(p) for p in predictions]
-    if len(labels) != len(predictions):
-        raise IcisError(f"{len(labels)} labels but {len(predictions)} predictions")
+    labels, predictions = _paired(labels, predictions)
     class_ids = [str(c) for c in class_ids]
     known = set(class_ids)
     stray = sorted({l for l in labels if l not in known})
@@ -165,10 +170,7 @@ def per_class_mean_accuracy(labels, predictions, class_ids) -> tuple:
 
 def micro_accuracy(labels, predictions) -> float:
     """Plain fraction of correct predictions, in percent."""
-    labels = [str(l) for l in labels]
-    predictions = [str(p) for p in predictions]
-    if len(labels) != len(predictions):
-        raise IcisError(f"{len(labels)} labels but {len(predictions)} predictions")
+    labels, predictions = _paired(labels, predictions)
     if not labels:
         raise IcisError("no samples to score")
     return 100.0 * sum(l == p for l, p in zip(labels, predictions)) / len(labels)

@@ -19,7 +19,7 @@ from icis.baselines import (
     vgse_wavg_weights,
 )
 from icis.data import ClassifierHead, DescriptorSet, PairSet, make_pairs, synth_generate
-from icis.errors import DivergenceError, IcisError
+from icis.errors import DivergenceError, IcisError, ZeroNormError
 from icis.evaluation import softmax_rows
 from icis.model import IcisModel, TrainConfig
 from icis.nn import LinearLayer, MlpTwoLayer
@@ -36,6 +36,16 @@ def _orthogonal_setup():
     return head, desc
 
 
+def _unit_head(targets):
+    """The head of ``targets``' unit descriptor rows: its logits are cosines."""
+    return ClassifierHead(targets.class_ids, row_normalize(targets.matrix, targets.class_ids))
+
+
+def _conse(head, seen, targets, features, top_t=10):
+    """ConSE's nearest target class to each feature row's combination."""
+    return conse_classify(_unit_head(targets), conse_combine(head, seen, features, top_t))
+
+
 def test_conse_one_hot_scores_return_that_descriptor():
     head, desc = _orthogonal_setup()
     # feature aligned with s1's classifier and orthogonal to the others
@@ -49,7 +59,7 @@ def test_conse_duplicate_descriptor_predicts_the_unseen_twin():
     targets = DescriptorSet(["u0", "u1"], np.array([[0.0, 1.0], [1.0, -1.0]]))
     # u0's descriptor equals s1's descriptor exactly
     feature = np.array([[0.0, 50.0, 0.0]])
-    assert conse_classify(head, desc, targets, feature, top_t=1) == ["u0"]
+    assert _conse(head, desc, targets, feature, top_t=1) == ["u0"]
 
 
 def test_conse_exact_tie_goes_to_the_lowest_id():
@@ -57,7 +67,7 @@ def test_conse_exact_tie_goes_to_the_lowest_id():
     # identical target descriptors, ids in reverse row order: a row-order argmax picks "u9"
     targets = DescriptorSet(["u9", "u1", "u5"], np.array([[0.3, 0.7], [0.3, 0.7], [1.0, -1.0]]))
     features = RngState(2).normal(6, 3)
-    assert conse_classify(head, desc, targets, features, top_t=2) == ["u1"] * 6
+    assert _conse(head, desc, targets, features, top_t=2) == ["u1"] * 6
 
 
 def test_conse_matches_straight_line_reimplementation():
@@ -71,7 +81,7 @@ def test_conse_matches_straight_line_reimplementation():
     features = rng.normal(12, d_w)
     top_t = 3
 
-    got = conse_classify(head, desc, targets, features, top_t=top_t)
+    got = _conse(head, desc, targets, features, top_t=top_t)
 
     # independent rewrite, one sample at a time
     for row, predicted in zip(features, got):
@@ -92,6 +102,38 @@ def test_conse_matches_straight_line_reimplementation():
         assert predicted == best
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_conse_among_ids_decides_as_a_head_of_their_unit_rows(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n, d = 30, 4
+    ids = [f"c{i:02d}" for i in range(n)]
+    # small integer rows, half of them twins of another: exact ties across and within class blocks
+    rows = rng.integers(-2, 3, size=(n, d)).astype(float)
+    rows[n // 2:] = rows[rng.integers(0, n // 2, size=n - n // 2)]
+    rows[~rows.any(axis=1)] = 1.0
+    order = rng.permutation(n)  # head rows not in id order
+    targets = DescriptorSet([ids[i] for i in order], rows[order])
+    among = [ids[i] for i in rng.choice(n, 17, replace=False)]  # not in id order
+    combined = np.vstack([rows[rng.integers(0, n, size=20)], rng.integers(-2, 3, size=(20, d))]).astype(float)
+    combined[~combined.any(axis=1)] = 1.0
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 5 * d)
+    assert [len(list(row_blocks(k, d, evaluation.EVAL_BLOCK))) for k in (len(among), n)] == [4, 6]  # class blocks
+    got = conse_classify(_unit_head(targets), combined, among=among)
+    assert got == conse_classify(_unit_head(targets.subset(among)), combined)
+    # the first top cosine in id order, wherever the gap to the next class is above rounding
+    ranked = sorted(among)
+    unit = combined / np.linalg.norm(combined, axis=1, keepdims=True)
+    cosines = unit @ row_normalize(targets.subset(ranked).matrix).T
+    ties = 0
+    for row, predicted in zip(cosines, got):
+        top = row.max()
+        assert predicted in among
+        if np.all((row == top) | (row < top - 1e-12)):
+            assert predicted == ranked[int(np.argmax(row == top))]
+            ties += int(np.sum(row == top) > 1)
+    assert ties > 0
+
+
 def test_conse_combination_is_convex():
     head, desc = _orthogonal_setup()
     features = RngState(1).normal(10, 3)
@@ -105,10 +147,17 @@ def test_conse_combination_is_convex():
 def test_conse_argument_errors():
     head, desc = _orthogonal_setup()
     empty = DescriptorSet([], np.zeros((0, 2)))
-    with pytest.raises(IcisError):
-        conse_classify(head, desc, empty, np.ones((1, 3)))
+    with pytest.raises(IcisError, match="no classes to classify among"):
+        conse_classify(_unit_head(empty), np.ones((1, 2)))
+    with pytest.raises(IcisError, match="no classes to classify among"):
+        conse_classify(_unit_head(desc), np.ones((1, 2)), among=[])
     with pytest.raises(IcisError):
         conse_combine(head, desc, np.ones((1, 3)), top_t=0)
+    # a zero combined vector has no direction, from the combination or given
+    with pytest.raises(ZeroNormError, match="combined semantic vector collapsed to zero"):
+        conse_combine(head, DescriptorSet(desc.class_ids, np.zeros((3, 2))), np.ones((1, 3)))
+    with pytest.raises(ZeroNormError, match="combined semantic vector collapsed to zero"):
+        conse_classify(_unit_head(desc), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +344,7 @@ def test_baselines_of_a_float32_seen_head_are_those_of_its_float64_rows():
     ]
     for narrow_rows, wide_rows in zip(*rows):
         assert np.array_equal(narrow_rows, wide_rows)
-    assert conse_classify(heads[0], seen, unseen, features) == conse_classify(heads[1], seen, unseen, features)
+    assert _conse(heads[0], seen, unseen, features) == _conse(heads[1], seen, unseen, features)
 
 
 @pytest.mark.parametrize("head_dtype", [np.float64, np.float32])
@@ -315,7 +364,7 @@ def test_conse_of_float32_feature_rows_in_blocks_is_that_of_their_float64_upcast
     assert len(list(row_blocks(x32.shape[0], 12, evaluation.EVAL_BLOCK))) == 14
     for x in (x32, x64):
         assert np.array_equal(conse_combine(head, seen, x, top_t=5), whole)
-    assert conse_classify(head, seen, targets, x32, top_t=5) == conse_classify(head, seen, targets, x64, top_t=5)
+    assert _conse(head, seen, targets, x32, top_t=5) == _conse(head, seen, targets, x64, top_t=5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from icis import baselines, cli
 from icis.cli import TERM_FLAGS, main
 from icis.data import (
     ClassifierHead,
@@ -560,10 +561,12 @@ def _zeroed(task, tmp_path, name, class_ids):
     return path
 
 
-@pytest.mark.parametrize("case", ["biases-length", "ids-count", "ids-duplicate", "manifest-duplicate", "zero-norm-row"])
+@pytest.mark.parametrize("case", ["biases-length", "ids-count", "ids-duplicate", "manifest-duplicate", "zero-norm-row",
+                                  "analyze-narrow-features"])
 def test_a_refusal_while_a_file_is_read_names_that_file(tmp_path, capsys, case):
     task = _synth(tmp_path)
     paths = {"head": task / "head.wsmat", "manifest": task / "manifest.txt"}
+    command = ["eval", "--features", str(task / "features.wsmat")]
     if case == "biases-length":
         paths["biases"] = tmp_path / "b.wsmat"
         save_matrix(paths["biases"], np.zeros((1, 7)))
@@ -582,10 +585,17 @@ def test_a_refusal_while_a_file_is_read_names_that_file(tmp_path, capsys, case):
         text = (task / "manifest.txt").read_text()
         paths["manifest"].write_text(text.replace("[seen]\n", "[seen]\nc000\n"))
         expected = "dup.txt: duplicate seen id 'c000'"
-    else:
+    elif case == "zero-norm-row":
         paths["head"] = _zeroed(task, tmp_path, "head", ["c003", "c005"])
         expected = "zero_head.wsmat: classifier head contains zero-norm weight rows, first of class 'c003'"
-    args = ["eval", "--features", str(task / "features.wsmat")]
+    else:
+        # features one column narrower than the head, with their sidecar
+        features = load_matrix(task / "features.wsmat")
+        FeatureSet(features[:, :-1], load_ids(task / "features.ids")).save(tmp_path / "narrow.wsmat")
+        paths["descriptors"] = task / "descriptors.wsmat"
+        command = ["analyze", "--class", "c008", "--features", str(tmp_path / "narrow.wsmat")]
+        expected = "narrow.wsmat: feature dim 5 does not match head weight dim 6"
+    args = list(command)
     for name, path in paths.items():
         args += [f"--{name}", str(path)]
     capsys.readouterr()
@@ -806,6 +816,46 @@ def test_baseline_reports_are_bit_identical_to_the_recorded_ones(tmp_path, capsy
         "--out", str(out), *FAST,
     ]) == 0
     assert hashlib.sha256((out / "report.structured").read_bytes()).hexdigest() == BASELINE_DIGESTS[method]
+
+
+@pytest.mark.parametrize("seen_samples", [True, False])
+def test_conse_decides_on_one_head_and_combines_each_feature_part_once(tmp_path, capsys, monkeypatch, seen_samples):
+    task = _synth(tmp_path)
+    manifest = load_manifest(task / "manifest.txt")
+    features = task / "features.wsmat"
+    if not seen_samples:
+        features = tmp_path / "unseen_only.wsmat"
+        load_feature_set(task / "features.wsmat").restrict_to(manifest.unseen).save(features)
+    heads, combined, decided = [], [], []
+
+    def spy(name, log):
+        real = getattr(baselines, name)
+
+        def called(*args, **kwargs):
+            out = real(*args, **kwargs)
+            log.append((args, kwargs, out))
+            return out
+        monkeypatch.setattr(baselines, name, called)
+
+    def built(*args):
+        heads.append(ClassifierHead(*args))
+        return heads[-1]
+
+    monkeypatch.setattr(cli, "ClassifierHead", built)
+    spy("conse_combine", combined)
+    spy("conse_classify", decided)
+    assert main(["baseline", "--method", "conse", *_task_args(task), "--features", str(features)]) == 0
+    # one head of every descriptor's unit row serves the three decisions
+    assert len(heads) == 1
+    assert sorted(heads[0].class_ids) == sorted(manifest.seen + manifest.unseen)
+    assert np.allclose(np.linalg.norm(heads[0].weights, axis=1), 1.0)
+    assert len(decided) == (3 if seen_samples else 2) and all(args[0] is heads[0] for args, _, _ in decided)
+    # the unseen part is combined once for both of its decisions, the seen part once
+    assert len(combined) == (2 if seen_samples else 1)
+    assert decided[0][0][1] is decided[1][0][1] is combined[0][2]
+    assert [kwargs.get("among") for _, kwargs, _ in decided[:2]] == [manifest.unseen, None]
+    if seen_samples:
+        assert decided[2][0][1] is combined[1][2] and "among" not in decided[2][1]
 
 
 def _count_restrictions(monkeypatch):

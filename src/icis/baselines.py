@@ -29,7 +29,7 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     by the renormalised top ``top_t`` softmax scores of the seen head.
 
     Every step is per row, so the feature rows are scored in blocks whose
-    float64 rows and logits stay within about ``EVAL_BLOCK`` elements; the
+    float64 rows and logits stay within about ``EVAL_BLOCK`` bytes; the
     rows are upcast, so the softmax is that of float64 logits. A combination
     that collapses to zero is refused."""
     if top_t < 1:
@@ -39,7 +39,7 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     t = min(top_t, head.n_classes)
     combined = np.empty((features.shape[0], a_seen.shape[1]))
     width = max(head.n_classes, head.weight_dim)
-    for lo, hi in row_blocks(features.shape[0], width, evaluation.EVAL_BLOCK):
+    for lo, hi in row_blocks(features.shape[0], width, evaluation.EVAL_BLOCK // 8):  # 8 bytes a float64
         probs = softmax_rows(head.logits(as_matrix(features[lo:hi])))
         # keep only each row's t largest probabilities, renormalised
         idx = np.argpartition(probs, -t, axis=1)[:, -t:]

@@ -399,11 +399,12 @@ class ClassifierHead:
     def logit_blocks(self, features, rows, budget: int, dtype=np.float64):
         """``(lo, clo, logits)``: the logits of feature rows ``lo`` onwards
         against head rows ``rows[clo:]``, as many as ``logits`` has rows and
-        columns. The feature rows are taken in blocks small enough that the
-        staged block and each logits block hold about ``budget`` elements;
-        each block is scored with :meth:`logits` against ``rows`` in class
-        blocks of about ``budget`` weights, in ascending ``clo``. A class
-        block is a view when ``rows`` is one ascending run, else gathered.
+        columns. ``budget`` is in bytes of ``dtype``: each block is scored
+        with :meth:`logits` against ``rows`` in class blocks of about
+        ``budget`` bytes of weights, in ascending ``clo``, and the feature
+        rows are taken in blocks small enough that the staged block and each
+        logits block hold about ``budget`` bytes. A class block is a view
+        when ``rows`` is one ascending run, else gathered.
         Rows of ``dtype``, features or weights, are scored as they are; other
         rows are staged as ``dtype`` (float32 into float64 exactly, float64
         into float32 rounded) by copying each block into one buffer per walk
@@ -414,8 +415,9 @@ class ClassifierHead:
         features = _as_stored(features)
         rows = np.asarray(rows, dtype=np.intp)
         ranged = rows.size > 0 and bool(np.all(np.diff(rows) == 1))
-        classes = list(row_blocks(rows.size, self.weight_dim, budget))
-        samples = list(row_blocks(features.shape[0], max(classes[0][1], self.weight_dim), budget))
+        elements = budget // np.dtype(dtype).itemsize
+        classes = list(row_blocks(rows.size, self.weight_dim, elements))
+        samples = list(row_blocks(features.shape[0], max(classes[0][1], self.weight_dim), elements))
         x_buffer, w_buffer = _staging_buffer(features, samples, dtype), _staging_buffer(self.weights, classes, dtype)
         for lo, hi in samples:
             x = _staged(features[lo:hi], x_buffer)

@@ -6,6 +6,7 @@ Accuracies are reported in percent; entropies in nats.
 
 import json
 import warnings
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -14,21 +15,23 @@ from .data import ClassifierHead, DescriptorSet, FeatureSet, _as_stored, _check_
 from .errors import ClassIdError, IcisError, ZeroNormError
 from .tensor import as_matrix
 
-# Evaluation scores the classes in blocks of about this many weights, over
-# feature-row blocks whose staged rows and logits stay within about this many
-# elements: 16 MiB of float64, and 8 MiB in classify's float32 walk, which
-# takes the same blocks. Every class block is re-read per feature-row block,
-# so smaller blocks cost time on wide heads. On a 20k x 2048 float32
-# head, one evaluate at 1 << 21 with float32 rows staged in reused buffers
-# took 1.007 times as long as at 1 << 22 with a fresh copy of each block
-# (median of 16 fresh-process pairs) and peaked 24 MiB lower; the buffers
-# alone, at 1 << 22, took 0.959 times as long (8 pairs).
-EVAL_BLOCK = 1 << 21
+# Evaluation holds each staged row block and each logits block to about this
+# many bytes, whatever its precision: at d_w 2048 a float32 class block is
+# 1024 rows and a float64 one 512 rows. Every class block is re-read per
+# feature-row block, so smaller blocks cost time on wide heads. On a
+# 20k x 2048 float32 head, 8 MiB float64 blocks cut the peak of an evaluate
+# by 22 MiB against 16 MiB ones and, with the rows classify cannot certify
+# decided by dot products, it took 5% longer (BENCH_31.json).
+EVAL_BLOCK = 8 << 20
 
 # The online entropy folds in a logits block in row strips of about this many
 # elements, through two strip buffers of 256 KiB of float64 each, so no
 # temporary is the size of the block.
 ENTROPY_STRIP = 1 << 15
+
+# While evaluate runs, its head's weights and their row norm bounds, which
+# its argmax passes share.
+_HEAD_NORMS = ContextVar("head_norms", default=(None, None))
 
 
 def classify(head: ClassifierHead, features, among=None) -> list:
@@ -36,15 +39,20 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     (default: every head class); an exact tie goes to the lowest class id.
 
     The classes are scored in ascending id order, in the logits blocks of
-    :meth:`ClassifierHead.logit_blocks` at a budget of ``EVAL_BLOCK``, so the
-    first top score met is the lowest id's. A row that meets a NaN gets the
-    first id of ``among``. None of the head's rows is checked again.
+    :meth:`ClassifierHead.logit_blocks` at a budget of ``EVAL_BLOCK`` bytes,
+    so the first top score met is the lowest id's. None of the head's rows is
+    checked again.
 
     Every row is first scored in float32, which keeps its top score and the
     runner-up. Where their gap exceeds twice :func:`_float32_error`, float32
-    rounding cannot have changed the decision of the float64 scores. The
-    other rows, at least two, are gathered and decided by the same walk in
-    float64, so every decision, tie and NaN row is the float64 walk's.
+    rounding cannot have changed the decision of the float64 scores. Each
+    other row whose bound is finite is decided among its candidates, the
+    classes whose float32 score lies within twice the bound of its top, by
+    one float64 dot product per (row, candidate) pair, which scores a class
+    the same wherever its row sits; an exact tie goes to the lowest id. A
+    row whose bound is infinite or whose float32 top is not finite is decided
+    by the same walk in float64, where a row that meets a NaN gets the first
+    id of ``among``.
     """
     if among is None:
         ids = head.class_ids
@@ -60,12 +68,17 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     walk = np.asarray(rows)[order]
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow float32 are rescored
         winner, best, runner = _argmax_walk(head, features, walk, order, np.float32)
-        certified = np.isfinite(best) & (best - runner > 2.0 * _float32_error(head, features, walk))
-    redo = np.flatnonzero(~certified)
-    if redo.size == 1 and features.shape[0] > 1:  # a one-row product would go to GEMV, which rounds differently
-        redo = np.sort(np.append(redo, (redo[0] + 1) % features.shape[0]))
+        margin = 2.0 * _float32_error(head, features, walk)
+        certified = np.isfinite(best) & (best - runner > margin)
+    near = ~certified & np.isfinite(best) & np.isfinite(margin)
+    redo = np.flatnonzero(~certified & ~near)
+    if redo.size == 1:  # a one-row product would go to GEMV, which rounds differently: walk the row twice
+        redo = np.repeat(redo, 2)
     if redo.size:
         winner[redo] = _argmax_walk(head, features[redo], walk, order, np.float64)[0]
+    near = np.flatnonzero(near)
+    if near.size:
+        winner[near] = order[_near_tie_winners(head, features[near], walk, margin[near])]
     return [ids[j] for j in winner]
 
 
@@ -94,6 +107,52 @@ def _argmax_walk(head: ClassifierHead, features, walk, order, dtype) -> tuple:
     return winner, best, runner
 
 
+def _near_tie_winners(head: ClassifierHead, features, walk, margin) -> np.ndarray:
+    """Per feature row, the position in ``walk`` of the class that wins in
+    float64 among the row's candidates: the classes whose float32 score lies
+    within ``margin`` of its top float32 score. Each float32 score lies within
+    half the margin of the float64 score of its class, so any other class
+    scores below the top one in float64 too. One float32 walk of these rows
+    takes, per logits block, the classes within the margin of the top met so
+    far, which holds every candidate met and only classes that lose in
+    float64 besides, and scores each by :func:`_pair_scores`; an exact tie
+    goes to the lowest position."""
+    n = features.shape[0]
+    top, best = np.full(n, -np.inf), np.full(n, -np.inf)
+    winner = np.zeros(n, dtype=np.intp)
+    for lo, clo, scores in head.logit_blocks(features, walk, EVAL_BLOCK, np.float32):
+        hi = lo + scores.shape[0]
+        np.maximum(top[lo:hi], scores.max(axis=1), out=top[lo:hi])
+        r, c = np.nonzero(scores >= (top[lo:hi] - margin[lo:hi])[:, None])
+        del scores  # one logits block is live at a time
+        r, c = r + lo, c + clo
+        wide = _pair_scores(head, features, r, walk[c])
+        pick = np.lexsort((c, -wide, r))  # per row: the top float64 score, then the lowest position
+        first = np.ones(pick.size, dtype=bool)
+        first[1:] = r[pick[1:]] != r[pick[:-1]]
+        r, c, wide = r[pick[first]], c[pick[first]], wide[pick[first]]
+        take = wide > best[r]  # a later block's class wins only by a higher score
+        winner[r[take]], best[r[take]] = c[take], wide[take]
+    return winner
+
+
+def _pair_scores(head: ClassifierHead, features, rows, classes) -> np.ndarray:
+    """The float64 score of feature row ``rows[i]`` against head row
+    ``classes[i]``, bias added, per pair: one dot product each, in gathered
+    pair blocks of about ``EVAL_BLOCK`` bytes. A pair's score does not depend
+    on where its rows sit, unlike a GEMM's, whose float64 score of a class
+    can change with the class's column in its block."""
+    scores = np.empty(rows.size)
+    step = max(1, EVAL_BLOCK // (16 * head.weight_dim))  # two float64 rows a pair
+    for lo in range(0, rows.size, step):
+        x = np.asarray(features[rows[lo:lo + step]], dtype=np.float64)
+        w = np.asarray(head.weights[classes[lo:lo + step]], dtype=np.float64)
+        scores[lo:lo + step] = np.matmul(x[:, None, :], w[:, :, None])[:, 0, 0]  # a vector-vector matmul takes BLAS's dot
+    if head.biases is not None:
+        scores += head.biases[classes]
+    return scores
+
+
 def _float32_error(head: ClassifierHead, features, rows) -> np.ndarray:
     """Per feature row, a bound on how far each float32 score against head
     rows ``rows`` lies from the float64 score of the same class, or ``inf``
@@ -106,7 +165,10 @@ def _float32_error(head: ClassifierHead, features, rows) -> np.ndarray:
     and of this bound. A float32 bias add rounds once more, and every
     underflow adds at most the smallest float32 subnormal."""
     k, top = head.weight_dim, float(np.finfo(np.float32).max)
-    w_norm = float(_norm_bounds(head.weights)[rows].max())
+    weights, w_norms = _HEAD_NORMS.get()
+    if weights is not head.weights:
+        w_norms = _norm_bounds(head.weights)
+    w_norm = float(w_norms[rows].max())
     x_norms = _norm_bounds(features)
     b_max = 0.0 if head.biases is None else float(np.abs(head.biases).max())
     p = x_norms * w_norm
@@ -266,7 +328,7 @@ class _OnlineEntropy:
 def _head_entropy(head: ClassifierHead, features) -> float:
     """``mean_prediction_entropy(head.logits(features))`` in one read of the
     head: the logits blocks of :meth:`ClassifierHead.logit_blocks`, in head
-    row order at a budget of ``EVAL_BLOCK``, folded into an
+    row order at a budget of ``EVAL_BLOCK`` bytes, folded into an
     :class:`_OnlineEntropy`."""
     features = _as_stored(features)
     entropy = _OnlineEntropy(features.shape[0])
@@ -448,6 +510,14 @@ def evaluate(
         raise IcisError("no unseen classes to evaluate; pass unseen_ids or flag head rows")
     unseen_features.check_labels_known(unseen_ids)
 
+    token = _HEAD_NORMS.set((head.weights, _norm_bounds(head.weights)))
+    try:
+        return _evaluate(head, unseen_features, seen_features, unseen_ids)
+    finally:
+        _HEAD_NORMS.reset(token)
+
+
+def _evaluate(head: ClassifierHead, unseen_features: FeatureSet, seen_features, unseen_ids) -> EvalReport:
     report = EvalReport(n_unseen_samples=unseen_features.n_samples)
 
     zsl_pred = classify(head, unseen_features.features, among=unseen_ids)

@@ -116,8 +116,8 @@ def test_conse_among_ids_decides_as_a_head_of_their_unit_rows(monkeypatch, seed)
     among = [ids[i] for i in rng.choice(n, 17, replace=False)]  # not in id order
     combined = np.vstack([rows[rng.integers(0, n, size=20)], rng.integers(-2, 3, size=(20, d))]).astype(float)
     combined[~combined.any(axis=1)] = 1.0
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 5 * d)
-    assert [len(list(row_blocks(k, d, evaluation.EVAL_BLOCK))) for k in (len(among), n)] == [4, 6]  # class blocks
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * 5 * d)  # bytes: 5 float32 rows
+    assert [len(list(row_blocks(k, d, evaluation.EVAL_BLOCK // 4))) for k in (len(among), n)] == [4, 6]  # class blocks
     got = conse_classify(_unit_head(targets), combined, among=among)
     assert got == conse_classify(_unit_head(targets.subset(among)), combined)
     # the first top cosine in id order, wherever the gap to the next class is above rounding
@@ -356,12 +356,12 @@ def test_conse_of_float32_feature_rows_in_blocks_is_that_of_their_float64_upcast
     x32 = task.features.features.astype(np.float32)
     x64 = x32.astype(np.float64)
     whole = conse_combine(head, seen, x64, top_t=5)
-    # the 140 feature rows in blocks of 3 against the 40 seen classes; the nearest
-    # descriptor scores them in blocks of 10 against 3 class blocks of 10 targets
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 10 * 12)
-    assert len(list(row_blocks(x32.shape[0], 40, evaluation.EVAL_BLOCK))) == 47
-    assert len(list(row_blocks(len(targets.class_ids), 12, evaluation.EVAL_BLOCK))) == 3
-    assert len(list(row_blocks(x32.shape[0], 12, evaluation.EVAL_BLOCK))) == 14
+    # the 140 feature rows in float64 blocks of 3 against the 40 seen classes; the nearest
+    # descriptor scores them in float32 blocks of 12 against 2 class blocks of 20 and 10 targets
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 10 * 12)
+    assert len(list(row_blocks(x32.shape[0], 40, evaluation.EVAL_BLOCK // 8))) == 47
+    assert len(list(row_blocks(len(targets.class_ids), 12, evaluation.EVAL_BLOCK // 4))) == 2
+    assert len(list(row_blocks(x32.shape[0], 20, evaluation.EVAL_BLOCK // 4))) == 12
     for x in (x32, x64):
         assert np.array_equal(conse_combine(head, seen, x, top_t=5), whole)
     assert _conse(head, seen, targets, x32, top_t=5) == _conse(head, seen, targets, x64, top_t=5)

@@ -913,8 +913,8 @@ def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsy
         "--weight-dim", "256", "--samples-per-class", "40", "--feature-noise", "0.05",
     ]) == 0
     # the smaller part's 120 rows are scored in 15 feature-row blocks of 8 rows
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 256)
-    assert len(list(row_blocks(120, 256, evaluation.EVAL_BLOCK))) >= 4
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 8 * 256)  # bytes: 8 float64 rows
+    assert len(list(row_blocks(120, 256, evaluation.EVAL_BLOCK // 8))) >= 4
     real = cli.evaluate
     peaks, rows = [], []
 

@@ -416,8 +416,8 @@ def test_blocked_scoring_is_bit_identical_to_the_whole_array(monkeypatch, rows, 
     # 37 rows end in a short block of 5; 33 rows would leave one row over,
     # which joins the block before it
     head, features = _wide_task(rows)
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * head.n_classes)
-    blocks = [head.logits(features[lo:hi]) for lo, hi in row_blocks(rows, head.n_classes, evaluation.EVAL_BLOCK)]
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 8 * head.n_classes)  # bytes: 8 rows of float64 logits
+    blocks = [head.logits(features[lo:hi]) for lo, hi in row_blocks(rows, head.n_classes, evaluation.EVAL_BLOCK // 8)]
     assert [b.shape[0] for b in blocks] == sizes
     whole = head.logits(features)
     assert whole[7, 0] == whole[7, 1] == whole[7].max() and whole[8, 0] == whole[8].max()
@@ -438,7 +438,7 @@ def test_blocked_evaluate_equals_one_block(monkeypatch):
     unseen = FeatureSet(features[:21], unseen_ids[:21])
     seen = FeatureSet(features[21:], seen_ids[:20])
     reports = []
-    for budget in (1 << 30, 4 * head.n_classes):
+    for budget in (1 << 30, 8 * 4 * head.n_classes):
         monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
         with pytest.warns(UserWarning, match="without samples"):
             reports.append(json.loads(evaluate(head, unseen, seen).to_json()))
@@ -449,7 +449,7 @@ def test_blocked_evaluate_equals_one_block(monkeypatch):
 
 
 def test_evaluate_holds_no_samples_by_classes_array(monkeypatch):
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 1 << 14)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 << 14)
     rng = np.random.default_rng(3)
     n_classes, rows = 4000, 1000
     ids = [f"c{i:04d}" for i in range(n_classes)]
@@ -504,9 +504,10 @@ def test_classify_breaks_ties_by_id_whatever_the_row_order(monkeypatch):
         [nan, 2.0, -1.0, 0.0, 2.0],
     ])
     ties = np.random.default_rng(8).integers(0, 3, (60, 5)).astype(float)
-    # an identity head scores each feature row as itself; a budget of 10 at
-    # d_w 5 walks the five classes in blocks of 2 and 3
-    for budget in (1 << 20, 10):
+    # an identity head scores each feature row as itself; a budget of 40 bytes
+    # (10 float32 or 5 float64 elements) at d_w 5 walks the five classes in
+    # blocks of 2 and 3
+    for budget in (1 << 20, 40):
         monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
         for ranks in (np.arange(5), np.array([4, 0, 3, 1, 2]), np.array([2, 4, 1, 0, 3])):
             ids = [f"r{k}" for k in ranks]  # head row j has the id of rank ranks[j]
@@ -546,8 +547,8 @@ def test_class_blocks_give_the_predictions_of_the_whole_restricted_head(monkeypa
     features[1] = weights[ids.index(low2)]
     features[3, 0] = np.inf
 
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 64 * dim)
-    assert [hi - lo for lo, hi in row_blocks(len(targets), dim, evaluation.EVAL_BLOCK)] == [64, 64, 64, 8]
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * 64 * dim)  # bytes: 64 float32 rows
+    assert [hi - lo for lo, hi in row_blocks(len(targets), dim, evaluation.EVAL_BLOCK // 4)] == [64, 64, 64, 8]
     with np.errstate(invalid="ignore"):
         got = classify(head, features, among=targets)
         assert got == classify(head.subset(targets), features)
@@ -583,8 +584,8 @@ def test_the_full_head_is_walked_in_class_blocks_with_ties_either_way(monkeypatc
     features[1] = weights[150]
     features[3, 0] = np.inf
 
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 64 * dim)
-    assert [hi - lo for lo, hi in row_blocks(n_classes, dim, evaluation.EVAL_BLOCK)] == [64, 64, 64, 8]
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * 64 * dim)  # bytes: 64 float32 rows
+    assert [hi - lo for lo, hi in row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 4)] == [64, 64, 64, 8]
     with np.errstate(invalid="ignore"):
         got = classify(head, features)
         whole = head.logits(features)
@@ -599,7 +600,7 @@ def test_classify_with_no_classes_is_an_error():
 
 
 def test_full_head_classify_holds_one_class_block_not_the_head(monkeypatch):
-    budget = 1 << 16
+    budget = 8 << 16
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
     rng = np.random.default_rng(13)
     n_classes, dim, rows = 4000, 256, 1000
@@ -615,11 +616,11 @@ def test_full_head_classify_holds_one_class_block_not_the_head(monkeypatch):
     # about 1.2 MiB: one class block, one logits block and the id bookkeeping;
     # gathering the whole head at once would hold 8.2 MB
     assert peak < head_bytes / 4
-    assert peak < 3 * budget * 8
+    assert peak < 3 * budget
 
 
 def test_evaluate_holds_no_restricted_head_copy(monkeypatch):
-    budget = 1 << 16
+    budget = 4 << 16  # bytes: float32 class blocks of 256 rows, float64 ones of 128
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
     rng = np.random.default_rng(10)
     n_classes, dim, rows = 4000, 256, 1000
@@ -635,10 +636,10 @@ def test_evaluate_holds_no_restricted_head_copy(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 1.25 MiB: one head block and one logits block, or a logits block
-    # and the entropy's terms; gathering the whole restricted head traced 5.1 MiB
+    # about 1.25 MiB: a gathered float64 block and its float32 copy, and one logits block,
+    # or a logits block and the entropy's terms; gathering the whole restricted head traced 5.1 MiB
     assert peak < restricted_head_bytes / 2
-    assert peak < 3 * budget * 8
+    assert peak < 6 * budget
 
 
 def test_entropy_in_place_is_bit_identical_and_the_public_ones_copy():
@@ -678,13 +679,13 @@ def _spy_blocks(*heads):
 
 
 def test_full_head_classify_of_an_id_ordered_head_holds_no_class_block(monkeypatch):
-    budget = 1 << 16
+    budget = 8 << 16
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
     rng = np.random.default_rng(14)
     n_classes, dim, rows = 4000, 256, 20
     head = ClassifierHead([f"c{i:04d}" for i in range(n_classes)], rng.standard_normal((n_classes, dim)))
     features = rng.standard_normal((rows, dim))
-    blocks = list(row_blocks(n_classes, dim, budget))
+    blocks = list(row_blocks(n_classes, dim, budget // 4))  # float32 class blocks of 512 rows
     block_bytes = (blocks[0][1] - blocks[0][0]) * dim * 8
     kinds = _spy_blocks(head)
     walks = _spy_walks(monkeypatch)
@@ -698,11 +699,11 @@ def test_full_head_classify_of_an_id_ordered_head_holds_no_class_block(monkeypat
     # every row is decided in float32, which reads each float64 class block as a view
     assert walks == [(np.float32, rows)]
     assert kinds == ["view"] * len(blocks)
-    # and downcasts it into one float32 buffer of half a float64 block
+    # and downcasts it into one float32 buffer of the budget, half the float64 rows it holds
     w_buffer = calls[0][0].base
     assert all(w.base is w_buffer for w, _ in calls) and w_buffer.dtype == np.float32
-    assert w_buffer.nbytes == block_bytes // 2
-    # that buffer, a logits block of 20 rows and the id bookkeeping; a float64 class block alone is 512 KiB
+    assert w_buffer.nbytes == budget == block_bytes // 2
+    # that buffer, a logits block of 20 rows and the id bookkeeping; a float64 copy of its rows alone is 1 MiB
     assert peak < block_bytes
 
 
@@ -727,22 +728,27 @@ def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_block
     unseen = FeatureSet(features[:30], [unseen_ids[i % 7] for i in range(30)])
     seen_set = FeatureSet(features[30:], [seen_ids[i % 15] for i in range(30)])
 
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
-    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == n_blocks
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * -(-n_classes // n_blocks) * dim)  # bytes of float32 rows
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 4))) == n_blocks
     # a budget of 8 weights per class of a block scores the 60 feature rows in blocks
     # of 8 rows (the last of 4), each against every class block
-    feature_blocks = len(list(row_blocks(rows, max(-(-n_classes // n_blocks), dim), evaluation.EVAL_BLOCK)))
+    width = max(-(-n_classes // n_blocks), dim)
+    feature_blocks = len(list(row_blocks(rows, width, evaluation.EVAL_BLOCK // 4)))
     assert feature_blocks == 8
-    kinds = _spy_blocks(ordered, permuted)
+    kinds, permuted_kinds = _spy_blocks(ordered), _spy_blocks(permuted)
     walks = _spy_walks(monkeypatch)
     assert classify(ordered, features) == classify(permuted, features)
     # the exact ties (rows 0 to 3, and every row whose top class has a twin) are never certified
-    # in float32: the same rows of either head are gathered and walked again in float64
-    (_, n), (_, rescored) = walks[:2]
-    assert n == rows and 4 <= rescored < rows and walks == [(np.float32, rows), (np.float64, rescored)] * 2
-    reads = n_blocks * (feature_blocks + len(list(row_blocks(rescored, max(-(-n_classes // n_blocks), dim),
-                                                            evaluation.EVAL_BLOCK))))
-    assert kinds == ["view"] * reads + ["gathered"] * reads
+    # in float32: the same rows of either head are gathered and walked again in float32 for
+    # their near-tied classes, and no row is walked in float64
+    (_, n), (_, near) = walks[:2]
+    assert n == rows and 4 <= near < rows and walks == [(np.float32, rows), ("near", near)] * 2
+    reads = n_blocks * (feature_blocks + len(list(row_blocks(near, width, evaluation.EVAL_BLOCK // 4))))
+    # the ordered head's class blocks are views, the permuted head's gathered; besides them,
+    # each head's candidate rows are gathered for their dot products
+    assert kinds[:n_blocks * feature_blocks] == ["view"] * (n_blocks * feature_blocks)
+    assert kinds.count("view") == reads and "gathered" in kinds
+    assert set(permuted_kinds) == {"gathered"} and len(permuted_kinds) > reads
     # scattered head rows are gathered; one ascending run of them, from row 10, is viewed
     for among, kind in ((unseen_ids[::-1], "gathered"), (ids[26:9:-1], "view")):
         kinds.clear()
@@ -800,8 +806,8 @@ def test_a_loaded_float32_head_decides_as_its_float64_rows(tmp_path, monkeypatch
     features = rng.standard_normal((rows, dim))
     features[:4] = weights[[3, 11, 3, 11]]
 
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
-    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == n_blocks
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * -(-n_classes // n_blocks) * dim)  # bytes of float32 rows
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 4))) == n_blocks
     kinds = _spy_blocks(loaded, in_memory)
     # the full head, scattered rows (gathered) and one ascending run of rows (viewed)
     for among, kind in ((None, "view"), (ids[1::2], "gathered"), (ids[26:9:-1], "view")):
@@ -850,7 +856,7 @@ def test_online_entropy_equals_the_whole_array_per_row(monkeypatch, widths):
 def test_evaluate_of_a_float32_head_holds_one_upcast_block_and_one_logits_block(monkeypatch):
     rng = np.random.default_rng(21)
     n_classes, dim, rows = 2000, 1024, 1000
-    budget = 1 << 18
+    budget = 4 << 18  # bytes: the float32 walk's blocks of 1 << 18 elements
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", budget)
     monkeypatch.setattr(evaluation, "ENTROPY_STRIP", 1 << 10)
     ids = [f"c{i:04d}" for i in range(n_classes)]
@@ -859,9 +865,12 @@ def test_evaluate_of_a_float32_head_holds_one_upcast_block_and_one_logits_block(
     assert head.weights.dtype == np.float32
     unseen = FeatureSet(rng.standard_normal((rows, dim)), [ids[1 + 2 * (i % 50)] for i in range(rows)])
     seen = FeatureSet(rng.standard_normal((rows, dim)), [ids[2 * (i % 50)] for i in range(rows)])
-    class_rows = next(row_blocks(n_classes, dim, budget))[1]
-    feature_rows = next(row_blocks(rows, class_rows, budget))[1]
-    class_block_bytes, logits_block_bytes = class_rows * dim * 8, feature_rows * class_rows * 8
+    # the float32 walk takes the head's rows in blocks of 256 (gathered for the restricted pass) and
+    # stages the float64 feature rows in float32 blocks of 256 rows; the entropy upcasts the head's
+    # rows in float64 blocks of 128 rows
+    class_rows, feature_rows = (next(row_blocks(n, dim, budget // 4))[1] for n in (n_classes, rows))
+    assert class_rows == feature_rows == 256 and next(row_blocks(n_classes, dim, budget // 8))[1] == 128
+    logits_block_bytes = feature_rows * class_rows * 4
     tracemalloc.start()
     try:
         with pytest.warns(UserWarning, match="without samples"):
@@ -869,8 +878,9 @@ def test_evaluate_of_a_float32_head_holds_one_upcast_block_and_one_logits_block(
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 2 MiB each; upcasting the whole head would hold 16 MiB, two class blocks 4 MiB
-    assert peak < class_block_bytes + logits_block_bytes + (1 << 18)
+    # a class block and a feature-row block of 1 MiB each and a 256 KiB logits block, or one upcast
+    # class block and a smaller logits block; upcasting the whole head would hold 16 MiB
+    assert peak < 2 * budget + logits_block_bytes + (1 << 18)
 
 
 def test_online_entropy_of_nearly_one_hot_rows_agrees_to_the_rounding_of_log_z():
@@ -901,15 +911,21 @@ def _spy_logits(monkeypatch):
 
 
 def _spy_walks(monkeypatch):
-    """Record the ``(dtype, feature rows)`` of every argmax walk of :func:`classify`."""
+    """Record the ``(dtype, feature rows)`` of every argmax walk of :func:`classify`,
+    and ``("near", feature rows)`` of every walk for the near-tied classes of rows."""
     walks = []
-    walk = evaluation._argmax_walk
+    walk, near = evaluation._argmax_walk, evaluation._near_tie_winners
 
     def spied(head, features, rows, order, dtype):
         walks.append((dtype, features.shape[0]))
         return walk(head, features, rows, order, dtype)
 
+    def spied_near(head, features, rows, margin):
+        walks.append(("near", features.shape[0]))
+        return near(head, features, rows, margin)
+
     monkeypatch.setattr(evaluation, "_argmax_walk", spied)
+    monkeypatch.setattr(evaluation, "_near_tie_winners", spied_near)
     return walks
 
 
@@ -930,15 +946,18 @@ def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch,
     x32 = rng.standard_normal((rows, dim)).astype(np.float32)
     expected = classify(ClassifierHead(head_ids, weights.astype(np.float64), biases), x32.astype(np.float64))
 
-    # 3 class blocks of 10, and the 60 feature rows in 8 blocks (the last of 4)
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 10 * dim)
-    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == 3
-    assert len(list(row_blocks(rows, 10, evaluation.EVAL_BLOCK))) == 8
+    # in float64, 3 class blocks of 10 and the 60 feature rows in 8 blocks (the last of 4); in float32,
+    # the same bytes hold class blocks of 20 and 10, and the same feature-row blocks
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 10 * dim)
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 8))) == 3
+    assert len(list(row_blocks(rows, 10, evaluation.EVAL_BLOCK // 8))) == 8
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 4))) == 2
+    assert len(list(row_blocks(rows, 20, evaluation.EVAL_BLOCK // 4))) == 8
     _certify_no_row(monkeypatch)  # every row is walked again in float64
     calls = _spy_logits(monkeypatch)
     assert classify(head, x32) == expected
-    assert len(calls) == 2 * 3 * 8
-    narrow, wide = calls[:24], calls[24:]
+    assert len(calls) == 2 * 8 + 3 * 8
+    narrow, wide = calls[:16], calls[16:]
     # the float32 walk scores the float32 rows as they are: views of x32, and class blocks
     # that are views of the head or gathered from it, with no buffer
     assert all(w.dtype == x.dtype == np.float32 and x.base is x32 for w, x in narrow)
@@ -953,9 +972,9 @@ def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch,
     wide_head, x64 = ClassifierHead(head_ids, weights.astype(np.float64), biases), x32.astype(np.float64)
     calls.clear()
     assert classify(wide_head, x64) == expected
-    narrow, wide = calls[:24], calls[24:]
+    narrow, wide = calls[:16], calls[16:]
     w32, x32_buffer = narrow[0][0].base, narrow[0][1].base
-    assert w32.shape == (10, dim) and x32_buffer.shape == (8, dim)
+    assert w32.shape == (20, dim) and x32_buffer.shape == (8, dim)
     assert all(w.base is w32 and x.base is x32_buffer and w.dtype == x.dtype == np.float32 for w, x in narrow)
     assert all(w.dtype == x.dtype == np.float64 and w.base is not w32 for w, x in wide)
     # the next walk has buffers of its own
@@ -964,7 +983,7 @@ def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch,
     assert len(calls) == 3 * 8 and calls[0][0].base is not w_buffer and calls[0][1].base is not x_buffer
 
 
-def test_a_wide_head_walk_at_the_default_budget_holds_at_most_40_mib_of_blocks(monkeypatch):
+def test_a_wide_head_walk_at_the_default_budget_holds_at_most_18_mib_of_blocks(monkeypatch):
     # the eval_wide shape: a float32 head of 20,000 classes of width 2048, 1000 feature rows per part
     n_classes, dim, rows = 20000, 2048, 1000
     head = ClassifierHead._of_checked_rows(None, np.broadcast_to(np.float32(0.25), (n_classes, dim)), None, None)
@@ -974,10 +993,11 @@ def test_a_wide_head_walk_at_the_default_budget_holds_at_most_40_mib_of_blocks(m
     lo, clo, logits = next(walk)
     walk.close()
     (w, x), = calls
-    assert (lo, clo) == (0, 0) and logits.shape[0] == rows  # one feature-row block
+    assert (lo, clo) == (0, 0) and logits.shape == (512, 512)  # feature-row blocks of 512 and 488 rows
     held = sum(a.nbytes if a.base is None else a.base.nbytes for a in (w, x, logits))
-    # 16 MiB of class rows, 15.6 MiB of feature rows and 7.8 MiB of logits; 2048-row class blocks held 63 MiB
-    assert held <= 40 * 2**20
+    # 8 MiB of class rows, 8 MiB of feature rows and 2 MiB of logits; 16 MiB float64 blocks held
+    # 39.4 MiB, and 2048-row class blocks 63 MiB
+    assert held <= 18 * 2**20
     assert np.all(logits == 0.25 * 0.5 * dim)
 
 
@@ -1004,10 +1024,10 @@ def test_float32_feature_rows_score_as_their_float64_upcast(monkeypatch, head_dt
     narrow, wide = FeatureSet(x32, labels), FeatureSet(x32.astype(np.float64), labels)
     assert narrow.features.dtype == np.float32 and wide.features.dtype == np.float64
 
-    # 3 class blocks of 10, and the 60 feature rows in blocks of 8 (30 unseen rows: 4 blocks)
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 10 * dim)
-    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK))) == 3
-    assert len(list(row_blocks(rows // 2, 10, evaluation.EVAL_BLOCK))) == 4
+    # in float64, 3 class blocks of 10, and the 60 feature rows in blocks of 8 (30 unseen rows: 4 blocks)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 10 * dim)
+    assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 8))) == 3
+    assert len(list(row_blocks(rows // 2, 10, evaluation.EVAL_BLOCK // 8))) == 4
     reports = [evaluate(head, f.restrict_to(unseen_ids), f.restrict_to(seen_ids), unseen_ids=unseen_ids)
                for f in (narrow, wide)]
     assert reports[0].to_json() == reports[1].to_json()
@@ -1112,7 +1132,7 @@ def test_well_separated_rows_are_all_decided_in_float32(monkeypatch, head_type, 
     head = ClassifierHead(ids, weights.astype(head_type), biases)
     labels = rng.integers(0, n_classes, rows)
     features = (4.0 * weights[labels] + 0.1 * rng.standard_normal((rows, dim))).astype(feature_type)
-    monkeypatch.setattr(evaluation, "EVAL_BLOCK", -(-n_classes // n_blocks) * dim)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * -(-n_classes // n_blocks) * dim)  # bytes of float32 rows
     assert _float64_only(head, features) == [ids[j] for j in labels]
     walks = _spy_walks(monkeypatch)
     for among in (None, ids[::2]):
@@ -1120,3 +1140,82 @@ def test_well_separated_rows_are_all_decided_in_float32(monkeypatch, head_type, 
         walks.clear()
         assert classify(head, features, among=among) == expected
         assert walks == [(np.float32, rows)]
+
+
+# ---------------------------------------------------------------------------
+# rows left uncertified, decided by one float64 dot product per candidate class
+
+
+@pytest.mark.parametrize("head_type", [np.float32, np.float64])
+@pytest.mark.parametrize("n_classes", [61, 517, 1021])
+def test_an_exact_tie_at_d_w_2048_goes_to_the_lower_id_wherever_the_twin_sits(n_classes, head_type):
+    # a float64 GEMM scores a class differently in the last, partial group of 8 columns of its
+    # block, and a GEMV (one row at a time) differently again: the twin of class 3 sits at the
+    # head's last row, in that group whenever the class count is not a multiple of 8
+    rng = np.random.default_rng(n_classes)
+    dim = 2048
+    ids = [f"t{i:04d}" for i in range(n_classes)]
+    weights = rng.standard_normal((n_classes, dim)) / np.sqrt(dim)
+    weights[-1] = weights[3]
+    head = ClassifierHead(ids, weights.astype(head_type))
+    features = weights[3] + 0.5 * rng.standard_normal((200, dim)) / np.sqrt(dim)
+    # gathered class blocks of every third class, 3 and the twin among them, in a block of a
+    # class count that is not a multiple of 8
+    among = ids[::3][::-1]
+    assert n_classes % 8 and len(among) % 8 and ids[3] in among and ids[-1] in among
+    for walk in (None, among):
+        assert classify(head, features, among=walk) == [ids[3]] * 200
+        assert [classify(head, row[None], among=walk)[0] for row in features[:40]] == [ids[3]] * 40
+
+
+def _pair_oracle(head, features, ids):
+    """Per feature row, the class of ``ids`` with the top float64 score, one
+    dot product per (row, class) pair, bias added; an exact tie goes to the
+    lowest id."""
+    rows = [head.class_ids.index(c) for c in ids]
+    x = np.asarray(features, dtype=np.float64)
+    w = np.asarray(head.weights[rows], dtype=np.float64)
+    b = np.zeros(len(ids)) if head.biases is None else head.biases[rows]
+    predictions = []
+    for r in range(x.shape[0]):
+        scores = [np.dot(x[r], w[j]) + b[j] for j in range(len(ids))]
+        top = max(scores)
+        predictions.append(min(c for c, s in zip(ids, scores) if s == top))
+    return predictions
+
+
+@pytest.mark.parametrize("head_type, with_biases", [(np.float32, False), (np.float64, True)])
+def test_classify_decides_a_wide_head_as_one_dot_product_per_pair(monkeypatch, head_type, with_biases):
+    # d_w 2048 and 1100 classes: float32 class blocks of 1024 and 76 rows; scores that a float64
+    # GEMM rounds by column position, and near-ties that float32 cannot resolve
+    rng = np.random.default_rng(31)
+    n_classes, dim, rows = 1100, 2048, 48
+    ids = [f"w{i:04d}" for i in range(n_classes)]
+    weights = (rng.standard_normal((n_classes, dim)) / np.sqrt(dim)).astype(np.float32).astype(np.float64)
+    biases = 0.01 * rng.standard_normal(n_classes) if with_biases else None
+    # near-ties a few float32 ulps apart inside a block (10, 500), across blocks (20, 1050) and in
+    # the second block's last, partial group of 8 columns (40, 1097); an exact tie into it (30, 1099)
+    pairs = [(10, 500), (20, 1050), (40, 1097), (30, 1099)]
+    for a, b in pairs:
+        weights[b] = _ulps_apart(weights[a], rng.integers(-3, 4, dim) if b != 1099 else np.zeros(dim, int))
+        if biases is not None:
+            biases[b] = biases[a]
+    head = ClassifierHead(ids, weights.astype(head_type), biases)
+    targets = [c for pair in pairs for c in pair]
+    aimed = 2 * len(targets)  # rows 0 to 15 lie near a class of a tie, the rest near none
+    features = 0.1 * rng.standard_normal((rows, dim)) / np.sqrt(dim)
+    features[:aimed] += weights[targets * 2]
+    features = features.astype(head_type)
+    assert [hi - lo for lo, hi in row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 4)] == [1024, 76]
+    among = [c for c in ids[::-1] if int(c[1:]) % 2 == 0 or int(c[1:]) in targets]  # gathered class blocks
+    walks = _spy_walks(monkeypatch)
+    for walk in (ids, among):
+        walks.clear()
+        predictions = classify(head, features, among=walk)
+        assert predictions == _pair_oracle(head, features, walk)
+        # every aimed row was left to the dot products, and no row to the float64 walk
+        (_, n), (kind, near) = walks
+        assert n == rows and kind == "near" and aimed <= near < rows
+        assert predictions[6] == predictions[14] == ids[30]
+        # a near-tie goes to the class that scores higher in float64, the higher id included
+        assert {predictions[k] for k in range(aimed)} & {ids[b] for _, b in pairs[:3]}

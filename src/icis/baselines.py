@@ -9,7 +9,7 @@ rows is the caller's job. Biases are not modelled here.
 import numpy as np
 
 from . import evaluation
-from .data import ClassifierHead, DescriptorSet, PairSet, _as_stored
+from .data import ClassifierHead, DescriptorSet, FeatureRows, PairSet
 from .errors import IcisError, ZeroNormError
 from .evaluation import classify, softmax_rows
 from .model import IcisModel, LossConfig, LossTrace, TrainConfig, check_hidden_dim, fit, stopping_threshold
@@ -27,6 +27,7 @@ def _cosine_sim_matrix(left: DescriptorSet, right: DescriptorSet) -> np.ndarray:
 def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, features, top_t: int = 10) -> np.ndarray:
     """Per sample, a convex combination of seen-class descriptors weighted
     by the renormalised top ``top_t`` softmax scores of the seen head.
+    ``features`` is an array of feature rows or :class:`FeatureRows`.
 
     Every step is per row, so the feature rows are scored in blocks whose
     float64 rows and logits stay within about ``EVAL_BLOCK`` bytes; the
@@ -35,12 +36,12 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     if top_t < 1:
         raise IcisError("top_t must be >= 1")
     a_seen = seen_descriptors.subset(head.class_ids).matrix
-    features = _as_stored(features)
+    features = FeatureRows.of(features)
     t = min(top_t, head.n_classes)
-    combined = np.empty((features.shape[0], a_seen.shape[1]))
+    combined = np.empty((len(features), a_seen.shape[1]))
     width = max(head.n_classes, head.weight_dim)
-    for lo, hi in row_blocks(features.shape[0], width, evaluation.EVAL_BLOCK // 8):  # 8 bytes a float64
-        probs = softmax_rows(head.logits(as_matrix(features[lo:hi])))
+    for lo, hi in row_blocks(len(features), width, evaluation.EVAL_BLOCK // 8):  # 8 bytes a float64
+        probs = softmax_rows(head.logits(as_matrix(features.block(lo, hi))))
         # keep only each row's t largest probabilities, renormalised
         idx = np.argpartition(probs, -t, axis=1)[:, -t:]
         kept = np.zeros_like(probs)

@@ -428,7 +428,7 @@ def _conse_report(manifest, descriptors, seen_head, seen_desc, split, top_t) -> 
     once the unseen part is combined (a collapse is refused first)."""
     unseen_feats, seen_feats = split
     report = EvalReport(n_unseen_samples=unseen_feats.n_samples)
-    unseen_rows = bl.conse_combine(seen_head, seen_desc, unseen_feats.features, top_t)
+    unseen_rows = bl.conse_combine(seen_head, seen_desc, unseen_feats.rows, top_t)
     targets = ClassifierHead(descriptors.class_ids, row_normalize(descriptors.matrix, descriptors.class_ids))
     zsl_pred = bl.conse_classify(targets, unseen_rows, among=manifest.unseen)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(unseen_feats.labels, zsl_pred, manifest.unseen)
@@ -437,7 +437,7 @@ def _conse_report(manifest, descriptors, seen_head, seen_desc, split, top_t) -> 
     all_pred = bl.conse_classify(targets, unseen_rows)
     report.gzsl_unseen, _ = per_class_mean_accuracy(unseen_feats.labels, all_pred, manifest.unseen)
     if seen_feats.n_samples:
-        seen_pred = bl.conse_classify(targets, bl.conse_combine(seen_head, seen_desc, seen_feats.features, top_t))
+        seen_pred = bl.conse_classify(targets, bl.conse_combine(seen_head, seen_desc, seen_feats.rows, top_t))
         report.gzsl_seen, _ = per_class_mean_accuracy(seen_feats.labels, seen_pred, manifest.seen)
         report.harmonic = harmonic_mean(report.gzsl_unseen, report.gzsl_seen)
         report.n_seen_samples = seen_feats.n_samples

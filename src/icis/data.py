@@ -58,21 +58,26 @@ def _as_stored(data) -> np.ndarray:
     return as_matrix(data)
 
 
-def _staging_buffer(m: np.ndarray, blocks, dtype) -> np.ndarray | None:
+def _staging_buffer(m: np.ndarray, blocks, dtype, gathered: bool = False) -> np.ndarray | None:
     """A ``dtype`` buffer for the largest of ``blocks``' row ranges of ``m``
-    when ``m`` is not of ``dtype``, else ``None``: rows of ``dtype`` are
-    scored as they are."""
-    if m.dtype == dtype:
+    when ``m`` is not of ``dtype``, or when ``gathered`` blocks are staged
+    in it, else ``None``: rows of ``dtype`` are scored as they are."""
+    if m.dtype == dtype and not gathered:
         return None
     return np.empty((max(hi - lo for lo, hi in blocks), m.shape[1]), dtype=dtype)
 
 
-def _staged(rows: np.ndarray, buffer: np.ndarray | None) -> np.ndarray:
-    """``rows`` in the type of ``buffer``: ``rows`` itself with no
-    ``buffer``, else the front of ``buffer`` with ``rows`` copied into it,
-    which is exact for float32 rows into float64."""
-    if buffer is None:
-        return rows
+def _staged(m: np.ndarray, take, buffer: np.ndarray | None) -> np.ndarray:
+    """Rows ``take`` of ``m``, a slice (a view) or an index array
+    (gathered), in the type of ``buffer``. With no ``buffer`` they are
+    taken as they are, and so is a view of ``buffer``'s type. Other rows go
+    to the front of ``buffer``: gathered there with no temporary when of its
+    type, else copied into its type (exactly, from float32 into float64)."""
+    if buffer is None or (isinstance(take, slice) and m.dtype == buffer.dtype):
+        return m[take]
+    if m.dtype == buffer.dtype:
+        return np.take(m, take, axis=0, out=buffer[: take.size], mode="clip")  # "raise" would buffer
+    rows = m[take]
     staged = buffer[: rows.shape[0]]
     np.copyto(staged, rows)
     return staged
@@ -399,32 +404,40 @@ class ClassifierHead:
     def logit_blocks(self, features, rows, budget: int, dtype=np.float64):
         """``(lo, clo, logits)``: the logits of feature rows ``lo`` onwards
         against head rows ``rows[clo:]``, as many as ``logits`` has rows and
-        columns. ``budget`` is in bytes of ``dtype``: each block is scored
+        columns. ``features`` is an array of feature rows or
+        :class:`FeatureRows`, such as a feature set's :attr:`FeatureSet.rows`.
+        ``budget`` is in bytes of ``dtype``: each block is scored
         with :meth:`logits` against ``rows`` in class blocks of about
         ``budget`` bytes of weights, in ascending ``clo``, and the feature
         rows are taken in blocks small enough that the staged block and each
         logits block hold about ``budget`` bytes. A class block is a view
-        when ``rows`` is one ascending run, else gathered.
+        when ``rows`` is one ascending run, else gathered; a feature-row
+        block is a view when its rows are one run of consecutive rows of
+        their matrix, else gathered.
         Rows of ``dtype``, features or weights, are scored as they are; other
         rows are staged as ``dtype`` (float32 into float64 exactly, float64
         into float32 rounded) by copying each block into one buffer per walk
         for the feature rows and one for the class rows, each the size of its
-        largest block, so no block of them is allocated again. The logits
+        largest block, so no block of them is allocated again; gathered
+        feature-row blocks go to the feature buffer too. The logits
         are float32 when both sides are, and each block is a fresh array.
         Blocks carry no ids or flags."""
-        features = _as_stored(features)
+        features = FeatureRows.of(features)
         rows = np.asarray(rows, dtype=np.intp)
         ranged = rows.size > 0 and bool(np.all(np.diff(rows) == 1))
         elements = budget // np.dtype(dtype).itemsize
         classes = list(row_blocks(rows.size, self.weight_dim, elements))
-        samples = list(row_blocks(features.shape[0], max(classes[0][1], self.weight_dim), elements))
-        x_buffer, w_buffer = _staging_buffer(features, samples, dtype), _staging_buffer(self.weights, classes, dtype)
-        for lo, hi in samples:
-            x = _staged(features[lo:hi], x_buffer)
+        samples = list(row_blocks(len(features), max(classes[0][1], self.weight_dim), elements))
+        takes = [features.take(lo, hi) for lo, hi in samples]
+        gathered = not all(isinstance(take, slice) for take in takes)
+        x_buffer = _staging_buffer(features.matrix, samples, dtype, gathered)
+        w_buffer = _staging_buffer(self.weights, classes, dtype)
+        for (lo, _), sample in zip(samples, takes):
+            x = _staged(features.matrix, sample, x_buffer)
             for clo, chi in classes:
                 take = slice(rows[0] + clo, rows[0] + chi) if ranged else rows[clo:chi]
                 biases = None if self.biases is None else self.biases[take]
-                block = ClassifierHead._of_checked_rows(None, _staged(self.weights[take], w_buffer), biases, None)
+                block = ClassifierHead._of_checked_rows(None, _staged(self.weights, take, w_buffer), biases, None)
                 yield lo, clo, block.logits(x)
                 del block  # a gathered block is dropped before the next is gathered
 
@@ -465,31 +478,82 @@ def load_classifier_head(weights_path, biases_path=None, seen_ids=None) -> Class
     return from_file(weights_path, ClassifierHead, ids, weights, biases, seen)
 
 
-@dataclass
+class FeatureRows:
+    """Rows of a feature matrix, at ascending ``positions`` in it, as
+    scoring reads them: indexing picks some of them and :meth:`take` a
+    range of them, and no row is copied until a block of them is staged
+    (:meth:`ClassifierHead.logit_blocks`)."""
+
+    def __init__(self, matrix: np.ndarray, positions: np.ndarray):
+        self.matrix, self.positions = matrix, positions
+
+    @classmethod
+    def of(cls, features) -> "FeatureRows":
+        """``features`` if they are :class:`FeatureRows`, else every row of
+        the array as stored: C-contiguous float32 rows as they are, other
+        rows as float64."""
+        if isinstance(features, FeatureRows):
+            return features
+        matrix = _as_stored(features)
+        return cls(matrix, np.arange(matrix.shape[0]))
+
+    @property
+    def shape(self) -> tuple:
+        return self.positions.size, self.matrix.shape[1]
+
+    def __len__(self) -> int:
+        return self.positions.size
+
+    def __getitem__(self, index) -> "FeatureRows":
+        return FeatureRows(self.matrix, self.positions[index])
+
+    def take(self, lo: int, hi: int):
+        """Rows ``lo:hi`` of these as an index into the matrix: a slice when
+        they are one run of consecutive rows, else their positions."""
+        p = self.positions[lo:hi]
+        if np.all(np.diff(p) == 1):
+            start = int(p[0]) if p.size else 0
+            return slice(start, start + p.size)
+        return p
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` of these: a view of the matrix when they are one
+        run of consecutive rows, else a gathered copy."""
+        return self.matrix[self.take(lo, hi)]
+
+
 class FeatureSet:
     """Per-sample feature vectors with class labels.
 
     C-contiguous float32 features, such as a loaded feature set's, are kept
-    as they are, and so are the rows of :meth:`restrict_to`; any other
-    features become float64. Scoring stages one feature-row block at a time
-    (:meth:`ClassifierHead.logit_blocks`)."""
+    as they are; any other features become float64. A part that
+    :meth:`restrict_to` splits off shares the matrix of the set it comes
+    from: its :attr:`rows` hold that matrix and the ascending positions of
+    the part's rows in it, so no row is copied, and its :attr:`features`
+    is a gathered copy of them. Scoring reads :attr:`rows` one feature-row
+    block at a time (:meth:`ClassifierHead.logit_blocks`)."""
 
-    features: np.ndarray
-    labels: list
+    def __init__(self, features, labels):
+        self.rows = FeatureRows.of(check_finite(_as_stored(features), "feature matrix"))
+        self.labels = _ids_per_row(labels, self.rows.matrix, "feature")
+        self._part = False
 
-    def __post_init__(self):
-        self.features = check_finite(_as_stored(self.features), "feature matrix")
-        self.labels = _ids_per_row(self.labels, self.features, "feature")
+    @property
+    def features(self) -> np.ndarray:
+        """The set's rows: its matrix, or a part's rows gathered from it."""
+        return self.rows.matrix[self.rows.positions] if self._part else self.rows.matrix
 
     @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return len(self.rows)
 
     def restrict_to(self, class_ids) -> "FeatureSet":
+        """The part of these rows labelled one of ``class_ids``, in their
+        order here. It shares this set's matrix and checks no row again."""
         wanted = {str(c) for c in class_ids}
         mask = np.array([l in wanted for l in self.labels], dtype=bool)
-        part = object.__new__(FeatureSet)  # of rows that passed __post_init__'s checks here: none runs again
-        part.features, part.labels = self.features[mask], [l for l in self.labels if l in wanted]
+        part = object.__new__(FeatureSet)
+        part.rows, part.labels, part._part = self.rows[mask], [l for l in self.labels if l in wanted], True
         return part
 
     def check_labels_known(self, known_ids) -> None:

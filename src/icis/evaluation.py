@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import ClassifierHead, DescriptorSet, FeatureSet, _as_stored, _check_unique, rows_of
+from .data import ClassifierHead, DescriptorSet, FeatureRows, FeatureSet, _check_unique, rows_of
 from .errors import ClassIdError, IcisError, ZeroNormError
-from .tensor import as_matrix
+from .tensor import as_matrix, row_blocks
 
 # Evaluation holds each staged row block and each logits block to about this
 # many bytes, whatever its precision: at d_w 2048 a float32 class block is
@@ -35,8 +35,10 @@ _HEAD_NORMS = ContextVar("head_norms", default=(None, None))
 
 
 def classify(head: ClassifierHead, features, among=None) -> list:
-    """Predicted class id per feature row, among the classes of ``among``
-    (default: every head class); an exact tie goes to the lowest class id.
+    """Predicted class id per feature row (an array, or :class:`FeatureRows`
+    such as a feature set's :attr:`FeatureSet.rows`), among the classes of
+    ``among`` (default: every head class); an exact tie goes to the lowest
+    class id.
 
     The classes are scored in ascending id order, in the logits blocks of
     :meth:`ClassifierHead.logit_blocks` at a budget of ``EVAL_BLOCK`` bytes,
@@ -63,7 +65,7 @@ def classify(head: ClassifierHead, features, among=None) -> list:
         _check_unique(ids, "classifier")
     if not ids:
         raise IcisError("no classes to classify among")
-    features = _as_stored(features)  # float32 rows stay as they are; logit_blocks stages a block at a time
+    features = FeatureRows.of(features)  # no row is copied; logit_blocks stages a block at a time
     order = np.argsort(ids, kind="stable")  # positions in ids, by code point
     walk = np.asarray(rows)[order]
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow float32 are rescored
@@ -139,15 +141,21 @@ def _near_tie_winners(head: ClassifierHead, features, walk, margin) -> np.ndarra
 def _pair_scores(head: ClassifierHead, features, rows, classes) -> np.ndarray:
     """The float64 score of feature row ``rows[i]`` against head row
     ``classes[i]``, bias added, per pair: one dot product each, in gathered
-    pair blocks of about ``EVAL_BLOCK`` bytes. A pair's score does not depend
-    on where its rows sit, unlike a GEMM's, whose float64 score of a class
-    can change with the class's column in its block."""
+    pair blocks of about ``EVAL_BLOCK`` bytes. ``rows`` ascend, so a block
+    gathers each of its feature rows once, for all of that row's classes.
+    A pair's score does not depend on where its rows sit, unlike a GEMM's,
+    whose float64 score of a class can change with the class's column in
+    its block."""
     scores = np.empty(rows.size)
-    step = max(1, EVAL_BLOCK // (16 * head.weight_dim))  # two float64 rows a pair
+    step = max(1, EVAL_BLOCK // (16 * head.weight_dim))  # at most two float64 rows a pair
     for lo in range(0, rows.size, step):
-        x = np.asarray(features[rows[lo:lo + step]], dtype=np.float64)
+        r = rows[lo:lo + step]
+        starts = np.flatnonzero(np.diff(r, prepend=-1))  # where each row's pairs begin
+        x = np.asarray(features.matrix[features.positions[r[starts]]], dtype=np.float64)
         w = np.asarray(head.weights[classes[lo:lo + step]], dtype=np.float64)
-        scores[lo:lo + step] = np.matmul(x[:, None, :], w[:, :, None])[:, 0, 0]  # a vector-vector matmul takes BLAS's dot
+        for row, a, b in zip(x, lo + starts, lo + np.append(starts[1:], r.size)):
+            # a vector-vector matmul takes BLAS's dot, the row broadcast over its pairs
+            scores[a:b] = np.matmul(row[None, None, :], w[a - lo:b - lo, :, None])[:, 0, 0]
     if head.biases is not None:
         scores += head.biases[classes]
     return scores
@@ -165,11 +173,13 @@ def _float32_error(head: ClassifierHead, features, rows) -> np.ndarray:
     and of this bound. A float32 bias add rounds once more, and every
     underflow adds at most the smallest float32 subnormal."""
     k, top = head.weight_dim, float(np.finfo(np.float32).max)
+    features = FeatureRows.of(features)
     weights, w_norms = _HEAD_NORMS.get()
     if weights is not head.weights:
         w_norms = _norm_bounds(head.weights)
     w_norm = float(w_norms[rows].max())
-    x_norms = _norm_bounds(features)
+    blocks = row_blocks(len(features), k, EVAL_BLOCK // features.matrix.itemsize)
+    x_norms = np.concatenate([_norm_bounds(features.block(lo, hi)) for lo, hi in blocks])
     b_max = 0.0 if head.biases is None else float(np.abs(head.biases).max())
     p = x_norms * w_norm
     bound = ((_gamma(k + 2, 2.0**-24) + 2.0 * _gamma(k + 4, 2.0**-53)) * p + 2.0**-23 * (p + b_max)
@@ -330,8 +340,8 @@ def _head_entropy(head: ClassifierHead, features) -> float:
     head: the logits blocks of :meth:`ClassifierHead.logit_blocks`, in head
     row order at a budget of ``EVAL_BLOCK`` bytes, folded into an
     :class:`_OnlineEntropy`."""
-    features = _as_stored(features)
-    entropy = _OnlineEntropy(features.shape[0])
+    features = FeatureRows.of(features)
+    entropy = _OnlineEntropy(len(features))
     for lo, _, logits in head.logit_blocks(features, range(head.n_classes), EVAL_BLOCK):
         entropy.add(lo, logits)
         del logits  # one logits block is live at a time
@@ -429,7 +439,7 @@ def failure_histogram(
     class_feats = features.restrict_to([target])
     if class_feats.n_samples == 0:
         raise IcisError(f"no samples labelled {target!r} in the feature set")
-    predictions = classify(head, class_feats.features)
+    predictions = classify(head, class_feats.rows)
     ranks = similarity_ranks(descriptors, target)
     unknown = sorted({p for p in predictions if p not in ranks})
     if unknown:
@@ -451,7 +461,7 @@ def failure_histogram(
         n_samples=class_feats.n_samples,
         bin_probabilities=probs,
         predicted_classes=rows,
-        mean_entropy=_head_entropy(head, class_feats.features),
+        mean_entropy=_head_entropy(head, class_feats.rows),
     )
 
 
@@ -520,31 +530,31 @@ def evaluate(
 def _evaluate(head: ClassifierHead, unseen_features: FeatureSet, seen_features, unseen_ids) -> EvalReport:
     report = EvalReport(n_unseen_samples=unseen_features.n_samples)
 
-    zsl_pred = classify(head, unseen_features.features, among=unseen_ids)
+    zsl_pred = classify(head, unseen_features.rows, among=unseen_ids)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(
         unseen_features.labels, zsl_pred, unseen_ids
     )
     report.zsl_micro = micro_accuracy(unseen_features.labels, zsl_pred)
     report.per_class["zsl"] = per_class
 
-    full_unseen_pred = classify(head, unseen_features.features)
+    full_unseen_pred = classify(head, unseen_features.rows)
     report.gzsl_unseen, per_class = per_class_mean_accuracy(
         unseen_features.labels, full_unseen_pred, unseen_ids
     )
     report.per_class["gzsl_unseen"] = per_class
-    report.entropy_unseen = _head_entropy(head, unseen_features.features)
+    report.entropy_unseen = _head_entropy(head, unseen_features.rows)
 
     unseen = set(unseen_ids)
     seen_ids = [c for c in head.class_ids if c not in unseen]
     if seen_features is not None and seen_features.n_samples and seen_ids:
         seen_features.check_labels_known(seen_ids)
-        seen_pred = classify(head, seen_features.features)
+        seen_pred = classify(head, seen_features.rows)
         report.gzsl_seen, per_class = per_class_mean_accuracy(
             seen_features.labels, seen_pred, seen_ids
         )
         report.per_class["gzsl_seen"] = per_class
         report.harmonic = harmonic_mean(report.gzsl_unseen, report.gzsl_seen)
-        report.entropy_seen = _head_entropy(head, seen_features.features)
+        report.entropy_seen = _head_entropy(head, seen_features.rows)
         report.n_seen_samples = seen_features.n_samples
 
     return report

@@ -919,7 +919,7 @@ def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsy
     peaks, rows = [], []
 
     def traced(head, *split, unseen_ids):
-        rows.append(min(part.features.nbytes for part in split))
+        rows.append(min(len(part.rows) for part in split) * split[0].rows.matrix[0].nbytes)
         tracemalloc.start()
         try:
             return real(head, *split, unseen_ids=unseen_ids)
@@ -933,7 +933,7 @@ def test_ablate_evaluation_allocates_no_copy_of_the_feature_rows(tmp_path, capsy
         "--out", str(tmp_path / "abl"), "--hidden-dim", "16", "--lr", "1e-3", "--max-epochs", "1",
     ]) == 0
     assert len(peaks) == 5
-    # the smaller part holds 120 float32 rows (120 KiB), as loaded; one evaluation's
+    # the smaller part reads 120 float32 rows (120 KiB) of the matrix as loaded; one evaluation's
     # allocations stay below a quarter of its float64 copy (240 KiB)
     assert rows == [120 * 256 * 4] * 5
     assert max(peaks) < 120 * 256 * 8 / 4
@@ -974,14 +974,14 @@ def test_a_ladder_draws_one_model_and_holds_no_feature_row_while_runs_train(tmp_
         return draw(cls, *args)
 
     def tracked(*args):
-        # every loaded set and its rows, and below both parts of a split and their rows
+        # every loaded set and its matrix, and below both parts of a split and the matrix they share
         loaded = load(*args)
-        features.extend([weakref.ref(loaded), weakref.ref(loaded.features)])
+        features.extend([weakref.ref(loaded), weakref.ref(loaded.rows.matrix)])
         return loaded
 
     def tracked_split(self, class_ids):
         part = split(self, class_ids)
-        features.extend([weakref.ref(part), weakref.ref(part.features)])
+        features.extend([weakref.ref(part), weakref.ref(part.rows.matrix)])
         return part
 
     def checked(*args):

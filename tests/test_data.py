@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from icis import data
 from icis.baselines import conse_combine, costa_weights, vgse_smo_weights, vgse_wavg_weights
 from icis.data import (
     ClassifierHead,
@@ -431,12 +432,70 @@ def test_a_restricted_part_is_built_from_the_checked_rows_without_checking_them_
     x = np.random.default_rng(24).standard_normal((9, 3)).astype(dtype)
     fs = FeatureSet(x, ["a", "b", "c"] * 3)
     expected = FeatureSet(x[[0, 2, 3, 5, 6, 8]], ["a", "c"] * 3)
-    monkeypatch.setattr(FeatureSet, "__post_init__", lambda self: pytest.fail("the rows were checked again"))
+    for check in ("check_finite", "_ids_per_row", "_as_stored"):
+        monkeypatch.setattr(data, check, lambda *args: pytest.fail("the rows were checked again"))
     part = fs.restrict_to(["c", "a"])
     assert type(part) is FeatureSet and part.labels == expected.labels
+    # the part holds the set's matrix and the positions of its rows in it
+    assert part.rows.matrix is fs.rows.matrix and part.rows.positions.tolist() == [0, 2, 3, 5, 6, 8]
     assert part.features.dtype == expected.features.dtype == dtype and part.features.flags.c_contiguous
     assert np.array_equal(part.features, expected.features) and not np.shares_memory(part.features, x)
     assert fs.restrict_to(["z"]).features.shape == (0, 3)
+
+
+def test_restrict_to_a_2000_by_512_float32_set_allocates_no_row():
+    x = np.random.default_rng(33).standard_normal((2000, 512)).astype(np.float32)
+    fs = FeatureSet(x, [f"c{i % 50:02d}" for i in range(2000)])
+    wanted = [f"c{i:02d}" for i in range(0, 50, 2)]
+    tracemalloc.start()
+    try:
+        part = fs.restrict_to(wanted)
+        inner = part.restrict_to(wanted[:5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert part.rows.matrix is inner.rows.matrix is x
+    assert part.n_samples == 1000 and inner.n_samples == 200
+    assert np.array_equal(inner.features, x[[i for i in range(2000) if i % 50 in range(0, 10, 2)]])
+    # the label mask, the positions and the labels; a copy of the part's 1000 rows is 2000 KiB
+    assert peak < 32 * x[0].nbytes
+
+
+@pytest.mark.parametrize("walk", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_part_is_scored_from_views_of_its_runs_and_one_buffer_of_gathered_blocks(monkeypatch, dtype, walk):
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((40, 8)).astype(dtype)
+    # rows 0-15 are one run of the part, then every other row
+    part = FeatureSet(x, ["a"] * 16 + ["a", "b"] * 12).restrict_to(["a"])
+    positions = list(range(16)) + list(range(16, 40, 2))
+    assert part.rows.positions.tolist() == positions
+    head = ClassifierHead([f"k{i}" for i in range(5)], rng.standard_normal((5, 8)))
+    calls = []
+    logits = ClassifierHead.logits
+
+    def spied(self, features):
+        calls.append((self, features))
+        return logits(self, features)
+
+    monkeypatch.setattr(ClassifierHead, "logits", spied)
+    # feature-row blocks of 8 rows: two runs, then 8 and 4 gathered rows
+    starts = []
+    for lo, _, scores in head.logit_blocks(part.rows, range(5), 8 * 8 * np.dtype(walk).itemsize, walk):
+        # checked as it comes: the next block may be staged in the same buffer
+        block, staged = calls[-1]
+        rows = x[positions[lo:lo + staged.shape[0]]].astype(walk)
+        assert staged.dtype == walk and np.array_equal(staged, rows)
+        assert np.array_equal(scores, logits(block, rows))  # the scores of a copy of the block's rows
+        starts.append(lo)
+    assert starts == [0, 8, 16, 24] and len(calls) == 4
+    calls = [staged for _, staged in calls]
+    buffer = calls[2].base
+    assert buffer is not None and buffer is not x and buffer.shape == (8, 8) and calls[3].base is buffer
+    if dtype == walk:
+        assert calls[0].base is calls[1].base is x  # runs are views of the shared matrix
+    else:
+        assert calls[0].base is calls[1].base is buffer
 
 
 def test_feature_set_round_trip(tmp_path):
@@ -778,6 +837,7 @@ def test_a_loaded_feature_set_and_its_splits_keep_float32_rows(tmp_path):
     assert loaded.features.dtype == np.float32 and np.array_equal(loaded.features, x32)
     part = loaded.restrict_to(["c2", "c0"])
     kept = [l != "c1" for l in labels]
+    assert part.rows.matrix is loaded.features  # the part reads the loaded rows; its features gather them
     assert part.features.dtype == np.float32 and part.features.flags.c_contiguous
     assert np.array_equal(part.features, x32[kept]) and part.labels == [l for l, k in zip(labels, kept) if k]
     # a CSV copy, which shares the .ids sidecar, loads the same values as float64

@@ -3,6 +3,7 @@ similarity-rank failure histogram."""
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1219,3 +1220,127 @@ def test_classify_decides_a_wide_head_as_one_dot_product_per_pair(monkeypatch, h
         assert predictions[6] == predictions[14] == ids[30]
         # a near-tie goes to the class that scores higher in float64, the higher id included
         assert {predictions[k] for k in range(aimed)} & {ids[b] for _, b in pairs[:3]}
+
+
+def test_zero_feature_rows_are_decided_among_every_tied_class_as_one_dot_product_per_pair(monkeypatch):
+    # every class scores exactly 0 against a zero row, so no row is certified and each of the
+    # 20 rows has all 4000 classes as candidates: 80,000 pairs, each row gathered once per
+    # pair block and broadcast over its classes
+    rng = np.random.default_rng(66)
+    n_classes, dim, rows = 4000, 2048, 20
+    ids = [f"z{i:04d}" for i in rng.permutation(n_classes)]  # the lowest id is not the first row
+    head = ClassifierHead(ids, (rng.standard_normal((n_classes, dim)) / np.sqrt(dim)).astype(np.float32))
+    features = np.zeros((rows, dim), dtype=np.float32)
+    walks = _spy_walks(monkeypatch)
+    predictions = classify(head, features)
+    assert walks == [(np.float32, rows), ("near", rows)]
+    assert predictions == _pair_oracle(head, features, ids) == ["z0000"] * rows
+
+
+# ---------------------------------------------------------------------------
+# feature parts that share their parent's rows
+
+
+def _copied(x, labels, ids):
+    """A feature set of copies of the rows of ``x`` labelled one of ``ids``,
+    built as a whole set of its own."""
+    keep = [i for i, l in enumerate(labels) if l in set(ids)]
+    return FeatureSet(x[keep], [labels[i] for i in keep])
+
+
+@pytest.mark.parametrize("selection", ["shuffled", "contiguous", "part_of_part", "empty"])
+@pytest.mark.parametrize("feature_type", [np.float32, np.float64])
+@pytest.mark.parametrize("head_type", [np.float32, np.float64])
+def test_index_parts_report_as_feature_sets_of_copies_of_their_rows(monkeypatch, head_type, feature_type,
+                                                                    selection):
+    rng = np.random.default_rng(32)
+    n_classes, dim, rows = 30, 8, 90
+    ids = [f"p{i:02d}" for i in range(n_classes)]
+    weights = rng.standard_normal((n_classes, dim))
+    weights[25], weights[12] = weights[3], weights[11]  # exact ties across and within class blocks
+    biases = 0.1 * rng.standard_normal(n_classes)
+    biases[25], biases[12] = biases[3], biases[11]
+    seen = np.arange(n_classes) % 3 != 0
+    head = ClassifierHead(ids, weights.astype(head_type), biases, seen)
+    unseen_ids = [c for c, s in zip(ids, seen) if not s]
+    seen_ids = [c for c, s in zip(ids, seen) if s]
+    labels = [unseen_ids[i // 2 % 10] if i % 2 else seen_ids[i // 2 % 20] for i in range(rows)]
+    if selection == "contiguous":
+        labels = sorted(labels, key=lambda l: l in seen_ids)  # each part is one run of rows
+    elif selection != "shuffled":
+        labels = [labels[i] for i in rng.permutation(rows)]
+    x = rng.standard_normal((rows, dim))
+    x[:4] = weights[[3, 11, 3, 11]]  # rows tied in float32 and float64
+    x = x.astype(feature_type)
+    whole = FeatureSet(x, labels)
+    # a part of a part: the unseen rows and those of 6 seen classes, split again
+    kept = unseen_ids + seen_ids[:6] if selection == "part_of_part" else ids
+    parent = whole.restrict_to(kept) if selection == "part_of_part" else whole
+    seen_part = [] if selection == "empty" else [c for c in seen_ids if c in kept]
+
+    # in float64, 3 class blocks of 10 and feature-row blocks of 8: each part spans several
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 10 * dim)
+    parts = parent.restrict_to(unseen_ids), parent.restrict_to(seen_part)
+    assert all(part.rows.matrix is whole.rows.matrix for part in parts) and parts[0].n_samples == 45
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a part of a part leaves seen classes without samples
+        got = evaluate(head, *parts, unseen_ids=unseen_ids)
+        expected = evaluate(head, _copied(x, labels, unseen_ids), _copied(x, labels, seen_part),
+                            unseen_ids=unseen_ids)
+    assert got.to_json() == expected.to_json() and got.n_seen_samples == sum(l in seen_part for l in labels)
+    descriptors = DescriptorSet(ids, rng.standard_normal((n_classes, 5)))
+    for target in ("p03", "p01"):
+        histograms = [failure_histogram(head, f, descriptors, target, bin_size=4)
+                      for f in (parent, _copied(x, labels, kept))]
+        assert histograms[0].to_json() == histograms[1].to_json()
+
+
+def _restrict_to_copies(self, class_ids):
+    """``FeatureSet.restrict_to`` as a feature set of copies of the part's rows."""
+    wanted = {str(c) for c in class_ids}
+    keep = [i for i, l in enumerate(self.labels) if l in wanted]
+    return FeatureSet(self.features[keep], [self.labels[i] for i in keep])
+
+
+@pytest.mark.parametrize("suffix", [".wsmat", ".csv"])
+@pytest.mark.parametrize("order", ["contiguous", "shuffled"])
+def test_commands_report_index_parts_as_feature_sets_of_copies(tmp_path, capsys, monkeypatch, order, suffix):
+    from icis import inject, load_feature_set, load_manifest, load_matrix, save_matrix
+    from icis.cli import main
+
+    task = tmp_path / "task"
+    assert main(["synth", "--out", str(task), "--seed", "4", "--seen", "12", "--unseen", "5", "--desc-dim", "6",
+                 "--weight-dim", "16", "--samples-per-class", "7", "--feature-noise", "0.4"]) == 0
+    manifest = load_manifest(task / "manifest.txt")
+    # synth writes the rows class by class, so each part is one run; shuffled, every part is scattered
+    loaded = load_feature_set(task / "features.wsmat")
+    perm = np.arange(loaded.n_samples)
+    if order == "shuffled":
+        perm = np.random.default_rng(5).permutation(loaded.n_samples)
+    FeatureSet(loaded.features[perm], [loaded.labels[i] for i in perm]).save(tmp_path / f"features{suffix}")
+    head = load_classifier_head(task / "head.wsmat")
+    inject(head, manifest.unseen, load_matrix(task / "true_unseen.wsmat")).save(tmp_path / "full.wsmat")
+    task_args = ["--descriptors", str(task / "descriptors.wsmat"), "--head", str(task / "head.wsmat"),
+                 "--manifest", str(task / "manifest.txt"), "--features", str(tmp_path / f"features{suffix}")]
+    eval_args = ["eval", "--head", str(tmp_path / "full.wsmat"), "--manifest", str(task / "manifest.txt"),
+                 "--features", str(tmp_path / f"features{suffix}")]
+    commands = {
+        "conse": ["baseline", "--method", "conse", *task_args],
+        "costa": ["baseline", "--method", "costa", *task_args],
+        "eval": eval_args,
+        "zsl_only": [*eval_args, "--zsl-only"],  # the unseen part, split again
+    }
+    # feature-row blocks of 4 rows, so every part spans several, of runs or gathered
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 4 * 17)
+    reports = {}
+    for copies in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if copies:
+                mp.setattr(FeatureSet, "restrict_to", _restrict_to_copies)
+            for name, args in commands.items():
+                out = tmp_path / f"{name}_{copies}"
+                flag = "--out" if args[0] == "baseline" else "--report-dir"
+                assert main([*args, flag, str(out)]) == 0
+                reports[name, copies] = (out / "report.structured").read_bytes()
+    for name in commands:
+        assert reports[name, False] == reports[name, True], name

@@ -29,10 +29,13 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     by the renormalised top ``top_t`` softmax scores of the seen head.
     ``features`` is an array of feature rows or :class:`FeatureRows`.
 
-    Every step is per row, so the feature rows are scored in blocks whose
-    float64 rows and logits stay within about ``EVAL_BLOCK`` bytes; the
-    rows are upcast, so the softmax is that of float64 logits. A combination
-    that collapses to zero is refused."""
+    Every step is per row, so the feature rows are taken in blocks of about
+    ``EVAL_BLOCK`` bytes of float64 logits, filled from the float64 class
+    blocks of :meth:`ClassifierHead.logit_blocks`: a float32 head is upcast
+    one class block at a time. Besides the head, descriptors and result, at
+    most about seven ``EVAL_BLOCK`` are live: a block's logits, softmax,
+    argpartition and kept probabilities, and the walk's staged rows, logits
+    block and class buffer. A combination that collapses to zero is refused."""
     if top_t < 1:
         raise IcisError("top_t must be >= 1")
     a_seen = seen_descriptors.subset(head.class_ids).matrix
@@ -41,7 +44,10 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     combined = np.empty((len(features), a_seen.shape[1]))
     width = max(head.n_classes, head.weight_dim)
     for lo, hi in row_blocks(len(features), width, evaluation.EVAL_BLOCK // 8):  # 8 bytes a float64
-        probs = softmax_rows(head.logits(as_matrix(features.block(lo, hi))))
+        logits = np.empty((hi - lo, head.n_classes))
+        for r, c, block in head.logit_blocks(features[lo:hi], range(head.n_classes), evaluation.EVAL_BLOCK):
+            logits[r:r + block.shape[0], c:c + block.shape[1]] = block
+        probs = softmax_rows(logits)
         # keep only each row's t largest probabilities, renormalised
         idx = np.argpartition(probs, -t, axis=1)[:, -t:]
         kept = np.zeros_like(probs)

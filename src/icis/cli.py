@@ -302,6 +302,7 @@ def cmd_eval(args) -> int:
         head = head.subset(present)
         report = evaluate(head, split[0].restrict_to(present), None, unseen_ids=present)
     else:
+        from_file(args.head, rows_of, head.class_ids, sorted(set(split[1].labels)))  # every seen sample's class
         report = evaluate(head, *split, unseen_ids=manifest.unseen)
     sys.stdout.write(report.to_text())
     if args.report_dir:

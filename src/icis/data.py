@@ -382,7 +382,9 @@ class ClassifierHead:
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         """The scores of ``features`` against every row, biases added: float32
-        when the weights and the features are both float32, else float64."""
+        when the weights and the features are both float32, else float64.
+        Mixed float32 and float64 operands upcast the whole head, so scorers
+        go through :meth:`logit_blocks`, which stages one block at a time."""
         features = _as_stored(features) if self.weights.dtype == np.float32 else as_matrix(features)
         if features.shape[1] != self.weight_dim:
             raise IcisError(
@@ -515,11 +517,6 @@ class FeatureRows:
             start = int(p[0]) if p.size else 0
             return slice(start, start + p.size)
         return p
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` of these: a view of the matrix when they are one
-        run of consecutive rows, else a gathered copy."""
-        return self.matrix[self.take(lo, hi)]
 
 
 class FeatureSet:

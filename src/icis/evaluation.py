@@ -6,7 +6,6 @@ Accuracies are reported in percent; entropies in nats.
 
 import json
 import warnings
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -28,10 +27,6 @@ EVAL_BLOCK = 8 << 20
 # elements, through two strip buffers of 256 KiB of float64 each, so no
 # temporary is the size of the block.
 ENTROPY_STRIP = 1 << 15
-
-# While evaluate runs, its head's weights and their row norm bounds, which
-# its argmax passes share.
-_HEAD_NORMS = ContextVar("head_norms", default=(None, None))
 
 
 def classify(head: ClassifierHead, features, among=None) -> list:
@@ -56,6 +51,11 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     by the same walk in float64, where a row that meets a NaN gets the first
     id of ``among``.
     """
+    return _classify(head, features, among, _norm_bounds(head.weights))
+
+
+def _classify(head: ClassifierHead, features, among, w_norms) -> list:
+    """:func:`classify` of a head whose :func:`_norm_bounds` are ``w_norms``."""
     if among is None:
         ids = head.class_ids
         rows = range(len(ids))
@@ -70,7 +70,7 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     walk = np.asarray(rows)[order]
     with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow float32 are rescored
         winner, best, runner = _argmax_walk(head, features, walk, order, np.float32)
-        margin = 2.0 * _float32_error(head, features, walk)
+        margin = 2.0 * _float32_error(head, features, w_norms[walk])
         certified = np.isfinite(best) & (best - runner > margin)
     near = ~certified & np.isfinite(best) & np.isfinite(margin)
     redo = np.flatnonzero(~certified & ~near)
@@ -161,10 +161,10 @@ def _pair_scores(head: ClassifierHead, features, rows, classes) -> np.ndarray:
     return scores
 
 
-def _float32_error(head: ClassifierHead, features, rows) -> np.ndarray:
+def _float32_error(head: ClassifierHead, features, w_norms) -> np.ndarray:
     """Per feature row, a bound on how far each float32 score against head
-    rows ``rows`` lies from the float64 score of the same class, or ``inf``
-    where float32 could overflow.
+    rows of norm bounds ``w_norms`` lies from the float64 score of the same
+    class, or ``inf`` where float32 could overflow.
     A dot product of length ``K`` summed in any order with unit roundoff
     ``u`` is off by at most ``gamma_K * |x| * |w|``, ``gamma_n = n u / (1 - n u)``
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1): in
@@ -174,12 +174,9 @@ def _float32_error(head: ClassifierHead, features, rows) -> np.ndarray:
     underflow adds at most the smallest float32 subnormal."""
     k, top = head.weight_dim, float(np.finfo(np.float32).max)
     features = FeatureRows.of(features)
-    weights, w_norms = _HEAD_NORMS.get()
-    if weights is not head.weights:
-        w_norms = _norm_bounds(head.weights)
-    w_norm = float(w_norms[rows].max())
+    w_norm = float(w_norms.max())
     blocks = row_blocks(len(features), k, EVAL_BLOCK // features.matrix.itemsize)
-    x_norms = np.concatenate([_norm_bounds(features.block(lo, hi)) for lo, hi in blocks])
+    x_norms = np.concatenate([_norm_bounds(features.matrix[features.take(lo, hi)]) for lo, hi in blocks])
     b_max = 0.0 if head.biases is None else float(np.abs(head.biases).max())
     p = x_norms * w_norm
     bound = ((_gamma(k + 2, 2.0**-24) + 2.0 * _gamma(k + 4, 2.0**-53)) * p + 2.0**-23 * (p + b_max)
@@ -336,10 +333,10 @@ class _OnlineEntropy:
 
 
 def _head_entropy(head: ClassifierHead, features) -> float:
-    """``mean_prediction_entropy(head.logits(features))`` in one read of the
-    head: the logits blocks of :meth:`ClassifierHead.logit_blocks`, in head
-    row order at a budget of ``EVAL_BLOCK`` bytes, folded into an
-    :class:`_OnlineEntropy`."""
+    """The :func:`mean_prediction_entropy` of the head's logits of
+    ``features`` in one read of the head: the logits blocks of
+    :meth:`ClassifierHead.logit_blocks`, in head row order at a budget of
+    ``EVAL_BLOCK`` bytes, folded into an :class:`_OnlineEntropy`."""
     features = FeatureRows.of(features)
     entropy = _OnlineEntropy(len(features))
     for lo, _, logits in head.logit_blocks(features, range(head.n_classes), EVAL_BLOCK):
@@ -519,25 +516,17 @@ def evaluate(
     if not unseen_ids:
         raise IcisError("no unseen classes to evaluate; pass unseen_ids or flag head rows")
     unseen_features.check_labels_known(unseen_ids)
-
-    token = _HEAD_NORMS.set((head.weights, _norm_bounds(head.weights)))
-    try:
-        return _evaluate(head, unseen_features, seen_features, unseen_ids)
-    finally:
-        _HEAD_NORMS.reset(token)
-
-
-def _evaluate(head: ClassifierHead, unseen_features: FeatureSet, seen_features, unseen_ids) -> EvalReport:
+    w_norms = _norm_bounds(head.weights)  # shared by the three argmax passes
     report = EvalReport(n_unseen_samples=unseen_features.n_samples)
 
-    zsl_pred = classify(head, unseen_features.rows, among=unseen_ids)
+    zsl_pred = _classify(head, unseen_features.rows, unseen_ids, w_norms)
     report.zsl_accuracy, per_class = per_class_mean_accuracy(
         unseen_features.labels, zsl_pred, unseen_ids
     )
     report.zsl_micro = micro_accuracy(unseen_features.labels, zsl_pred)
     report.per_class["zsl"] = per_class
 
-    full_unseen_pred = classify(head, unseen_features.rows)
+    full_unseen_pred = _classify(head, unseen_features.rows, None, w_norms)
     report.gzsl_unseen, per_class = per_class_mean_accuracy(
         unseen_features.labels, full_unseen_pred, unseen_ids
     )
@@ -548,7 +537,7 @@ def _evaluate(head: ClassifierHead, unseen_features: FeatureSet, seen_features, 
     seen_ids = [c for c in head.class_ids if c not in unseen]
     if seen_features is not None and seen_features.n_samples and seen_ids:
         seen_features.check_labels_known(seen_ids)
-        seen_pred = classify(head, seen_features.rows)
+        seen_pred = _classify(head, seen_features.rows, None, w_norms)
         report.gzsl_seen, per_class = per_class_mean_accuracy(
             seen_features.labels, seen_pred, seen_ids
         )

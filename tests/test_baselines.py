@@ -2,6 +2,8 @@
 similarity-weighted row averages, sum-one reconstruction, span-penalty
 regression, and denoising refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from icis.baselines import (
     vgse_smo_weights,
     vgse_wavg_weights,
 )
-from icis.data import ClassifierHead, DescriptorSet, PairSet, make_pairs, synth_generate
+from icis.data import ClassifierHead, DescriptorSet, FeatureRows, PairSet, make_pairs, synth_generate
 from icis.errors import DivergenceError, IcisError, ZeroNormError
 from icis.evaluation import softmax_rows
 from icis.model import IcisModel, TrainConfig
@@ -365,6 +367,66 @@ def test_conse_of_float32_feature_rows_in_blocks_is_that_of_their_float64_upcast
     for x in (x32, x64):
         assert np.array_equal(conse_combine(head, seen, x, top_t=5), whole)
     assert _conse(head, seen, targets, x32, top_t=5) == _conse(head, seen, targets, x64, top_t=5)
+
+
+def _conse_oracle(head, seen, x64, top_t):
+    """ConSE's combination as scored before class blocks: per row block of
+    ``EVAL_BLOCK`` bytes of float64 logits, one product of its rows against
+    the whole upcast head, then the softmax, its ``top_t`` largest entries
+    renormalised, times the seen descriptors."""
+    a_seen = seen.subset(head.class_ids).matrix
+    combined = np.empty((x64.shape[0], a_seen.shape[1]))
+    width = max(head.n_classes, head.weight_dim)
+    for lo, hi in row_blocks(x64.shape[0], width, evaluation.EVAL_BLOCK // 8):
+        probs = softmax_rows(x64[lo:hi] @ head.weights.astype(np.float64).T + head.biases)
+        idx = np.argpartition(probs, -top_t, axis=1)[:, -top_t:]
+        kept = np.zeros_like(probs)
+        np.put_along_axis(kept, idx, np.take_along_axis(probs, idx, axis=1), axis=1)
+        kept /= kept.sum(axis=1, keepdims=True)
+        combined[lo:hi] = kept @ a_seen
+    return combined
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3])
+@pytest.mark.parametrize("head_dtype", [np.float32, np.float64])
+def test_conse_scored_in_class_blocks_is_the_whole_upcast_product(monkeypatch, head_dtype, n_blocks):
+    rng = np.random.default_rng(40)
+    n_classes, d_w, d_a, rows = 128 * n_blocks, 1024, 6, 300
+    ids = [f"s{i:03d}" for i in range(n_classes)]
+    head = ClassifierHead(ids, rng.standard_normal((n_classes, d_w)).astype(head_dtype),
+                          rng.standard_normal(n_classes))
+    seen = DescriptorSet(ids, rng.standard_normal((n_classes, d_a)))
+    x32 = rng.standard_normal((2 * rows, d_w)).astype(np.float32)
+    scattered = FeatureRows(x32, np.sort(rng.choice(2 * rows, rows, replace=False)))
+    # float64 class blocks of 128 rows and feature-row blocks of 128, 128 and 44 rows. An OpenBLAS
+    # GEMM can score a class differently by where its class block is split: OpenBLAS 0.3.31's
+    # Haswell kernels did not at these sizes, but did on small products (16-row blocks, d_w 2048)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 128 * d_w)
+    assert len(list(row_blocks(n_classes, d_w, evaluation.EVAL_BLOCK // 8))) == n_blocks
+    assert len(list(row_blocks(rows, max(n_classes, d_w), evaluation.EVAL_BLOCK // 8))) == 3
+    for features, x64 in [(x32[:rows], x32[:rows].astype(np.float64)),
+                          (x32[:rows].astype(np.float64), x32[:rows].astype(np.float64)),
+                          (scattered, x32[scattered.positions].astype(np.float64))]:
+        assert np.array_equal(conse_combine(head, seen, features, top_t=5), _conse_oracle(head, seen, x64, 5))
+
+
+def test_conse_of_a_wide_float32_head_upcasts_one_class_block_at_a_time():
+    rng = np.random.default_rng(41)
+    n_classes, d_w, rows = 4000, 2048, 700
+    ids = [f"s{i:04d}" for i in range(n_classes)]
+    head = ClassifierHead(ids, rng.standard_normal((n_classes, d_w), dtype=np.float32))
+    seen = DescriptorSet(ids, rng.standard_normal((n_classes, 8)))
+    x = rng.standard_normal((rows, d_w), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        conse_combine(head, seen, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the head is 31.2 MiB of float32; upcast whole for each row block, it held 99 MiB. Now a
+    # row block's logits, softmax, argpartition and kept probabilities (8 MiB each), its staged
+    # rows (4 MiB) and one staged class block (8 MiB) are live at once
+    assert peak < 50 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from icis.data import (
 )
 from icis.evaluation import evaluate
 from icis.errors import DivergenceError
-from icis.model import IcisModel, LossConfig, LossTrace, ablation_variants, save_checkpoint
+from icis.model import IcisModel, LossConfig, LossTrace, ablation_variants, inject, save_checkpoint
 from icis.nn import LinearLayer
 from icis.tensor import RngState, row_blocks
 
@@ -250,6 +250,19 @@ def test_eval_refuses_a_head_without_the_manifests_unseen_classes(tmp_path, caps
     ]) == 3
     err = capsys.readouterr().err
     assert err == f"error: {task / 'head.wsmat'}: head has no row for the manifest's unseen class 'c008'\n"
+
+
+def test_eval_refuses_a_head_without_a_seen_class_of_the_features_naming_the_head(tmp_path, capsys):
+    # a head that lost the seen class c004 but holds the unseen ones; the features keep c004's samples
+    task = _synth(tmp_path)
+    head = load_classifier_head(task / "head.wsmat")
+    head = head.subset([c for c in head.class_ids if c != "c004"])
+    lost = inject(head, load_ids(task / "true_unseen.ids"), load_matrix(task / "true_unseen.wsmat"))
+    lost.save(tmp_path / "lost.wsmat")
+    capsys.readouterr()
+    assert main(["eval", "--head", str(tmp_path / "lost.wsmat"), "--manifest", str(task / "manifest.txt"),
+                 "--features", str(task / "features.wsmat")]) == 3
+    assert capsys.readouterr().err == f"error: {tmp_path / 'lost.wsmat'}: unknown class id 'c004'\n"
 
 
 def test_exit_codes(tmp_path):

@@ -374,6 +374,54 @@ def test_evaluate_report_serialisation():
     assert "zsl" in payload["per_class"]
 
 
+def _count_norm_bounds(monkeypatch, head):
+    """A one-item list counting the :func:`_norm_bounds` calls on ``head``'s weights."""
+    count, bound = [0], evaluation._norm_bounds
+
+    def spied(m):
+        count[0] += m is head.weights
+        return bound(m)
+
+    monkeypatch.setattr(evaluation, "_norm_bounds", spied)
+    return count
+
+
+def test_evaluate_reports_what_classify_and_the_entropy_give_each_part(monkeypatch):
+    rng = np.random.default_rng(44)
+    n_classes, dim, rows = 40, 16, 120
+    ids = [f"e{i:02d}" for i in rng.permutation(n_classes)]
+    weights = rng.standard_normal((n_classes, dim)).astype(np.float32)
+    biases = rng.standard_normal(n_classes).astype(np.float32)
+    weights[5], biases[5] = weights[2], biases[2]  # an exact tie, decided by per-pair dot products
+    head = ClassifierHead(ids, weights, biases, seen=np.arange(n_classes) >= 12)
+    labels = [ids[j] for j in rng.permutation(rows) % n_classes]  # three samples a class
+    features = weights[[ids.index(l) for l in labels]] + 0.8 * rng.standard_normal((rows, dim)).astype(np.float32)
+    features[:4] = weights[2]
+    everything = FeatureSet(features, labels)
+    unseen_ids = ids[:12]
+    unseen, seen = everything.restrict_to(unseen_ids), everything.restrict_to(ids[12:])
+    # float32 class blocks of 20 rows and float64 ones of 10: the head is wider than one of either
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 10 * dim)
+    bounds, walks = _count_norm_bounds(monkeypatch, head), _spy_walks(monkeypatch)
+    report = evaluate(head, unseen, seen)
+    assert bounds == [1]  # the head's norms are bounded once and shared by the three argmax passes
+    assert "near" in [kind for kind, _ in walks]  # the tied rows, and others, went to the dot products
+
+    expected = EvalReport(n_unseen_samples=unseen.n_samples, n_seen_samples=seen.n_samples)
+    zsl = classify(head, unseen.rows, among=unseen_ids)
+    expected.zsl_accuracy, expected.per_class["zsl"] = per_class_mean_accuracy(unseen.labels, zsl, unseen_ids)
+    expected.zsl_micro = micro_accuracy(unseen.labels, zsl)
+    expected.gzsl_unseen, expected.per_class["gzsl_unseen"] = per_class_mean_accuracy(
+        unseen.labels, classify(head, unseen.rows), unseen_ids)
+    expected.gzsl_seen, expected.per_class["gzsl_seen"] = per_class_mean_accuracy(
+        seen.labels, classify(head, seen.rows), ids[12:])
+    expected.harmonic = harmonic_mean(expected.gzsl_unseen, expected.gzsl_seen)
+    expected.entropy_unseen = evaluation._head_entropy(head, unseen.rows)
+    expected.entropy_seen = evaluation._head_entropy(head, seen.rows)
+    assert report.to_json() == expected.to_json()
+    assert bounds == [4]  # each classify bounds them itself
+
+
 def test_eval_report_text_skips_missing_metrics():
     report = EvalReport(zsl_accuracy=42.0)
     text = report.to_text()
@@ -932,7 +980,7 @@ def _spy_walks(monkeypatch):
 
 def _certify_no_row(monkeypatch):
     """Make :func:`classify` decide every row by its float64 walk."""
-    monkeypatch.setattr(evaluation, "_float32_error", lambda head, features, rows: np.full(len(features), np.inf))
+    monkeypatch.setattr(evaluation, "_float32_error", lambda head, features, w_norms: np.full(len(features), np.inf))
 
 
 @pytest.mark.parametrize("order", ["ranged", "gathered"])
@@ -1103,7 +1151,7 @@ def _scoring_cases(draw):
     return ClassifierHead(ids, weights, biases), features, among, draw(st.integers(1, 3))
 
 
-@settings(deadline=None, max_examples=500)
+@settings(max_examples=500)
 @given(_scoring_cases())
 def test_classify_decides_every_row_as_the_float64_walk(case):
     head, features, among, n_blocks = case
@@ -1113,7 +1161,7 @@ def test_classify_decides_every_row_as_the_float64_walk(case):
             assert classify(head, features, among=ids) == _float64_only(head, features, among=ids)
             # where the bound is finite, it holds for every score of the row against those classes
             rows = [head.class_ids.index(c) for c in ids]
-            bound = evaluation._float32_error(head, features, rows)
+            bound = evaluation._float32_error(head, features, evaluation._norm_bounds(head.weights)[rows])
             narrow, wide = (next(head.logit_blocks(features, rows, 1 << 30, t))[2] for t in (np.float32, np.float64))
         fits = np.isfinite(bound)
         assert np.all(np.abs(narrow[fits] - wide[fits]) <= bound[fits, None])

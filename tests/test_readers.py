@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -54,7 +54,6 @@ def _small_model(seed, d_a, d_w, hidden):
     return model
 
 
-@settings(deadline=None)
 @given(_MATRICES, _CHUNKS)
 def test_matrix_round_trip_is_exact(m, chunk):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "READ_CHUNK", chunk):
@@ -72,7 +71,6 @@ def test_matrix_round_trip_over_several_read_chunks(tmp_path):
     assert np.array_equal(load_matrix(tmp_path / "m.wsmat"), m)
 
 
-@settings(deadline=None)
 @given(st.integers(0, 100), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), _CHUNKS)
 def test_checkpoint_round_trip_is_exact(seed, d_a, d_w, hidden, chunk):
     model = _small_model(seed, d_a, d_w, hidden)
@@ -86,7 +84,6 @@ def test_checkpoint_round_trip_is_exact(seed, d_a, d_w, hidden, chunk):
         assert np.array_equal(got.weight, want.weight) and np.array_equal(got.bias, want.bias)
 
 
-@settings(deadline=None)
 @given(_MATRICES, _mutations())
 def test_a_damaged_matrix_file_raises_only_icis_errors(m, mutation):
     with tempfile.TemporaryDirectory() as tmp:
@@ -99,7 +96,6 @@ def test_a_damaged_matrix_file_raises_only_icis_errors(m, mutation):
             pass
 
 
-@settings(deadline=None)
 @given(st.integers(0, 100), _mutations())
 def test_a_damaged_checkpoint_raises_only_icis_errors(seed, mutation):
     with tempfile.TemporaryDirectory() as tmp:
@@ -137,7 +133,6 @@ _IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size
 _MANIFEST_IDS = _IDS.filter(lambda s: not s.startswith("#") and not (s.startswith("[") and s.endswith("]")))
 
 
-@settings(deadline=None)
 @given(st.lists(_IDS, max_size=12))
 def test_ids_round_trip_is_exact(ids):
     with tempfile.TemporaryDirectory() as tmp:
@@ -146,7 +141,6 @@ def test_ids_round_trip_is_exact(ids):
         assert load_ids(p) == ids
 
 
-@settings(deadline=None)
 @given(st.lists(_MANIFEST_IDS, unique=True, max_size=12), st.data())
 def test_manifest_round_trip_is_exact(ids, draw):
     n_seen = draw.draw(st.integers(0, len(ids)))
@@ -165,7 +159,6 @@ def _text_files():
     return st.one_of(st.binary(max_size=64), _mutations().map(lambda m: _mutate(valid, m)))
 
 
-@settings(deadline=None)
 @given(_text_files())
 def test_damaged_ids_and_manifests_raise_only_icis_errors(raw):
     with tempfile.TemporaryDirectory() as tmp:

@@ -33,9 +33,9 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
     ``EVAL_BLOCK`` bytes of float64 logits, filled from the float64 class
     blocks of :meth:`ClassifierHead.logit_blocks`: a float32 head is upcast
     one class block at a time. Besides the head, descriptors and result, at
-    most about seven ``EVAL_BLOCK`` are live: a block's logits, softmax,
-    argpartition and kept probabilities, and the walk's staged rows, logits
-    block and class buffer. A combination that collapses to zero is refused."""
+    most about four ``EVAL_BLOCK`` are live: the kept probabilities of the
+    block before, a block's logits, and the walk's staged rows, class buffer
+    and logits blocks. A combination that collapses to zero is refused."""
     if top_t < 1:
         raise IcisError("top_t must be >= 1")
     a_seen = seen_descriptors.subset(head.class_ids).matrix
@@ -48,12 +48,13 @@ def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, feature
         for r, c, block in head.logit_blocks(features[lo:hi], range(head.n_classes), evaluation.EVAL_BLOCK):
             logits[r:r + block.shape[0], c:c + block.shape[1]] = block
         probs = softmax_rows(logits)
-        # keep only each row's t largest probabilities, renormalised
-        idx = np.argpartition(probs, -t, axis=1)[:, -t:]
-        kept = np.zeros_like(probs)
-        np.put_along_axis(kept, idx, np.take_along_axis(probs, idx, axis=1), axis=1)
-        kept /= kept.sum(axis=1, keepdims=True)
-        combined[lo:hi] = kept @ a_seen
+        # keep only each row's t largest probabilities, renormalised, in the softmax's buffer
+        idx = np.argpartition(probs, -t, axis=1)[:, -t:].copy()  # a view would keep all of it alive
+        top = np.take_along_axis(probs, idx, axis=1)
+        probs.fill(0.0)
+        np.put_along_axis(probs, idx, top, axis=1)
+        probs /= probs.sum(axis=1, keepdims=True)
+        combined[lo:hi] = probs @ a_seen
     if np.any(np.linalg.norm(combined, axis=1) == 0.0):
         raise ZeroNormError("combined semantic vector collapsed to zero")
     return combined

@@ -42,14 +42,14 @@ def classify(head: ClassifierHead, features, among=None) -> list:
 
     Every row is first scored in float32, which keeps its top score and the
     runner-up. Where their gap exceeds twice :func:`_float32_error`, float32
-    rounding cannot have changed the decision of the float64 scores. Each
-    other row whose bound is finite is decided among its candidates, the
-    classes whose float32 score lies within twice the bound of its top, by
-    one float64 dot product per (row, candidate) pair, which scores a class
-    the same wherever its row sits; an exact tie goes to the lowest id. A
-    row whose bound is infinite or whose float32 top is not finite is decided
-    by the same walk in float64, where a row that meets a NaN gets the first
-    id of ``among``.
+    rounding cannot have changed the decision of the float64 scores. Every
+    other row, whose bound is infinite or whose float32 top is not finite
+    included, is decided among its candidates, the classes whose float32
+    score is not below its top less twice the bound (every class, where that
+    floor is not finite), by one float64 dot product per (row, candidate)
+    pair, which scores a class the same wherever its row sits; an exact tie
+    goes to the lowest id, and a row with a NaN score gets the first id of
+    ``among``.
     """
     return _classify(head, features, among, _norm_bounds(head.weights))
 
@@ -68,73 +68,62 @@ def _classify(head: ClassifierHead, features, among, w_norms) -> list:
     features = FeatureRows.of(features)  # no row is copied; logit_blocks stages a block at a time
     order = np.argsort(ids, kind="stable")  # positions in ids, by code point
     walk = np.asarray(rows)[order]
-    with np.errstate(over="ignore", invalid="ignore"):  # rows that overflow float32 are rescored
-        winner, best, runner = _argmax_walk(head, features, walk, order, np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # scores that overflow leave their rows uncertified
+        winner, best, runner = _argmax_walk(head, features, walk, order)
         margin = 2.0 * _float32_error(head, features, w_norms[walk])
-        certified = np.isfinite(best) & (best - runner > margin)
-    near = ~certified & np.isfinite(best) & np.isfinite(margin)
-    redo = np.flatnonzero(~certified & ~near)
-    if redo.size == 1:  # a one-row product would go to GEMV, which rounds differently: walk the row twice
-        redo = np.repeat(redo, 2)
-    if redo.size:
-        winner[redo] = _argmax_walk(head, features[redo], walk, order, np.float64)[0]
-    near = np.flatnonzero(near)
-    if near.size:
-        winner[near] = order[_near_tie_winners(head, features[near], walk, margin[near])]
+        near = np.flatnonzero(~(best - runner > margin))
+        if near.size:
+            won = _near_tie_winners(head, features[near], walk, (best - margin)[near])
+            winner[near] = np.where(won < 0, 0, order[won])
     return [ids[j] for j in winner]
 
 
-def _argmax_walk(head: ClassifierHead, features, walk, order, dtype) -> tuple:
+def _argmax_walk(head: ClassifierHead, features, walk, order) -> tuple:
     """Per feature row, scoring head rows ``walk`` (in id order; ``order``
-    maps them to ``ids``) in ``dtype``: the position of the first top score
-    met (of the first NaN met), that score, and the runner-up, the largest
-    score left when it is taken out."""
+    maps them to ``ids``) in float32: the position of the first top score
+    met, that score, and the runner-up, the largest score left when it is
+    taken out (NaN where a score is NaN)."""
     n = features.shape[0]
     best, runner = np.full(n, -np.inf), np.full(n, -np.inf)
-    winner = np.full(n, order[0])  # the lowest id, where every score is -inf
-    for lo, clo, scores in head.logit_blocks(features, walk, EVAL_BLOCK, dtype):
+    winner = np.zeros(n, dtype=np.intp)  # rows that no score takes are not certified
+    for lo, clo, scores in head.logit_blocks(features, walk, EVAL_BLOCK, np.float32):
         hi = lo + scores.shape[0]
         at = (np.arange(hi - lo), scores.argmax(axis=1))
         top = scores[at]
         scores[at] = -np.inf
         second = scores.max(axis=1)
         del scores  # one logits block is live at a time
-        column = order[clo + at[1]]
-        lost = np.isnan(top)
-        column[lost] = 0
         np.maximum(runner[lo:hi], np.maximum(second, np.minimum(best[lo:hi], top)), out=runner[lo:hi])
-        take = lost | (top > best[lo:hi])
-        np.copyto(winner[lo:hi], column, where=take)
+        take = top > best[lo:hi]
+        np.copyto(winner[lo:hi], order[clo + at[1]], where=take)
         np.copyto(best[lo:hi], top, where=take)
     return winner, best, runner
 
 
-def _near_tie_winners(head: ClassifierHead, features, walk, margin) -> np.ndarray:
+def _near_tie_winners(head: ClassifierHead, features, walk, floor) -> np.ndarray:
     """Per feature row, the position in ``walk`` of the class that wins in
-    float64 among the row's candidates: the classes whose float32 score lies
-    within ``margin`` of its top float32 score. Each float32 score lies within
-    half the margin of the float64 score of its class, so any other class
-    scores below the top one in float64 too. One float32 walk of these rows
-    takes, per logits block, the classes within the margin of the top met so
-    far, which holds every candidate met and only classes that lose in
-    float64 besides, and scores each by :func:`_pair_scores`; an exact tie
-    goes to the lowest position."""
+    float64 among the row's candidates, the classes whose float32 score is
+    not below the row's ``floor`` (every class, where the floor is NaN or
+    ``-inf``), or -1 where a candidate's float64 score is NaN. One float32
+    walk of these rows takes each block's candidates and scores them by
+    :func:`_pair_scores`; an exact tie goes to the lowest position."""
     n = features.shape[0]
-    top, best = np.full(n, -np.inf), np.full(n, -np.inf)
+    best, lost = np.full(n, -np.inf), np.zeros(n, dtype=bool)
     winner = np.zeros(n, dtype=np.intp)
     for lo, clo, scores in head.logit_blocks(features, walk, EVAL_BLOCK, np.float32):
         hi = lo + scores.shape[0]
-        np.maximum(top[lo:hi], scores.max(axis=1), out=top[lo:hi])
-        r, c = np.nonzero(scores >= (top[lo:hi] - margin[lo:hi])[:, None])
+        r, c = np.nonzero(~(scores < floor[lo:hi, None]))
         del scores  # one logits block is live at a time
         r, c = r + lo, c + clo
         wide = _pair_scores(head, features, r, walk[c])
+        lost[r[np.isnan(wide)]] = True
         pick = np.lexsort((c, -wide, r))  # per row: the top float64 score, then the lowest position
         first = np.ones(pick.size, dtype=bool)
         first[1:] = r[pick[1:]] != r[pick[:-1]]
         r, c, wide = r[pick[first]], c[pick[first]], wide[pick[first]]
         take = wide > best[r]  # a later block's class wins only by a higher score
         winner[r[take]], best[r[take]] = c[take], wide[take]
+    winner[lost] = -1
     return winner
 
 

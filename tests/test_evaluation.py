@@ -789,7 +789,7 @@ def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_block
     assert classify(ordered, features) == classify(permuted, features)
     # the exact ties (rows 0 to 3, and every row whose top class has a twin) are never certified
     # in float32: the same rows of either head are gathered and walked again in float32 for
-    # their near-tied classes, and no row is walked in float64
+    # their candidate classes
     (_, n), (_, near) = walks[:2]
     assert n == rows and 4 <= near < rows and walks == [(np.float32, rows), ("near", near)] * 2
     reads = n_blocks * (feature_blocks + len(list(row_blocks(near, width, evaluation.EVAL_BLOCK // 4))))
@@ -960,27 +960,23 @@ def _spy_logits(monkeypatch):
 
 
 def _spy_walks(monkeypatch):
-    """Record the ``(dtype, feature rows)`` of every argmax walk of :func:`classify`,
-    and ``("near", feature rows)`` of every walk for the near-tied classes of rows."""
+    """Record ``(np.float32, feature rows)`` of every float32 argmax walk of
+    :func:`classify`, and ``("near", feature rows)`` of every walk for the
+    candidate classes of the rows it leaves uncertified."""
     walks = []
     walk, near = evaluation._argmax_walk, evaluation._near_tie_winners
 
-    def spied(head, features, rows, order, dtype):
-        walks.append((dtype, features.shape[0]))
-        return walk(head, features, rows, order, dtype)
+    def spied(head, features, rows, order):
+        walks.append((np.float32, features.shape[0]))
+        return walk(head, features, rows, order)
 
-    def spied_near(head, features, rows, margin):
+    def spied_near(head, features, rows, floor):
         walks.append(("near", features.shape[0]))
-        return near(head, features, rows, margin)
+        return near(head, features, rows, floor)
 
     monkeypatch.setattr(evaluation, "_argmax_walk", spied)
     monkeypatch.setattr(evaluation, "_near_tie_winners", spied_near)
     return walks
-
-
-def _certify_no_row(monkeypatch):
-    """Make :func:`classify` decide every row by its float64 walk."""
-    monkeypatch.setattr(evaluation, "_float32_error", lambda head, features, w_norms: np.full(len(features), np.inf))
 
 
 @pytest.mark.parametrize("order", ["ranged", "gathered"])
@@ -1002,30 +998,36 @@ def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch,
     assert len(list(row_blocks(rows, 10, evaluation.EVAL_BLOCK // 8))) == 8
     assert len(list(row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 4))) == 2
     assert len(list(row_blocks(rows, 20, evaluation.EVAL_BLOCK // 4))) == 8
-    _certify_no_row(monkeypatch)  # every row is walked again in float64
     calls = _spy_logits(monkeypatch)
     assert classify(head, x32) == expected
-    assert len(calls) == 2 * 8 + 3 * 8
-    narrow, wide = calls[:16], calls[16:]
+    assert len(calls) == 2 * 8  # every row is certified in float32
     # the float32 walk scores the float32 rows as they are: views of x32, and class blocks
     # that are views of the head or gathered from it, with no buffer
-    assert all(w.dtype == x.dtype == np.float32 and x.base is x32 for w, x in narrow)
-    assert all((w.base is head.weights) == (order == "ranged") for w, _ in narrow)
-    # the float64 walk stages the gathered rows and every class block in one buffer per side
-    w_buffer, x_buffer = wide[0][0].base, wide[0][1].base
+    assert all(w.dtype == x.dtype == np.float32 and x.base is x32 for w, x in calls)
+    assert all((w.base is head.weights) == (order == "ranged") for w, _ in calls)
+    # a float64 walk, as the entropy and ConSE take, stages the float32 rows and every class
+    # block in one buffer per side
+    walk = [head_ids.index(c) for c in ids]
+    calls.clear()
+    list(head.logit_blocks(x32, walk, evaluation.EVAL_BLOCK, np.float64))
+    assert len(calls) == 3 * 8
+    w_buffer, x_buffer = calls[0][0].base, calls[0][1].base
     assert w_buffer is not None and x_buffer is not None and w_buffer is not x_buffer
-    assert all(w.base is w_buffer and x.base is x_buffer and w.dtype == x.dtype == np.float64 for w, x in wide)
+    assert all(w.base is w_buffer and x.base is x_buffer and w.dtype == x.dtype == np.float64 for w, x in calls)
     assert w_buffer.shape == (10, dim) and x_buffer.shape == (8, dim)
     # a float64 head and float64 rows: the float32 walk stages them in one float32 buffer per
-    # side, and the float64 walk scores them as views
+    # side, and a float64 walk scores them as views
     wide_head, x64 = ClassifierHead(head_ids, weights.astype(np.float64), biases), x32.astype(np.float64)
     calls.clear()
     assert classify(wide_head, x64) == expected
-    narrow, wide = calls[:16], calls[16:]
-    w32, x32_buffer = narrow[0][0].base, narrow[0][1].base
+    assert len(calls) == 2 * 8
+    w32, x32_buffer = calls[0][0].base, calls[0][1].base
     assert w32.shape == (20, dim) and x32_buffer.shape == (8, dim)
-    assert all(w.base is w32 and x.base is x32_buffer and w.dtype == x.dtype == np.float32 for w, x in narrow)
-    assert all(w.dtype == x.dtype == np.float64 and w.base is not w32 for w, x in wide)
+    assert all(w.base is w32 and x.base is x32_buffer and w.dtype == x.dtype == np.float32 for w, x in calls)
+    calls.clear()
+    list(wide_head.logit_blocks(x64, walk, evaluation.EVAL_BLOCK, np.float64))
+    assert all(w.dtype == x.dtype == np.float64 and x.base is x64 for w, x in calls)
+    assert all((w.base is wide_head.weights) == (order == "ranged") for w, _ in calls)
     # the next walk has buffers of its own
     calls.clear()
     evaluation._head_entropy(head, x32)
@@ -1090,15 +1092,28 @@ def test_float32_feature_rows_score_as_their_float64_upcast(monkeypatch, head_dt
 
 
 # ---------------------------------------------------------------------------
-# the float32 walk and the rows it leaves to the float64 walk
+# the float32 walk and the rows it leaves to per-pair dot products
 
 
-def _float64_only(head, features, among=None):
-    """:func:`classify` with no row certified: every row is decided by the
-    float64 walk, as before the float32 walk was added."""
-    with pytest.MonkeyPatch.context() as mp:
-        _certify_no_row(mp)
-        return classify(head, features, among=among)
+def _pair_oracle(head, features, among=None):
+    """Per feature row, the class of ``among`` (default: every head class)
+    with the top float64 score, one dot product per (row, class) pair, bias
+    added; an exact tie goes to the lowest id, and a row with a NaN score
+    gets the first id of ``among``."""
+    ids = head.class_ids if among is None else among
+    rows = [head.class_ids.index(c) for c in ids]
+    x = np.asarray(features, dtype=np.float64)
+    w = np.asarray(head.weights[rows], dtype=np.float64)
+    b = np.zeros(len(ids)) if head.biases is None else head.biases[rows]
+    predictions = []
+    for r in range(x.shape[0]):
+        scores = [np.dot(x[r], w[j]) + b[j] for j in range(len(ids))]
+        if any(np.isnan(scores)):
+            predictions.append(ids[0])
+            continue
+        top = max(scores)
+        predictions.append(min(c for c, s in zip(ids, scores) if s == top))
+    return predictions
 
 
 # 2**-30: scores that a float32 bias add rounds away; scales beyond float32's range and
@@ -1153,12 +1168,12 @@ def _scoring_cases(draw):
 
 @settings(max_examples=500)
 @given(_scoring_cases())
-def test_classify_decides_every_row_as_the_float64_walk(case):
+def test_classify_decides_every_row_as_one_dot_product_per_pair(case):
     head, features, among, n_blocks = case
     for ids in (head.class_ids, among):
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
             mp.setattr(evaluation, "EVAL_BLOCK", -(-len(ids) // n_blocks) * head.weight_dim)
-            assert classify(head, features, among=ids) == _float64_only(head, features, among=ids)
+            assert classify(head, features, among=ids) == _pair_oracle(head, features, ids)
             # where the bound is finite, it holds for every score of the row against those classes
             rows = [head.class_ids.index(c) for c in ids]
             bound = evaluation._float32_error(head, features, evaluation._norm_bounds(head.weights)[rows])
@@ -1182,10 +1197,10 @@ def test_well_separated_rows_are_all_decided_in_float32(monkeypatch, head_type, 
     labels = rng.integers(0, n_classes, rows)
     features = (4.0 * weights[labels] + 0.1 * rng.standard_normal((rows, dim))).astype(feature_type)
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * -(-n_classes // n_blocks) * dim)  # bytes of float32 rows
-    assert _float64_only(head, features) == [ids[j] for j in labels]
+    assert _pair_oracle(head, features) == [ids[j] for j in labels]
     walks = _spy_walks(monkeypatch)
     for among in (None, ids[::2]):
-        expected = _float64_only(head, features, among=among)
+        expected = _pair_oracle(head, features, among)
         walks.clear()
         assert classify(head, features, among=among) == expected
         assert walks == [(np.float32, rows)]
@@ -1197,7 +1212,7 @@ def test_well_separated_rows_are_all_decided_in_float32(monkeypatch, head_type, 
 
 @pytest.mark.parametrize("head_type", [np.float32, np.float64])
 @pytest.mark.parametrize("n_classes", [61, 517, 1021])
-def test_an_exact_tie_at_d_w_2048_goes_to_the_lower_id_wherever_the_twin_sits(n_classes, head_type):
+def test_an_exact_tie_at_d_w_2048_goes_to_the_lower_id_wherever_the_twin_sits(monkeypatch, n_classes, head_type):
     # a float64 GEMM scores a class differently in the last, partial group of 8 columns of its
     # block, and a GEMV (one row at a time) differently again: the twin of class 3 sits at the
     # head's last row, in that group whenever the class count is not a multiple of 8
@@ -1212,25 +1227,17 @@ def test_an_exact_tie_at_d_w_2048_goes_to_the_lower_id_wherever_the_twin_sits(n_
     # class count that is not a multiple of 8
     among = ids[::3][::-1]
     assert n_classes % 8 and len(among) % 8 and ids[3] in among and ids[-1] in among
-    for walk in (None, among):
-        assert classify(head, features, among=walk) == [ids[3]] * 200
-        assert [classify(head, row[None], among=walk)[0] for row in features[:40]] == [ids[3]] * 40
-
-
-def _pair_oracle(head, features, ids):
-    """Per feature row, the class of ``ids`` with the top float64 score, one
-    dot product per (row, class) pair, bias added; an exact tie goes to the
-    lowest id."""
-    rows = [head.class_ids.index(c) for c in ids]
-    x = np.asarray(features, dtype=np.float64)
-    w = np.asarray(head.weights[rows], dtype=np.float64)
-    b = np.zeros(len(ids)) if head.biases is None else head.biases[rows]
-    predictions = []
-    for r in range(x.shape[0]):
-        scores = [np.dot(x[r], w[j]) + b[j] for j in range(len(ids))]
-        top = max(scores)
-        predictions.append(min(c for c, s in zip(ids, scores) if s == top))
-    return predictions
+    # scaled by 2**127, with no biases, every float64 score scales exactly, and the float32 bound
+    # is infinite: every class is a candidate of every row
+    walks = _spy_walks(monkeypatch)
+    for x in (features, features * 2.0**127):
+        for walk in (None, among):
+            walks.clear()
+            assert classify(head, x, among=walk) == [ids[3]] * 200
+            assert [classify(head, row[None], among=walk)[0] for row in x[:40]] == [ids[3]] * 40
+            # no row is certified, and each call's rows are walked once in float32 and once for
+            # their candidates: no float64 walk
+            assert walks == [(np.float32, 200), ("near", 200)] + [(np.float32, 1), ("near", 1)] * 40
 
 
 @pytest.mark.parametrize("head_type, with_biases", [(np.float32, False), (np.float64, True)])
@@ -1262,7 +1269,7 @@ def test_classify_decides_a_wide_head_as_one_dot_product_per_pair(monkeypatch, h
         walks.clear()
         predictions = classify(head, features, among=walk)
         assert predictions == _pair_oracle(head, features, walk)
-        # every aimed row was left to the dot products, and no row to the float64 walk
+        # every aimed row was left to the dot products
         (_, n), (kind, near) = walks
         assert n == rows and kind == "near" and aimed <= near < rows
         assert predictions[6] == predictions[14] == ids[30]

@@ -1,5 +1,6 @@
-"""A seeded corpus of damaged input files for the commands that score a head:
-``eval``, ``baseline --method conse`` and ``analyze``.
+"""A seeded corpus of damaged input files for the commands that read a task:
+``eval``, ``baseline --method conse``, ``analyze``, ``train`` and
+``inject``, whose checkpoint is one more file to damage.
 
 Each file such a command reads is damaged in each of five ways (truncated,
 one bit flipped, bytes appended, bytes deleted, lines shuffled) under a
@@ -25,26 +26,45 @@ from icis.model import inject
 KINDS = ("truncate", "flip", "append", "delete", "shuffle")
 SEEDS = (0, 1)
 HEAD = ("head.wsmat", "head.ids", "head.biases.wsmat")
+SEEN_HEAD = ("seen.wsmat", "seen.ids")
 FEATURES = ("features.wsmat", "features.ids")
 DESCRIPTORS = ("descriptors.wsmat", "descriptors.ids")
-# per command: its flags before the file flags, and the files it reads
+SCORED = ["--head", "head.wsmat", "--manifest", "manifest.txt", "--features", "features.wsmat"]
+# per command: its arguments, where a file it reads is named as in the task directory and
+# "out" is its output there, and the files it reads
 COMMANDS = {
-    "eval": (["eval"], ("manifest.txt", *HEAD, *FEATURES)),
-    "conse": (["baseline", "--method", "conse"], ("manifest.txt", *HEAD, *FEATURES, *DESCRIPTORS)),
-    "analyze": (["analyze", "--class", "c009"], ("manifest.txt", *HEAD, *FEATURES, *DESCRIPTORS)),
+    "eval": (["eval", *SCORED], ("manifest.txt", *HEAD, *FEATURES)),
+    "conse": (["baseline", "--method", "conse", *SCORED, "--descriptors", "descriptors.wsmat"],
+              ("manifest.txt", *HEAD, *FEATURES, *DESCRIPTORS)),
+    "analyze": (["analyze", "--class", "c009", *SCORED, "--descriptors", "descriptors.wsmat"],
+                ("manifest.txt", *HEAD, *FEATURES, *DESCRIPTORS)),
+    "train": (["train", "--head", "head.wsmat", "--manifest", "manifest.txt", "--descriptors",
+               "descriptors.wsmat", "--out", "out", "--hidden-dim", "8", "--max-epochs", "1"],
+              ("manifest.txt", *HEAD, *DESCRIPTORS)),
+    # the extended head already holds the unseen classes, so inject extends the seen-only one
+    "inject": (["inject", "--checkpoint", "model.ckpt", "--head", "seen.wsmat", "--manifest", "manifest.txt",
+                "--descriptors", "descriptors.wsmat", "--out", "out"],
+               ("manifest.txt", *SEEN_HEAD, *DESCRIPTORS, "model.ckpt")),
 }
 FILES = sorted({name for _, files in COMMANDS.values() for name in files})
 
 
 @pytest.fixture(scope="module")
 def task(tmp_path_factory):
-    """The CLI tests' small synthetic task, its head extended by the true
-    unseen rows and given biases, so that every command scores it."""
-    task = tmp_path_factory.mktemp("malformed") / "task"
+    """The CLI tests' small synthetic task, its seen-only head kept as
+    ``seen.wsmat`` with a checkpoint trained on it, and its head extended by
+    the true unseen rows and given biases, so that every command scores it."""
+    root = tmp_path_factory.mktemp("malformed")
+    task = root / "task"
     assert main(["synth", "--out", str(task), "--seed", "3", "--seen", "8", "--unseen", "3", "--desc-dim", "5",
                  "--weight-dim", "6", "--samples-per-class", "3", "--feature-noise", "0.05"]) == 0
-    head = inject(load_classifier_head(task / "head.wsmat"), load_ids(task / "true_unseen.ids"),
-                  load_matrix(task / "true_unseen.wsmat"))
+    seen = load_classifier_head(task / "head.wsmat")
+    seen.save(task / "seen.wsmat")
+    assert main(["train", "--head", str(task / "seen.wsmat"), "--manifest", str(task / "manifest.txt"),
+                 "--descriptors", str(task / "descriptors.wsmat"), "--out", str(root / "run"),
+                 "--hidden-dim", "8", "--max-epochs", "2"]) == 0
+    shutil.copy(root / "run" / "model.ckpt", task / "model.ckpt")
+    head = inject(seen, load_ids(task / "true_unseen.ids"), load_matrix(task / "true_unseen.wsmat"))
     biases = np.linspace(-0.1, 0.1, head.n_classes, dtype=np.float32)
     ClassifierHead(head.class_ids, head.weights, biases).save(task / "head.wsmat")
     return task
@@ -52,11 +72,7 @@ def task(tmp_path_factory):
 
 def _argv(command: str, task) -> list:
     flags, files = COMMANDS[command]
-    argv = [*flags, "--head", str(task / "head.wsmat"), "--manifest", str(task / "manifest.txt"),
-            "--features", str(task / "features.wsmat")]
-    if "descriptors.wsmat" in files:
-        argv += ["--descriptors", str(task / "descriptors.wsmat")]
-    return argv
+    return [str(task / a) if a in files or a == "out" else a for a in flags]
 
 
 def _mutate(raw: bytes, kind: str, rng) -> bytes:

@@ -19,8 +19,8 @@ from .tensor import as_matrix, row_blocks
 # 1024 rows and a float64 one 512 rows. Every class block is re-read per
 # feature-row block, so smaller blocks cost time on wide heads. On a
 # 20k x 2048 float32 head, 8 MiB float64 blocks cut the peak of an evaluate
-# by 22 MiB against 16 MiB ones and, with the rows classify cannot certify
-# decided by dot products, it took 5% longer (BENCH_31.json).
+# by 22 MiB against 16 MiB ones and, with near-tied rows decided by dot
+# products, it took 5% longer (BENCH_31.json).
 EVAL_BLOCK = 8 << 20
 
 # The online entropy folds in a logits block in row strips of about this many
@@ -40,16 +40,14 @@ def classify(head: ClassifierHead, features, among=None) -> list:
     so the first top score met is the lowest id's. None of the head's rows is
     checked again.
 
-    Every row is first scored in float32, which keeps its top score and the
-    runner-up. Where their gap exceeds twice :func:`_float32_error`, float32
-    rounding cannot have changed the decision of the float64 scores. Every
-    other row, whose bound is infinite or whose float32 top is not finite
-    included, is decided among its candidates, the classes whose float32
-    score is not below its top less twice the bound (every class, where that
-    floor is not finite), by one float64 dot product per (row, candidate)
-    pair, which scores a class the same wherever its row sits; an exact tie
-    goes to the lowest id, and a row with a NaN score gets the first id of
-    ``among``.
+    Every row is scored in float32, in one walk of the head. A class whose
+    float32 score is below the row's top so far less twice
+    :func:`_float32_error` scores below the top class in float64 too; the
+    other classes, every class where that floor is not finite, are the row's
+    candidates. Where a row has more than one, each (row, candidate) pair is
+    scored by one float64 dot product, which scores a class the same wherever
+    its row sits, and the top score wins (:func:`_winners`); a row with a NaN
+    score gets the first id of ``among``.
     """
     return _classify(head, features, among, _norm_bounds(head.weights))
 
@@ -68,63 +66,60 @@ def _classify(head: ClassifierHead, features, among, w_norms) -> list:
     features = FeatureRows.of(features)  # no row is copied; logit_blocks stages a block at a time
     order = np.argsort(ids, kind="stable")  # positions in ids, by code point
     walk = np.asarray(rows)[order]
-    with np.errstate(over="ignore", invalid="ignore"):  # scores that overflow leave their rows uncertified
-        winner, best, runner = _argmax_walk(head, features, walk, order)
-        margin = 2.0 * _float32_error(head, features, w_norms[walk])
-        near = np.flatnonzero(~(best - runner > margin))
-        if near.size:
-            won = _near_tie_winners(head, features[near], walk, (best - margin)[near])
-            winner[near] = np.where(won < 0, 0, order[won])
-    return [ids[j] for j in winner]
+    with np.errstate(over="ignore", invalid="ignore"):  # scores that overflow have infinite bounds
+        won = _winners(head, features, walk, 2.0 * _float32_error(head, features, w_norms[walk]))
+    return [ids[j] for j in np.where(won < 0, 0, order[won])]
 
 
-def _argmax_walk(head: ClassifierHead, features, walk, order) -> tuple:
-    """Per feature row, scoring head rows ``walk`` (in id order; ``order``
-    maps them to ``ids``) in float32: the position of the first top score
-    met, that score, and the runner-up, the largest score left when it is
-    taken out (NaN where a score is NaN)."""
+def _winners(head: ClassifierHead, features, walk, margin) -> np.ndarray:
+    """Per feature row, the position in ``walk`` of the class with the top
+    float64 score, the lowest on an exact tie, or -1 where a candidate's
+    float64 score is NaN. One float32 walk keeps per row its top score so
+    far, a champion that no class met so far beats in float64, and the
+    champion's float64 score once taken. A block's candidates are its classes
+    not below the top so far less ``margin`` (all, where that floor is NaN or
+    ``-inf``), and the champion while its score is not: a row takes its one
+    candidate as its champion, or scores them by :func:`_pair_scores`."""
     n = features.shape[0]
-    best, runner = np.full(n, -np.inf), np.full(n, -np.inf)
-    winner = np.zeros(n, dtype=np.intp)  # rows that no score takes are not certified
+    best, wide = np.full(n, -np.inf), np.full(n, np.nan)
+    champion, lost = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool)
     for lo, clo, scores in head.logit_blocks(features, walk, EVAL_BLOCK, np.float32):
         hi = lo + scores.shape[0]
+        x, b, w, champ = features[lo:hi], best[lo:hi], wide[lo:hi], champion[lo:hi]
         at = (np.arange(hi - lo), scores.argmax(axis=1))
         top = scores[at]
         scores[at] = -np.inf
         second = scores.max(axis=1)
+        scores[at] = top
+        floor = np.maximum(b, top) - margin[lo:hi]
+        # a champion not yet scored in float64 holds the top score so far
+        live = ~(np.where(np.isnan(w), b, w) < floor) & (clo > 0)
+        np.maximum(b, top, out=b)
+        many = ~(second < floor) | live & ~(top < floor)
+        take = ~(live | many)
+        champ[take], w[take] = clo + at[1][take], np.nan
+        m = np.flatnonzero(many)
+        r, c = np.nonzero(~((scores if m.size == hi - lo else scores[m]) < floor[m, None]))
         del scores  # one logits block is live at a time
-        np.maximum(runner[lo:hi], np.maximum(second, np.minimum(best[lo:hi], top)), out=runner[lo:hi])
-        take = top > best[lo:hi]
-        np.copyto(winner[lo:hi], order[clo + at[1]], where=take)
-        np.copyto(best[lo:hi], top, where=take)
-    return winner, best, runner
-
-
-def _near_tie_winners(head: ClassifierHead, features, walk, floor) -> np.ndarray:
-    """Per feature row, the position in ``walk`` of the class that wins in
-    float64 among the row's candidates, the classes whose float32 score is
-    not below the row's ``floor`` (every class, where the floor is NaN or
-    ``-inf``), or -1 where a candidate's float64 score is NaN. One float32
-    walk of these rows takes each block's candidates and scores them by
-    :func:`_pair_scores`; an exact tie goes to the lowest position."""
-    n = features.shape[0]
-    best, lost = np.full(n, -np.inf), np.zeros(n, dtype=bool)
-    winner = np.zeros(n, dtype=np.intp)
-    for lo, clo, scores in head.logit_blocks(features, walk, EVAL_BLOCK, np.float32):
-        hi = lo + scores.shape[0]
-        r, c = np.nonzero(~(scores < floor[lo:hi, None]))
-        del scores  # one logits block is live at a time
-        r, c = r + lo, c + clo
-        wide = _pair_scores(head, features, r, walk[c])
-        lost[r[np.isnan(wide)]] = True
-        pick = np.lexsort((c, -wide, r))  # per row: the top float64 score, then the lowest position
-        first = np.ones(pick.size, dtype=bool)
-        first[1:] = r[pick[1:]] != r[pick[:-1]]
-        r, c, wide = r[pick[first]], c[pick[first]], wide[pick[first]]
-        take = wide > best[r]  # a later block's class wins only by a higher score
-        winner[r[take]], best[r[take]] = c[take], wide[take]
-    winner[lost] = -1
-    return winner
+        if not m.size:
+            continue
+        r = r if m.size == hi - lo else m[r]
+        c += clo
+        s = _pair_scores(head, x, r, walk[c])
+        lost[lo + r[np.isnan(s)]] = True
+        s[np.isnan(s)] = -np.inf  # whatever a lost row picks
+        counts = np.bincount(r, minlength=hi - lo)[m]  # every row of m has a candidate in the block
+        starts = np.cumsum(counts) - counts
+        hit = np.flatnonzero(s == np.repeat(np.maximum.reduceat(s, starts), counts))
+        pick = hit[np.searchsorted(hit, starts)]  # per row, its first top score: the lowest position
+        fresh = m[live[m] & np.isnan(w[m])]
+        if fresh.size:
+            w[fresh] = _pair_scores(head, x, fresh, walk[champ[fresh]])
+            lost[lo + fresh[np.isnan(w[fresh])]] = True
+        beat = ~live[m] | (s[pick] > w[m])  # an exact tie stays with the champion, the lower position
+        champ[m[beat]], w[m[beat]] = c[pick[beat]], s[pick[beat]]
+    champion[lost] = -1
+    return champion
 
 
 def _pair_scores(head: ClassifierHead, features, rows, classes) -> np.ndarray:

@@ -400,7 +400,8 @@ def test_conse_scored_in_class_blocks_is_the_whole_upcast_product(monkeypatch, h
     scattered = FeatureRows(x32, np.sort(rng.choice(2 * rows, rows, replace=False)))
     # float64 class blocks of 128 rows and feature-row blocks of 128, 128 and 44 rows. An OpenBLAS
     # GEMM can score a class differently by where its class block is split: OpenBLAS 0.3.31's
-    # Haswell kernels did not at these sizes, but did on small products (16-row blocks, d_w 2048)
+    # SkylakeX kernels did not at these sizes, but did on small products (16-row blocks, d_w 2048);
+    # its Haswell kernels do at these sizes too
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 128 * d_w)
     assert len(list(row_blocks(n_classes, d_w, evaluation.EVAL_BLOCK // 8))) == n_blocks
     assert len(list(row_blocks(rows, max(n_classes, d_w), evaluation.EVAL_BLOCK // 8))) == 3

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icis import evaluation
-from icis.data import ClassifierHead, DescriptorSet, FeatureSet, load_classifier_head
+from icis.data import ClassifierHead, DescriptorSet, FeatureRows, FeatureSet, load_classifier_head
 from icis.errors import ClassIdError, IcisError
 from icis.evaluation import (
     EvalReport,
@@ -403,9 +403,13 @@ def test_evaluate_reports_what_classify_and_the_entropy_give_each_part(monkeypat
     # float32 class blocks of 20 rows and float64 ones of 10: the head is wider than one of either
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 10 * dim)
     bounds, walks = _count_norm_bounds(monkeypatch, head), _spy_walks(monkeypatch)
+    pairs = _spy_pairs(monkeypatch)
     report = evaluate(head, unseen, seen)
     assert bounds == [1]  # the head's norms are bounded once and shared by the three argmax passes
-    assert "near" in [kind for kind, _ in walks]  # the tied rows, and others, went to the dot products
+    # one float32 walk per argmax pass, and one float64 walk per entropy
+    u, v = unseen.n_samples, seen.n_samples
+    assert walks == [(np.float32, u), (np.float32, u), (np.float64, u), (np.float32, v), (np.float64, v)]
+    assert _paired_rows(pairs) >= 4  # the tied rows, and others, went to the dot products
 
     expected = EvalReport(n_unseen_samples=unseen.n_samples, n_seen_samples=seen.n_samples)
     zsl = classify(head, unseen.rows, among=unseen_ids)
@@ -737,7 +741,7 @@ def test_full_head_classify_of_an_id_ordered_head_holds_no_class_block(monkeypat
     blocks = list(row_blocks(n_classes, dim, budget // 4))  # float32 class blocks of 512 rows
     block_bytes = (blocks[0][1] - blocks[0][0]) * dim * 8
     kinds = _spy_blocks(head)
-    walks = _spy_walks(monkeypatch)
+    walks, pairs = _spy_walks(monkeypatch), _spy_pairs(monkeypatch)
     calls = _spy_logits(monkeypatch)
     tracemalloc.start()
     try:
@@ -746,7 +750,7 @@ def test_full_head_classify_of_an_id_ordered_head_holds_no_class_block(monkeypat
     finally:
         tracemalloc.stop()
     # every row is decided in float32, which reads each float64 class block as a view
-    assert walks == [(np.float32, rows)]
+    assert walks == [(np.float32, rows)] and not pairs
     assert kinds == ["view"] * len(blocks)
     # and downcasts it into one float32 buffer of the budget, half the float64 rows it holds
     w_buffer = calls[0][0].base
@@ -785,18 +789,18 @@ def test_an_id_ordered_head_predicts_as_its_row_permutation(monkeypatch, n_block
     feature_blocks = len(list(row_blocks(rows, width, evaluation.EVAL_BLOCK // 4)))
     assert feature_blocks == 8
     kinds, permuted_kinds = _spy_blocks(ordered), _spy_blocks(permuted)
-    walks = _spy_walks(monkeypatch)
-    assert classify(ordered, features) == classify(permuted, features)
-    # the exact ties (rows 0 to 3, and every row whose top class has a twin) are never certified
-    # in float32: the same rows of either head are gathered and walked again in float32 for
-    # their candidate classes
-    (_, n), (_, near) = walks[:2]
-    assert n == rows and 4 <= near < rows and walks == [(np.float32, rows), ("near", near)] * 2
-    reads = n_blocks * (feature_blocks + len(list(row_blocks(near, width, evaluation.EVAL_BLOCK // 4))))
+    walks, pairs = _spy_walks(monkeypatch), _spy_pairs(monkeypatch)
+    predictions = classify(ordered, features)
+    paired = _paired_rows(pairs)
+    pairs.clear()
+    assert predictions == classify(permuted, features)
+    # one float32 walk per classify; the exact ties (rows 0 to 3, and every row whose top class
+    # has a twin) go to the dot products, the same rows for either head
+    assert walks == [(np.float32, rows)] * 2 and 4 <= paired == _paired_rows(pairs) < rows
+    reads = n_blocks * feature_blocks
     # the ordered head's class blocks are views, the permuted head's gathered; besides them,
     # each head's candidate rows are gathered for their dot products
-    assert kinds[:n_blocks * feature_blocks] == ["view"] * (n_blocks * feature_blocks)
-    assert kinds.count("view") == reads and "gathered" in kinds
+    assert kinds.count("view") == reads and set(kinds) == {"view", "gathered"}
     assert set(permuted_kinds) == {"gathered"} and len(permuted_kinds) > reads
     # scattered head rows are gathered; one ascending run of them, from row 10, is viewed
     for among, kind in ((unseen_ids[::-1], "gathered"), (ids[26:9:-1], "view")):
@@ -960,23 +964,38 @@ def _spy_logits(monkeypatch):
 
 
 def _spy_walks(monkeypatch):
-    """Record ``(np.float32, feature rows)`` of every float32 argmax walk of
-    :func:`classify`, and ``("near", feature rows)`` of every walk for the
-    candidate classes of the rows it leaves uncertified."""
+    """Record ``(dtype, feature rows)`` of every walk of
+    :meth:`ClassifierHead.logit_blocks`: one float32 walk per
+    :func:`classify`, and the entropy's float64 walks."""
     walks = []
-    walk, near = evaluation._argmax_walk, evaluation._near_tie_winners
+    logit_blocks = ClassifierHead.logit_blocks
 
-    def spied(head, features, rows, order):
-        walks.append((np.float32, features.shape[0]))
-        return walk(head, features, rows, order)
+    def spied(self, features, rows, budget, dtype=np.float64):
+        walks.append((dtype, len(FeatureRows.of(features))))
+        return logit_blocks(self, features, rows, budget, dtype)
 
-    def spied_near(head, features, rows, floor):
-        walks.append(("near", features.shape[0]))
-        return near(head, features, rows, floor)
-
-    monkeypatch.setattr(evaluation, "_argmax_walk", spied)
-    monkeypatch.setattr(evaluation, "_near_tie_winners", spied_near)
+    monkeypatch.setattr(ClassifierHead, "logit_blocks", spied)
     return walks
+
+
+def _spy_pairs(monkeypatch):
+    """Record the feature rows of every :func:`evaluation._pair_scores` call,
+    as positions in the feature matrix, one array of them per call (a row
+    once per pair)."""
+    pairs = []
+    pair_scores = evaluation._pair_scores
+
+    def spied(head, features, rows, classes):
+        pairs.append(features.positions[rows])
+        return pair_scores(head, features, rows, classes)
+
+    monkeypatch.setattr(evaluation, "_pair_scores", spied)
+    return pairs
+
+
+def _paired_rows(pairs) -> int:
+    """How many distinct feature rows the recorded pairs score."""
+    return np.unique(np.concatenate(pairs)).size if pairs else 0
 
 
 @pytest.mark.parametrize("order", ["ranged", "gathered"])
@@ -1000,7 +1019,7 @@ def test_one_walk_stages_every_float32_block_in_one_buffer_per_side(monkeypatch,
     assert len(list(row_blocks(rows, 20, evaluation.EVAL_BLOCK // 4))) == 8
     calls = _spy_logits(monkeypatch)
     assert classify(head, x32) == expected
-    assert len(calls) == 2 * 8  # every row is certified in float32
+    assert len(calls) == 2 * 8  # one float32 walk: 2 class blocks for each of 8 feature-row blocks
     # the float32 walk scores the float32 rows as they are: views of x32, and class blocks
     # that are views of the head or gathered from it, with no buffer
     assert all(w.dtype == x.dtype == np.float32 and x.base is x32 for w, x in calls)
@@ -1198,16 +1217,16 @@ def test_well_separated_rows_are_all_decided_in_float32(monkeypatch, head_type, 
     features = (4.0 * weights[labels] + 0.1 * rng.standard_normal((rows, dim))).astype(feature_type)
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * -(-n_classes // n_blocks) * dim)  # bytes of float32 rows
     assert _pair_oracle(head, features) == [ids[j] for j in labels]
-    walks = _spy_walks(monkeypatch)
+    walks, pairs = _spy_walks(monkeypatch), _spy_pairs(monkeypatch)
     for among in (None, ids[::2]):
         expected = _pair_oracle(head, features, among)
         walks.clear()
         assert classify(head, features, among=among) == expected
-        assert walks == [(np.float32, rows)]
+        assert walks == [(np.float32, rows)] and not pairs
 
 
 # ---------------------------------------------------------------------------
-# rows left uncertified, decided by one float64 dot product per candidate class
+# rows with more than one candidate, decided by one float64 dot product per pair
 
 
 @pytest.mark.parametrize("head_type", [np.float32, np.float64])
@@ -1229,15 +1248,44 @@ def test_an_exact_tie_at_d_w_2048_goes_to_the_lower_id_wherever_the_twin_sits(mo
     assert n_classes % 8 and len(among) % 8 and ids[3] in among and ids[-1] in among
     # scaled by 2**127, with no biases, every float64 score scales exactly, and the float32 bound
     # is infinite: every class is a candidate of every row
-    walks = _spy_walks(monkeypatch)
+    walks, pairs = _spy_walks(monkeypatch), _spy_pairs(monkeypatch)
     for x in (features, features * 2.0**127):
         for walk in (None, among):
-            walks.clear()
+            walks.clear(), pairs.clear()
             assert classify(head, x, among=walk) == [ids[3]] * 200
+            # every row goes to the dot products, in the one float32 walk of the call: no float64 walk
+            assert walks == [(np.float32, 200)] and _paired_rows(pairs) == 200
+            walks.clear(), pairs.clear()
             assert [classify(head, row[None], among=walk)[0] for row in x[:40]] == [ids[3]] * 40
-            # no row is certified, and each call's rows are walked once in float32 and once for
-            # their candidates: no float64 walk
-            assert walks == [(np.float32, 200), ("near", 200)] + [(np.float32, 1), ("near", 1)] * 40
+            assert walks == [(np.float32, 1)] * 40 and len(pairs) == 40  # one class block: one call each
+
+
+@pytest.mark.parametrize("head_type", [np.float32, np.float64])
+@pytest.mark.parametrize("among", [False, True])
+def test_a_champion_is_carried_across_class_blocks(monkeypatch, head_type, among):
+    # float32 class blocks of 8 rows, by id: k00-k07, k08-k15, k16-k23. The head's rows are in
+    # reverse id order, so of each twin the head row written first has the higher id
+    rng = np.random.default_rng(36)
+    n_classes, dim = 24, 32
+    ids = [f"k{i:02d}" for i in range(n_classes)]
+    w = rng.standard_normal((n_classes, dim))
+    w = (w / np.linalg.norm(w, axis=1, keepdims=True)).astype(np.float32).astype(np.float64)
+    w[13] = w[2]  # an exact twin a block later: k02 stays the champion
+    w[6] = _ulps_apart(w[4], np.sign(w[4]).astype(int))  # a near tie that k06 wins in float64
+    w[11] = w[6]  # the scored champion's exact twin a block later: k06 stays the champion
+    head = ClassifierHead(ids[::-1], w[::-1].astype(head_type))
+    # k18, two blocks on, beats the near tie of the last row by far
+    features = np.stack([3.0 * w[2], 3.0 * w[4], 3.0 * w[4] + 6.0 * w[18]])
+    expected = ["k02", "k06", "k18"]
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 4 * 8 * dim)  # bytes of float32 rows
+    walk = None
+    if among:  # without k00: blocks k01-k08, k09-k16 and k17-k21, in shuffled order
+        walk = [ids[i] for i in rng.permutation(np.arange(1, 22))]
+        assert len(list(row_blocks(len(walk), dim, evaluation.EVAL_BLOCK // 4))) == 3
+    pairs = _spy_pairs(monkeypatch)
+    assert classify(head, features, among=walk) == _pair_oracle(head, features, walk) == expected
+    assert _paired_rows(pairs) == 3  # each row met a second candidate
+    assert [classify(head, row[None], among=walk)[0] for row in features] == expected
 
 
 @pytest.mark.parametrize("head_type, with_biases", [(np.float32, False), (np.float64, True)])
@@ -1264,31 +1312,31 @@ def test_classify_decides_a_wide_head_as_one_dot_product_per_pair(monkeypatch, h
     features = features.astype(head_type)
     assert [hi - lo for lo, hi in row_blocks(n_classes, dim, evaluation.EVAL_BLOCK // 4)] == [1024, 76]
     among = [c for c in ids[::-1] if int(c[1:]) % 2 == 0 or int(c[1:]) in targets]  # gathered class blocks
-    walks = _spy_walks(monkeypatch)
+    walks, scored = _spy_walks(monkeypatch), _spy_pairs(monkeypatch)
     for walk in (ids, among):
-        walks.clear()
+        walks.clear(), scored.clear()
         predictions = classify(head, features, among=walk)
         assert predictions == _pair_oracle(head, features, walk)
-        # every aimed row was left to the dot products
-        (_, n), (kind, near) = walks
-        assert n == rows and kind == "near" and aimed <= near < rows
+        # every aimed row was left to the dot products, in the call's one float32 walk
+        assert walks == [(np.float32, rows)] and _paired_rows(scored) < rows
+        assert set(range(aimed)) <= set(np.concatenate(scored).tolist())
         assert predictions[6] == predictions[14] == ids[30]
         # a near-tie goes to the class that scores higher in float64, the higher id included
         assert {predictions[k] for k in range(aimed)} & {ids[b] for _, b in pairs[:3]}
 
 
 def test_zero_feature_rows_are_decided_among_every_tied_class_as_one_dot_product_per_pair(monkeypatch):
-    # every class scores exactly 0 against a zero row, so no row is certified and each of the
-    # 20 rows has all 4000 classes as candidates: 80,000 pairs, each row gathered once per
-    # pair block and broadcast over its classes
+    # every class scores exactly 0 against a zero row, so each of the 20 rows has all 4000
+    # classes as candidates: 80,000 pairs, each row gathered once per pair block and broadcast
+    # over its classes
     rng = np.random.default_rng(66)
     n_classes, dim, rows = 4000, 2048, 20
     ids = [f"z{i:04d}" for i in rng.permutation(n_classes)]  # the lowest id is not the first row
     head = ClassifierHead(ids, (rng.standard_normal((n_classes, dim)) / np.sqrt(dim)).astype(np.float32))
     features = np.zeros((rows, dim), dtype=np.float32)
-    walks = _spy_walks(monkeypatch)
+    walks, pairs = _spy_walks(monkeypatch), _spy_pairs(monkeypatch)
     predictions = classify(head, features)
-    assert walks == [(np.float32, rows), ("near", rows)]
+    assert walks == [(np.float32, rows)] and _paired_rows(pairs) == rows
     assert predictions == _pair_oracle(head, features, ids) == ["z0000"] * rows
 
 

@@ -1,6 +1,7 @@
 """A seeded corpus of damaged input files for the commands that read a task:
-``eval``, ``baseline --method conse``, ``analyze``, ``train`` and
-``inject``, whose checkpoint is one more file to damage.
+``eval``, ``baseline --method conse``, ``analyze``, ``train``, ``inject``,
+whose checkpoint is one more file to damage, ``ablate`` and ``baseline
+--method costa``.
 
 Each file such a command reads is damaged in each of five ways (truncated,
 one bit flipped, bytes appended, bytes deleted, lines shuffled) under a
@@ -45,6 +46,13 @@ COMMANDS = {
     "inject": (["inject", "--checkpoint", "model.ckpt", "--head", "seen.wsmat", "--manifest", "manifest.txt",
                 "--descriptors", "descriptors.wsmat", "--out", "out"],
                ("manifest.txt", *SEEN_HEAD, *DESCRIPTORS, "model.ckpt")),
+    # so do the ladder and the row-making baselines; one epoch at the smallest width keeps them quick
+    "ablate": (["ablate", "--head", "seen.wsmat", "--manifest", "manifest.txt", "--descriptors", "descriptors.wsmat",
+                "--features", "features.wsmat", "--out", "out", "--hidden-dim", "8", "--max-epochs", "1"],
+               ("manifest.txt", *SEEN_HEAD, *DESCRIPTORS, *FEATURES)),
+    "costa": (["baseline", "--method", "costa", "--head", "seen.wsmat", "--manifest", "manifest.txt",
+               "--features", "features.wsmat", "--descriptors", "descriptors.wsmat"],
+              ("manifest.txt", *SEEN_HEAD, *FEATURES, *DESCRIPTORS)),
 }
 FILES = sorted({name for _, files in COMMANDS.values() for name in files})
 

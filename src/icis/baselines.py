@@ -9,12 +9,12 @@ rows is the caller's job. Biases are not modelled here.
 import numpy as np
 
 from . import evaluation
-from .data import ClassifierHead, DescriptorSet, FeatureRows, PairSet
+from .data import ClassifierHead, DescriptorSet, PairSet
 from .errors import IcisError, ZeroNormError
 from .evaluation import classify, softmax_rows
 from .model import IcisModel, LossConfig, LossTrace, TrainConfig, check_hidden_dim, fit, stopping_threshold
 from .nn import LinearLayer, MlpTwoLayer, batch_loss
-from .tensor import RngState, as_matrix, row_blocks, row_normalize
+from .tensor import RngState, as_matrix, row_normalize
 
 
 def _cosine_sim_matrix(left: DescriptorSet, right: DescriptorSet) -> np.ndarray:
@@ -26,36 +26,36 @@ def _cosine_sim_matrix(left: DescriptorSet, right: DescriptorSet) -> np.ndarray:
 
 def conse_combine(head: ClassifierHead, seen_descriptors: DescriptorSet, features, top_t: int = 10) -> np.ndarray:
     """Per sample, a convex combination of seen-class descriptors weighted
-    by the renormalised top ``top_t`` softmax scores of the seen head.
-    ``features`` is an array of feature rows or :class:`FeatureRows`.
-
-    Every step is per row, so the feature rows are taken in blocks of about
-    ``EVAL_BLOCK`` bytes of float64 logits, filled from the float64 class
-    blocks of :meth:`ClassifierHead.logit_blocks`: a float32 head is upcast
-    one class block at a time. Besides the head, descriptors and result, at
-    most about four ``EVAL_BLOCK`` are live: the kept probabilities of the
-    block before, a block's logits, and the walk's staged rows, class buffer
-    and logits blocks. A combination that collapses to zero is refused."""
-    if top_t < 1:
-        raise IcisError("top_t must be >= 1")
-    a_seen = seen_descriptors.subset(head.class_ids).matrix
-    features = FeatureRows.of(features)
-    t = min(top_t, head.n_classes)
-    combined = np.empty((len(features), a_seen.shape[1]))
-    width = max(head.n_classes, head.weight_dim)
-    for lo, hi in row_blocks(len(features), width, evaluation.EVAL_BLOCK // 8):  # 8 bytes a float64
-        logits = np.empty((hi - lo, head.n_classes))
-        for r, c, block in head.logit_blocks(features[lo:hi], range(head.n_classes), evaluation.EVAL_BLOCK):
-            logits[r:r + block.shape[0], c:c + block.shape[1]] = block
-        probs = softmax_rows(logits)
-        # keep only each row's t largest probabilities, renormalised, in the softmax's buffer
-        idx = np.argpartition(probs, -t, axis=1)[:, -t:].copy()  # a view would keep all of it alive
-        top = np.take_along_axis(probs, idx, axis=1)
-        probs.fill(0.0)
-        np.put_along_axis(probs, idx, top, axis=1)
-        probs /= probs.sum(axis=1, keepdims=True)
-        combined[lo:hi] = probs @ a_seen
-    if np.any(np.linalg.norm(combined, axis=1) == 0.0):
+    by the renormalised top ``top_t`` softmax scores of the seen head, for
+    an array of feature rows or :class:`FeatureRows`. The softmax's sum
+    cancels, so each row folds one float64 :meth:`ClassifierHead.logit_blocks`
+    walk, in ascending id order, into its ``top_t`` largest scores ``s``, each
+    weighed ``exp(s - max)`` over their sum; an exact tie at the last goes to
+    the lowest id. No class, or a zero combination, is refused."""
+    n, t = len(features), min(top_t, head.n_classes)
+    if t < 1:
+        raise IcisError("top_t must be >= 1" if top_t < 1 else "no seen classes to combine")
+    walk = np.argsort(head.class_ids, kind="stable")
+    a_walk = seen_descriptors.subset([head.class_ids[i] for i in walk]).matrix
+    kept, at = np.full((n, t), -np.inf), np.zeros((n, t), dtype=np.intp)  # scores, walk positions
+    combined = np.empty((n, a_walk.shape[1]))  # allocated after the walk, it raised paper_table's peak RSS 2.3 MiB
+    for lo, clo, block in head.logit_blocks(features, walk, evaluation.EVAL_BLOCK):
+        block[np.isnan(block)] = np.inf  # kept as the top score, it makes the row's weights NaN
+        rows = slice(lo, lo + block.shape[0])
+        s = np.hstack([kept[rows], block])  # the kept classes come first in the walk
+        c = np.hstack([at[rows], np.broadcast_to(np.arange(clo, clo + block.shape[1]), block.shape)])
+        v = np.partition(s, -t, axis=1)[:, -t, None]  # the t-th largest score
+        keep = s >= v
+        if np.any(keep.sum(axis=1) != t):  # exact ties with it: keep the first of those in walk order
+            tied = s == v
+            keep = (s > v) | tied & (np.cumsum(tied, axis=1) <= t - (s > v).sum(axis=1, keepdims=True))
+        kept[rows], at[rows] = s[keep].reshape(-1, t), c[keep].reshape(-1, t)
+    weights = np.exp(kept - kept.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    strip = max(1, (1 << 17) // max(1, t * a_walk.shape[1]))  # rows whose kept descriptors take 1 MiB
+    for lo in range(0, n, strip):  # summed in id order, each strip's gather in cache
+        combined[lo:lo + strip] = np.einsum("rk,rkd->rd", weights[lo:lo + strip], a_walk[at[lo:lo + strip]])
+    if np.any(np.einsum("ij,ij->i", combined, combined) == 0.0):  # zero where the norm is, with no temporary
         raise ZeroNormError("combined semantic vector collapsed to zero")
     return combined
 

@@ -472,6 +472,8 @@ def _baseline_rows(method, args, seen_head, seen_desc, unseen_desc):
 
 def cmd_baseline(args) -> int:
     manifest, descriptors, head = _load_task(args)
+    if not manifest.seen:  # every method builds on the seen classes
+        raise DataFormatError(args.manifest, "the [seen] section lists no classes")
     split = _read_split(args, manifest, head)
     seen_head = from_file(args.head, head.subset, manifest.seen)
     seen_desc = descriptors.subset(manifest.seen)

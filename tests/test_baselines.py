@@ -136,6 +136,19 @@ def test_conse_among_ids_decides_as_a_head_of_their_unit_rows(monkeypatch, seed)
     assert ties > 0
 
 
+@pytest.mark.parametrize("top_t", [1, 2])
+def test_conse_row_with_a_nan_score_combines_to_nan(top_t):
+    ids = ["s0", "s1", "s2"]
+    head = ClassifierHead(ids, np.array([[2.0, 2.0, -2.0, -2.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+    desc = DescriptorSet(ids, np.eye(3))
+    # s0's products overflow: summed in lanes, as OpenBLAS's matrix-vector kernels sum a lone row's,
+    # +inf and -inf give a NaN score (a scalar sum gives +inf). A softmax over the row makes every
+    # weight NaN either way, and so must the fold
+    with np.errstate(over="ignore", invalid="ignore"):
+        combined = conse_combine(head, desc, np.full((1, 4), 1e308), top_t=top_t)
+    assert np.isnan(combined).all()
+
+
 def test_conse_combination_is_convex():
     head, desc = _orthogonal_setup()
     features = RngState(1).normal(10, 3)
@@ -155,6 +168,8 @@ def test_conse_argument_errors():
         conse_classify(_unit_head(desc), np.ones((1, 2)), among=[])
     with pytest.raises(IcisError):
         conse_combine(head, desc, np.ones((1, 3)), top_t=0)
+    with pytest.raises(IcisError, match="no seen classes to combine"):
+        conse_combine(ClassifierHead([], np.zeros((0, 3))), desc, np.ones((1, 3)))
     # a zero combined vector has no direction, from the combination or given
     with pytest.raises(ZeroNormError, match="combined semantic vector collapsed to zero"):
         conse_combine(head, DescriptorSet(desc.class_ids, np.zeros((3, 2))), np.ones((1, 3)))
@@ -358,10 +373,11 @@ def test_conse_of_float32_feature_rows_in_blocks_is_that_of_their_float64_upcast
     x32 = task.features.features.astype(np.float32)
     x64 = x32.astype(np.float64)
     whole = conse_combine(head, seen, x64, top_t=5)
-    # the 140 feature rows in float64 blocks of 3 against the 40 seen classes; the nearest
-    # descriptor scores them in float32 blocks of 12 against 2 class blocks of 20 and 10 targets
+    # the 140 feature rows in float64 blocks of 5 against 8 class blocks of 5 seen classes; the
+    # nearest descriptor scores them in float32 blocks of 12 against 2 class blocks of 20 and 10 targets
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 10 * 12)
-    assert len(list(row_blocks(x32.shape[0], 40, evaluation.EVAL_BLOCK // 8))) == 47
+    assert len(list(row_blocks(40, 24, evaluation.EVAL_BLOCK // 8))) == 8
+    assert len(list(row_blocks(x32.shape[0], 24, evaluation.EVAL_BLOCK // 8))) == 28
     assert len(list(row_blocks(len(targets.class_ids), 12, evaluation.EVAL_BLOCK // 4))) == 2
     assert len(list(row_blocks(x32.shape[0], 20, evaluation.EVAL_BLOCK // 4))) == 12
     for x in (x32, x64):
@@ -370,21 +386,24 @@ def test_conse_of_float32_feature_rows_in_blocks_is_that_of_their_float64_upcast
 
 
 def _conse_oracle(head, seen, x64, top_t):
-    """ConSE's combination as scored before class blocks: per row block of
-    ``EVAL_BLOCK`` bytes of float64 logits, one product of its rows against
-    the whole upcast head, then the softmax, its ``top_t`` largest entries
-    renormalised, times the seen descriptors."""
-    a_seen = seen.subset(head.class_ids).matrix
-    combined = np.empty((x64.shape[0], a_seen.shape[1]))
-    width = max(head.n_classes, head.weight_dim)
-    for lo, hi in row_blocks(x64.shape[0], width, evaluation.EVAL_BLOCK // 8):
-        probs = softmax_rows(x64[lo:hi] @ head.weights.astype(np.float64).T + head.biases)
-        idx = np.argpartition(probs, -top_t, axis=1)[:, -top_t:]
-        kept = np.zeros_like(probs)
-        np.put_along_axis(kept, idx, np.take_along_axis(probs, idx, axis=1), axis=1)
-        kept /= kept.sum(axis=1, keepdims=True)
-        combined[lo:hi] = kept @ a_seen
-    return combined
+    """ConSE's combination from the product of the whole upcast head, per
+    feature-row block of ``EVAL_BLOCK`` bytes of ``d_w`` float64 columns (a
+    walk's blocks when no class block is wider than ``d_w``): per row, the
+    ``top_t`` largest scores, on an exact tie those of the lowest ids, each
+    weighed ``exp(s - max)`` over their sum, and their seen descriptors
+    summed with those weights in id order."""
+    order = np.argsort(head.class_ids, kind="stable")
+    w64 = head.weights.astype(np.float64)
+    blocks = row_blocks(x64.shape[0], head.weight_dim, evaluation.EVAL_BLOCK // 8)
+    scores = np.vstack([x64[lo:hi] @ w64.T for lo, hi in blocks])
+    scores = (scores if head.biases is None else scores + head.biases)[:, order]  # classes in id order
+    t = min(top_t, head.n_classes)
+    kept = np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :t], axis=1)  # by score, then by id
+    s = np.take_along_axis(scores, kept, axis=1)
+    weights = np.exp(s - s.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    a = seen.subset([head.class_ids[i] for i in order]).matrix
+    return np.einsum("rk,rkd->rd", weights, a[kept])
 
 
 @pytest.mark.parametrize("n_blocks", [1, 3])
@@ -404,11 +423,59 @@ def test_conse_scored_in_class_blocks_is_the_whole_upcast_product(monkeypatch, h
     # its Haswell kernels do at these sizes too
     monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 128 * d_w)
     assert len(list(row_blocks(n_classes, d_w, evaluation.EVAL_BLOCK // 8))) == n_blocks
-    assert len(list(row_blocks(rows, max(n_classes, d_w), evaluation.EVAL_BLOCK // 8))) == 3
+    assert len(list(row_blocks(rows, d_w, evaluation.EVAL_BLOCK // 8))) == 3
     for features, x64 in [(x32[:rows], x32[:rows].astype(np.float64)),
                           (x32[:rows].astype(np.float64), x32[:rows].astype(np.float64)),
                           (scattered, x32[scattered.positions].astype(np.float64))]:
         assert np.array_equal(conse_combine(head, seen, features, top_t=5), _conse_oracle(head, seen, x64, 5))
+
+
+def test_conse_folds_one_walk_over_every_class_block(monkeypatch):
+    rng = np.random.default_rng(42)
+    n_classes, d_w, rows = 40, 16, 30
+    ids = [f"s{i:02d}" for i in range(n_classes)]
+    head = ClassifierHead(ids, rng.standard_normal((n_classes, d_w)))
+    seen = DescriptorSet(ids, rng.standard_normal((n_classes, 5)))
+    x = rng.standard_normal((rows, d_w))
+    walks = []
+    real = ClassifierHead.logit_blocks
+
+    def spied(self, *args):
+        walks.append([])
+        for lo, clo, block in real(self, *args):
+            walks[-1].append((lo, clo))
+            yield lo, clo, block
+    monkeypatch.setattr(ClassifierHead, "logit_blocks", spied)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 8 * d_w)  # class and feature-row blocks of 8
+    combined = conse_combine(head, seen, x, top_t=3)
+    # 5 class blocks for each of 4 feature-row blocks, in one walk
+    assert len(walks) == 1
+    assert len({clo for _, clo in walks[0]}) == 5 and len({lo for lo, _ in walks[0]}) == 4
+    assert len(walks[0]) == 20
+    assert np.allclose(combined, _conse_oracle(head, seen, x, 3), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("head_dtype", [np.float32, np.float64])
+def test_conse_exact_tie_at_the_last_kept_score_keeps_the_lowest_id(monkeypatch, head_dtype):
+    ids = [f"c{i:02d}" for i in range(12)]
+    order = np.random.default_rng(43).permutation(12)  # head rows not in id order
+    # unit head rows, so each feature row is its scores of the classes in id order, exactly
+    head = ClassifierHead([ids[i] for i in order], np.eye(12, dtype=head_dtype)[order])
+    seen = DescriptorSet(ids, np.eye(12))  # a combination's non-zero entries name its kept classes
+    scores = {  # top_t = 3 against class blocks c00-c03, c04-c07 and c08-c11
+        ("c02", "c05", "c01"): {"c01": 9, "c05": 8, "c02": 5, "c06": 5, "c10": 5},
+        ("c07", "c09", "c03"): {"c09": 9, "c07": 8, "c03": 2, "c04": 2, "c11": 2},
+        ("c00", "c04", "c08"): {"c00": 7, "c04": 4, "c08": 4, "c11": 4},
+        ("c00", "c01", "c02"): {},
+        ("c05", "c10", "c00"): {"c00": 1, "c01": 1, "c02": 1, "c05": 2, "c10": 2},
+        ("c04", "c08", "c09"): {c: -2 for c in ids[:4]} | {"c04": 1, "c08": 1, "c09": 1, "c10": 1},
+    }
+    x = np.array([[row.get(c, 0) for c in ids] for row in scores.values()], dtype=float)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 8 * 4 * 12)  # class and feature-row blocks of 4
+    assert len(list(row_blocks(12, 12, evaluation.EVAL_BLOCK // 8))) == 3
+    assert len(list(row_blocks(len(x), 12, evaluation.EVAL_BLOCK // 8))) == 2
+    combined = conse_combine(head, seen, x, top_t=3)
+    assert [tuple(ids[j] for j in np.flatnonzero(row)) for row in combined] == [tuple(sorted(k)) for k in scores]
 
 
 def test_conse_of_a_wide_float32_head_upcasts_one_class_block_at_a_time():
@@ -424,12 +491,11 @@ def test_conse_of_a_wide_float32_head_upcasts_one_class_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the head is 31.2 MiB of float32; upcast whole for each row block, it held 99 MiB. Now the
-    # kept probabilities of the row block before and a row block's logits (8 MiB each), its
-    # staged rows (4 MiB), one staged class block (8 MiB) and two logits blocks (1 MiB each)
-    # are live at once. A kept view of the whole argpartition held 8 MiB more, and the kept
-    # probabilities in a buffer of their own 8 MiB more again
-    assert peak < 34 * 2**20
+    # the head is 31.2 MiB of float32, and no row's scores of every class are held. The walk's
+    # staged feature rows and class block (8 MiB each), a 512-class logits block and the merge's
+    # copies of it with each row's kept scores (2 MiB each) are live at once: 26.8 MiB. A row
+    # block's logits and its kept probabilities, assembled whole, peaked at 30.5 MiB
+    assert peak < 28 * 2**20
 
 
 # ---------------------------------------------------------------------------

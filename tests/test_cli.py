@@ -654,6 +654,19 @@ def test_inject_refuses_a_manifest_without_unseen_classes(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["conse", "costa", "dae", "smo", "subreg", "wavg"])
+def test_baseline_refuses_a_manifest_without_seen_classes_naming_it(tmp_path, capsys, method):
+    task = _synth(tmp_path)
+    manifest = tmp_path / "unseen_only.txt"
+    manifest.write_text("[seen]\n[unseen]\n" + "".join(f"{c}\n" for c in load_manifest(task / "manifest.txt").unseen))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["baseline", "--method", method, *_task_args(task), "--manifest", str(manifest),
+                 "--features", str(task / "features.wsmat"), "--out", str(out), *FAST]) == 3
+    assert capsys.readouterr().err == f"error: {manifest}: the [seen] section lists no classes\n"
+    assert not out.exists()
+
+
 def test_eval_refuses_a_manifest_without_unseen_classes_naming_it(tmp_path, capsys):
     task = _synth(tmp_path)
     manifest = tmp_path / "seen_only.txt"

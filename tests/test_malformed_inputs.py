@@ -1,7 +1,8 @@
 """A seeded corpus of damaged input files for the commands that read a task:
 ``eval``, ``baseline --method conse``, ``analyze``, ``train``, ``inject``,
-whose checkpoint is one more file to damage, ``ablate`` and ``baseline
---method costa``.
+whose checkpoint is one more file to damage, ``ablate``, ``sweep`` and
+``baseline`` with each method that makes rows (``costa``, ``wavg``, ``smo``,
+``dae`` over ``wavg``, and ``subreg``).
 
 Each file such a command reads is damaged in each of five ways (truncated,
 one bit flipped, bytes appended, bytes deleted, lines shuffled) under a
@@ -31,6 +32,8 @@ SEEN_HEAD = ("seen.wsmat", "seen.ids")
 FEATURES = ("features.wsmat", "features.ids")
 DESCRIPTORS = ("descriptors.wsmat", "descriptors.ids")
 SCORED = ["--head", "head.wsmat", "--manifest", "manifest.txt", "--features", "features.wsmat"]
+SEEN_TASK = ["--head", "seen.wsmat", "--manifest", "manifest.txt", "--features", "features.wsmat",
+             "--descriptors", "descriptors.wsmat"]
 # per command: its arguments, where a file it reads is named as in the task directory and
 # "out" is its output there, and the files it reads
 COMMANDS = {
@@ -46,13 +49,17 @@ COMMANDS = {
     "inject": (["inject", "--checkpoint", "model.ckpt", "--head", "seen.wsmat", "--manifest", "manifest.txt",
                 "--descriptors", "descriptors.wsmat", "--out", "out"],
                ("manifest.txt", *SEEN_HEAD, *DESCRIPTORS, "model.ckpt")),
-    # so do the ladder and the row-making baselines; one epoch at the smallest width keeps them quick
+    # so do the ladder, the sweep and the row-making baselines; one epoch at the smallest width keeps
+    # them quick
     "ablate": (["ablate", "--head", "seen.wsmat", "--manifest", "manifest.txt", "--descriptors", "descriptors.wsmat",
                 "--features", "features.wsmat", "--out", "out", "--hidden-dim", "8", "--max-epochs", "1"],
                ("manifest.txt", *SEEN_HEAD, *DESCRIPTORS, *FEATURES)),
-    "costa": (["baseline", "--method", "costa", "--head", "seen.wsmat", "--manifest", "manifest.txt",
-               "--features", "features.wsmat", "--descriptors", "descriptors.wsmat"],
-              ("manifest.txt", *SEEN_HEAD, *FEATURES, *DESCRIPTORS)),
+    "sweep": (["sweep", *SEEN_TASK, "--out", "out", "--fractions", "0.5,1", "--hidden-dim", "8", "--max-epochs", "1"],
+              ("manifest.txt", *SEEN_HEAD, *DESCRIPTORS, *FEATURES)),
+    **{method: (["baseline", "--method", method, *SEEN_TASK, *flags],
+                ("manifest.txt", *SEEN_HEAD, *FEATURES, *DESCRIPTORS))
+       for method, flags in [("costa", []), ("wavg", []), ("smo", []), ("dae", []),
+                             ("subreg", ["--hidden-dim", "8", "--max-epochs", "1"])]},
 }
 FILES = sorted({name for _, files in COMMANDS.values() for name in files})
 
